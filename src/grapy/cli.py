@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Commands: gen-data, train, train-ml, eval, predict, gradcheck.
-Exit codes: 0 success, 2 usage/config error, 3 numerical failure,
+Exit codes: 0 success, 2 usage/config/dataset error, 3 numerical failure,
 4 artifact mismatch (checkpoint vs dataset taxonomy).
 
 Settings may come from a `key = value` config file (--config); explicit
@@ -22,7 +22,7 @@ from .imageio import colorize_labels, write_ppm
 from .model import (TrainConfig, TrainLog, forward, overfit_train,
                     pretrain_then_train)
 from .mutual import MlTrainConfig, audit_sharing, train_mutual
-from .synthdata import load_dataset, make_benchmark
+from .synthdata import DatasetError, load_dataset, make_benchmark
 from .tensor import NumericsError, argmax_channel, precision
 
 EXIT_OK = 0
@@ -288,7 +288,7 @@ def cmd_eval(args) -> int:
     with precision(args.precision or "f32"):
         dataset = load_dataset(args.data)
         params = _load_eval_params(args.ckpt, dataset)
-        report, cms = metrics.evaluate_report(params, dataset, workers=args.eval_workers)
+        report, cms = metrics.evaluate_report(params, dataset)
         sys.stdout.write(metrics.report_text(report, cms, dataset))
         if args.kv_out:
             with open(args.kv_out, "w", encoding="utf-8") as fh:
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    p.add_argument("--eval-workers", type=int, default=1, dest="eval_workers")
     p.add_argument("--kv-out", default=None, dest="kv_out",
                    help="write machine-readable key=value lines here")
     p.set_defaults(func=cmd_eval)
@@ -379,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArtifactMismatch as exc:

@@ -3,6 +3,12 @@
 Tape gradients are compared against central differences of the tape-free
 forward path, which computes bitwise-identically. Error metric per element:
 |a - b| / max(1, |a|, |b|), reported as the suite maximum.
+
+A central difference whose two probes fall on different sides of a kink (a
+relu or a max-pool selection flips between them) measures the mean slope
+across the kink, not the derivative at the point. Such a coordinate is
+probed again with a ten times smaller step until both probes take the same
+branches, down to ``MIN_FD_STEP``.
 """
 
 from __future__ import annotations
@@ -11,11 +17,13 @@ import numpy as np
 
 from . import tensor as T
 from .hierarchy import coarsen, taxonomy_by_name
-from .model import ModelParams, forward, loss_tensor
+from .model import ModelParams, batch_loss, forward, loss_tensor
 from .pyramid import GpmLevelParams, pyramid_forward, reason
+from .synthdata import SampleBatch
 from .tensor import Tape, Tensor, cross_entropy_mean, precision
 
 FD_STEP = 1e-5
+MIN_FD_STEP = 1e-8
 TOLERANCE = 1e-4
 
 
@@ -26,20 +34,52 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
 
 
+def _same_branches(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def central_diff(func, arr: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """d func / d arr by central differences, one coordinate at a time."""
+    """d func / d arr by central differences, one coordinate at a time.
+
+    The step shrinks tenfold for a coordinate whose probes straddle a kink.
+    """
     grad = np.zeros_like(arr, dtype=np.float64)
     flat = arr.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
-        fp = func()
-        flat[i] = orig - h
-        fm = func()
+        step = h
+        while True:
+            with T.branch_record() as plus:
+                flat[i] = orig + step
+                fp = func()
+            with T.branch_record() as minus:
+                flat[i] = orig - step
+                fm = func()
+            if step <= MIN_FD_STEP or _same_branches(plus, minus):
+                break
+            step /= 10.0
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * step)
     return grad
+
+
+def tape_grads(build, leaves: list[Tensor]) -> list[np.ndarray]:
+    """The tape gradient of the scalar ``build()`` for every leaf (zeros if unreached)."""
+    with Tape() as tape:
+        loss = build()
+    grad_map = tape.backward(loss)
+    return [grad_map.get(leaf, np.zeros_like(leaf.data)) for leaf in leaves]
+
+
+def fd_error(build, leaves: list[Tensor], grads: list[np.ndarray],
+             h: float = FD_STEP) -> float:
+    """Max rel. error between ``grads`` and finite differences of ``build``."""
+    worst = 0.0
+    for leaf, got in zip(leaves, grads):
+        fd = central_diff(lambda: float(build().data), leaf.data, h)
+        worst = max(worst, rel_err(got, fd))
+    return worst
 
 
 def check_tensor_grads(build, leaves: list[Tensor], h: float = FD_STEP) -> float:
@@ -48,17 +88,7 @@ def check_tensor_grads(build, leaves: list[Tensor], h: float = FD_STEP) -> float
     ``build`` must construct the scalar loss from the given leaf tensors and is
     re-run (tape-free) for every perturbation.
     """
-    with Tape() as tape:
-        loss = build()
-    grad_map = tape.backward(loss)
-    worst = 0.0
-    for leaf in leaves:
-        fd = central_diff(lambda: float(build().data), leaf.data, h)
-        got = grad_map.get(leaf)
-        if got is None:
-            got = np.zeros_like(leaf.data)
-        worst = max(worst, rel_err(got, fd))
-    return worst
+    return fd_error(build, leaves, tape_grads(build, leaves), h)
 
 
 def _weighted(t: Tensor, w: np.ndarray) -> Tensor:
@@ -142,14 +172,52 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     results["cross_entropy"] = check_tensor_grads(
         lambda: cross_entropy_mean(T.softmax_channels(logits), q), [logits])
 
+    # the same ops over a leading batch axis of 2
+    ma, mb, mw = leaf(2, 4, 5), leaf(2, 5, 3), leaf(5, 3)
+    wm = rng.normal(size=(2, 4, 3))
+    results["matmul_batch2"] = check_tensor_grads(
+        lambda: _weighted(T.matmul(ma, mb), wm), [ma, mb])
+    results["matmul_shared_batch2"] = check_tensor_grads(
+        lambda: _weighted(T.matmul(ma, mw), wm), [ma, mw])
+    wt = rng.normal(size=(2, 5, 4))
+    results["transpose_batch2"] = check_tensor_grads(
+        lambda: _weighted(T.transpose(ma), wt), [ma])
+    sb = leaf(2, 4, 4)
+    wsb = rng.normal(size=(2, 4, 4))
+    results["softmax_rows_batch2"] = check_tensor_grads(
+        lambda: _weighted(T.softmax_rows(sb), wsb), [sb])
+    xb = leaf(2, 6, 6, 2)
+    wcb = rng.normal(size=(2, 6, 6, 3))
+    results["conv2d_batch2"] = check_tensor_grads(
+        lambda: _weighted(T.conv2d(xb, k), wcb), [xb, k])
+    wcb2 = rng.normal(size=(2, 3, 3, 3))
+    results["conv2d_stride2_batch2"] = check_tensor_grads(
+        lambda: _weighted(T.conv2d(xb, k, stride=2), wcb2), [xb, k])
+    fb = leaf(2, 5, 6, 3)
+    lb = rng.integers(0, 3, size=(2, 5, 6))
+    lb.reshape(2, -1)[:, :3] = [0, 1, 2]
+    wpb = rng.normal(size=(2, 3, 6))
+    results["masked_pool_batch2"] = check_tensor_grads(
+        lambda: _weighted(T.masked_pool(fb, lb, 3)[0], wpb), [fb])
+    nb = leaf(2, 3, 4)
+    wbb = rng.normal(size=(2, 5, 6, 4))
+    results["broadcast_nodes_batch2"] = check_tensor_grads(
+        lambda: _weighted(T.broadcast_nodes(nb, lb), wbb), [nb])
+    logits_b = leaf(2, 4, 4, 3)
+    qb = rng.integers(0, 3, size=(2, 4, 4))
+    results["cross_entropy_batch2"] = check_tensor_grads(
+        lambda: cross_entropy_mean(T.softmax_channels(logits_b), qb), [logits_b])
+
     return results
 
 
-def reason_suite(seed: int = 0) -> float:
+def reason_suite(seed: int = 0, batch: int | None = None) -> float:
+    """Attention reasoning over 4 nodes, or over a batch of node sets."""
     rng = np.random.default_rng(seed)
-    v = Tensor(rng.normal(0.0, 1.0, (4, 8)), requires_grad=True)
+    lead = () if batch is None else (batch,)
+    v = Tensor(rng.normal(0.0, 1.0, lead + (4, 8)), requires_grad=True)
     params = GpmLevelParams.init(rng, 8, 4)
-    w = rng.normal(size=(4, 8))
+    w = rng.normal(size=lead + (4, 8))
     return check_tensor_grads(lambda: _weighted(reason(v, params), w),
                               [v, params.q1, params.q2])
 
@@ -178,23 +246,34 @@ def pyramid_suite(seed: int = 0) -> float:
     return check_tensor_grads(build, leaves)
 
 
-def end_to_end_suite(seed: int = 0) -> float:
-    """Two-branch loss gradient wrt every model parameter on an 8x8x4 instance.
+def end_to_end_problem(seed: int = 0, batch: int | None = None):
+    """The two-branch loss on an 8x8x4 instance, as (build, named parameters).
 
     Runs in ground-truth-mask mode so the category maps are constants for
-    both the tape and the finite differences.
+    both the tape and the finite differences. ``batch`` images go through
+    ``batch_loss``, the training path; ``None`` is one image through
+    ``forward``.
     """
     rng = np.random.default_rng(seed)
     tax = taxonomy_by_name("A")
     params = ModelParams.init(rng, tax, c_in=4, width=8, channels=4)
-    image = rng.uniform(0.0, 1.0, (8, 8, 4))
-    q = rng.integers(0, tax.k3, size=(8, 8))
+    lead = () if batch is None else (batch,)
+    image = rng.uniform(0.0, 1.0, lead + (8, 8, 4))
+    q = rng.integers(0, tax.k3, size=lead + (8, 8))
 
     def build():
+        if batch is not None:
+            return batch_loss(SampleBatch(list(image), list(q)), params, tax, gt_masks=True)
         out = forward(image, params, tax, gt_labels=q)
         return loss_tensor(out, q, params.loss_weight)
 
-    return check_tensor_grads(build, list(params.named().values()))
+    return build, params.named()
+
+
+def end_to_end_suite(seed: int = 0, batch: int | None = None) -> float:
+    """Two-branch loss gradient wrt every model parameter (see end_to_end_problem)."""
+    build, named = end_to_end_problem(seed, batch)
+    return check_tensor_grads(build, list(named.values()))
 
 
 def run_all(seed: int = 0, verbose: bool = False) -> tuple[dict[str, float], bool]:
@@ -202,8 +281,10 @@ def run_all(seed: int = 0, verbose: bool = False) -> tuple[dict[str, float], boo
     with precision("f64"):
         results = op_suites(seed)
         results["reason"] = reason_suite(seed)
+        results["reason_batch2"] = reason_suite(seed, batch=2)
         results["pyramid"] = pyramid_suite(seed)
         results["end_to_end"] = end_to_end_suite(seed)
+        results["end_to_end_batch2"] = end_to_end_suite(seed, batch=2)
     ok = all(v < TOLERANCE for v in results.values())
     if verbose:
         for name, value in results.items():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .hierarchy import coarsen
@@ -28,12 +26,6 @@ class ConfusionMatrix:
                 raise ValueError(f"{name} labels out of range [0, {self.k})")
         flat = np.bincount(g * self.k + p, minlength=self.k * self.k)
         self.counts += flat.reshape(self.k, self.k)
-        return self
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.k != self.k:
-            raise ValueError(f"cannot merge {other.k}-class into {self.k}-class matrix")
-        self.counts += other.counts
         return self
 
     def per_class_iou(self) -> np.ndarray:
@@ -77,47 +69,27 @@ def _branches_of(params: ModelParams) -> list[str]:
     return ["main"] + (["gpm"] if params.gpm is not None else [])
 
 
-def confusions(params: ModelParams, dataset: Dataset, workers: int = 1,
+def confusions(params: ModelParams, dataset: Dataset,
                gt_masks: bool = False) -> dict[str, dict[int, ConfusionMatrix]]:
     """One forward per sample, confusion matrices for every branch and level."""
     tax = dataset.taxonomy
-    branches = _branches_of(params)
-
-    def one(sample):
+    total = {b: {level: ConfusionMatrix(tax.k_at(level)) for level in (1, 2, 3)}
+             for b in _branches_of(params)}
+    for sample in dataset.samples:
         out = forward(sample.image, params, tax,
                       gt_labels=sample.labels if gt_masks else None)
         preds = {"main": argmax_channel(out.y)}
         if out.y_hat is not None:
             preds["gpm"] = argmax_channel(out.y_hat)
-        cms = {b: {} for b in preds}
         for b, pred in preds.items():
             for level in (1, 2, 3):
-                cm = ConfusionMatrix(tax.k_at(level))
-                cm.add(coarsen(pred, tax, level), coarsen(sample.labels, tax, level))
-                cms[b][level] = cm
-        return cms
-
-    total = {b: {level: ConfusionMatrix(tax.k_at(level)) for level in (1, 2, 3)}
-             for b in branches}
-
-    def fold(cms):
-        for b, levels in cms.items():
-            for level, cm in levels.items():
-                total[b][level].merge(cm)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for cms in pool.map(one, dataset.samples):
-                fold(cms)
-    else:
-        for sample in dataset.samples:
-            fold(one(sample))
+                total[b][level].add(coarsen(pred, tax, level),
+                                    coarsen(sample.labels, tax, level))
     return total
 
 
 def evaluate_at_level(params: ModelParams, dataset: Dataset, level: int,
-                      branch: str = "gpm", workers: int = 1,
-                      gt_masks: bool = False) -> tuple[float, float]:
+                      branch: str = "gpm", gt_masks: bool = False) -> tuple[float, float]:
     """(mIoU, mean accuracy) with predictions and ground truth coarsened to ``level``."""
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
@@ -125,13 +97,13 @@ def evaluate_at_level(params: ModelParams, dataset: Dataset, level: int,
         raise ValueError(f"branch must be 'main' or 'gpm', got {branch!r}")
     if branch == "gpm" and params.gpm is None:
         raise ValueError("model has no pyramid branch; evaluate branch='main'")
-    cm = confusions(params, dataset, workers, gt_masks)[branch][level]
+    cm = confusions(params, dataset, gt_masks)[branch][level]
     return cm.miou(), cm.mean_accuracy()
 
 
-def evaluate_report(params: ModelParams, dataset: Dataset, workers: int = 1):
+def evaluate_report(params: ModelParams, dataset: Dataset):
     """Metrics for both branches at all three levels plus the raw matrices."""
-    cms = confusions(params, dataset, workers)
+    cms = confusions(params, dataset)
     report = {b: {level: (cms[b][level].miou(), cms[b][level].mean_accuracy())
                   for level in (1, 2, 3)}
               for b in cms}

@@ -38,8 +38,8 @@ class ConvLayer:
 
     def apply(self, x: Tensor) -> Tensor:
         out = conv2d(x, self.kernel)
-        h, w, c = out.shape
-        return out + reshape(self.bias, (1, 1, c))
+        c = out.shape[-1]
+        return out + reshape(self.bias, (1,) * (out.data.ndim - 1) + (c,))
 
 
 @dataclass
@@ -114,7 +114,7 @@ class ModelParams:
 
 
 class ForwardOut(NamedTuple):
-    y: Tensor                 # main-branch per-pixel distribution (H, W, K3)
+    y: Tensor                 # main-branch per-pixel distribution ([N,] H, W, K3)
     y_hat: Tensor | None      # pyramid-branch distribution, None in main-only mode
     f_hat: Tensor | None      # fused feature map feeding the pyramid head
 
@@ -123,8 +123,10 @@ def forward(image, params: ModelParams, taxonomy: Taxonomy,
             gt_labels: np.ndarray | None = None, main_only: bool = False) -> ForwardOut:
     """Full forward pass: features, main prediction, pyramid prediction.
 
-    ``gt_labels`` switches category masks to coarsened ground truth (debug
-    mode); default masks derive from the main prediction's argmax.
+    ``image`` is one (H, W, C) image or an (N, H, W, C) batch; every output
+    then carries the same leading axes. ``gt_labels`` switches category masks
+    to coarsened ground truth (debug mode); default masks derive from the
+    main prediction's argmax.
     """
     # images arrive in [0, 1]; centering keeps the first conv well conditioned
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image) - 0.5)
@@ -149,15 +151,16 @@ def loss_tensor(out: ForwardOut, q: np.ndarray, loss_weight: float) -> Tensor:
 
 def batch_loss(batch: SampleBatch, params: ModelParams, taxonomy: Taxonomy,
                gt_masks: bool = False, main_only: bool = False) -> Tensor:
-    terms = []
-    for img, q in zip(batch.images, batch.labels):
-        out = forward(img, params, taxonomy,
-                      gt_labels=q if gt_masks else None, main_only=main_only)
-        terms.append(loss_tensor(out, q, params.loss_weight))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return scale(total, 1.0 / len(terms))
+    """Mean two-branch loss of the batch, as one stacked forward on one tape.
+
+    Every image has the same size, so the mean over all N*H*W pixels equals
+    the mean of the per-image losses.
+    """
+    images = np.stack(batch.images)
+    q = np.stack(batch.labels)
+    out = forward(images, params, taxonomy, gt_labels=q if gt_masks else None,
+                  main_only=main_only)
+    return loss_tensor(out, q, params.loss_weight)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:

@@ -11,6 +11,9 @@ concatenated with all refined maps.
 Category masks come from the per-pixel argmax of the main-branch prediction,
 coarsened through the taxonomy; they are constants inside a training step
 (argmax never joins the tape).
+
+Everything accepts a leading batch axis: (N, H, W, C) feature maps give
+(N, K, C) nodes, pooled and attended within each image.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ class NodeSet:
     """Per-level graph nodes: pooled features plus the masks that made them."""
 
     level: int
-    features: Tensor          # (K_l, C_l)
-    label_map: np.ndarray     # (H, W) category index per pixel at this level
-    counts: np.ndarray        # (K_l,) pixels per category
+    features: Tensor          # ([N,] K_l, C_l)
+    label_map: np.ndarray     # ([N,] H, W) category index per pixel at this level
+    counts: np.ndarray        # ([N,] K_l) pixels per category
 
     @property
     def occupancy(self) -> np.ndarray:
@@ -42,9 +45,9 @@ class NodeSet:
 
     @property
     def masks(self) -> np.ndarray:
-        """Boolean (K_l, H, W) masks; exactly one is true per pixel."""
-        k = self.features.shape[0]
-        return self.label_map[None, :, :] == np.arange(k)[:, None, None]
+        """Boolean ([N,] K_l, H, W) masks; exactly one is true per pixel."""
+        k = self.features.shape[-2]
+        return self.label_map[..., None, :, :] == np.arange(k)[:, None, None]
 
 
 @dataclass
@@ -201,7 +204,7 @@ def pyramid_forward(f: Tensor, y: Tensor, taxonomy: Taxonomy, params: GpmParams,
         f_l = level_forward(f_l, label_map, taxonomy.k_at(level), level,
                             params.levels[level], params.pooling, params.iterations)
         pyramid.append(f_l)
-    f_hat = concat(pyramid, axis=2)
+    f_hat = concat(pyramid, axis=-1)
     y_hat = softmax_channels(conv2d(f_hat, params.head))
     return f_hat, y_hat
 

@@ -29,6 +29,10 @@ class GenerationError(RuntimeError):
     """A figure could not be placed inside the frame."""
 
 
+class DatasetError(ValueError):
+    """A manifest or one of its samples is unusable; names the file and line."""
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Deterministic scene recipe; every sample is a pure function of (seed, index)."""
@@ -341,24 +345,42 @@ def save_dataset(dirpath, dataset: Dataset) -> str:
 
 
 def load_dataset(manifest_path, taxonomy: Taxonomy | None = None, name: str | None = None) -> Dataset:
+    """Load a manifest's samples, rejecting any that training could not stack.
+
+    Every label must lie in [0, k3) of the bound taxonomy, and every image
+    must have the size of the first, since a batch is one stacked array.
+    """
     base = os.path.dirname(os.path.abspath(manifest_path))
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("taxonomy\t"):
-        raise ValueError(f"{manifest_path}: first manifest line must be 'taxonomy<TAB><name>'")
-    tax_name = lines[0].split("\t", 1)[1]
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("taxonomy\t"):
+        raise DatasetError(f"{manifest_path}: first manifest line must be 'taxonomy<TAB><name>'")
+    tax_name = lines[0][1].split("\t", 1)[1]
     if taxonomy is None:
         taxonomy = taxonomy_by_name(tax_name)
     elif taxonomy.dataset_name != tax_name:
-        raise ValueError(f"{manifest_path} is bound to taxonomy {tax_name!r}, "
-                         f"got {taxonomy.dataset_name!r}")
+        raise DatasetError(f"{manifest_path} is bound to taxonomy {tax_name!r}, "
+                           f"got {taxonomy.dataset_name!r}")
     samples = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
+        where = f"{manifest_path}:{no}"
         parts = ln.split("\t")
         if len(parts) != 3:
-            raise ValueError(f"{manifest_path}: bad manifest line {ln!r}")
+            raise DatasetError(f"{where}: bad manifest line {ln!r}")
         _, img_rel, lab_rel = parts
-        samples.append(read_sample(os.path.join(base, img_rel), os.path.join(base, lab_rel)))
+        try:
+            sample = read_sample(os.path.join(base, img_rel), os.path.join(base, lab_rel))
+        except (OSError, ValueError) as exc:  # ParseError is a ValueError
+            raise DatasetError(f"{where}: {exc}") from None
+        top = int(sample.labels.max(initial=0))
+        if top >= taxonomy.k3:
+            raise DatasetError(f"{where}: label map {lab_rel} holds label {top}, outside "
+                               f"[0, {taxonomy.k3}) of taxonomy {taxonomy.dataset_name!r}")
+        if samples and sample.image.shape != samples[0].image.shape:
+            raise DatasetError(f"{where}: image {img_rel} is {sample.image.shape[:2]}, but the "
+                               f"first image is {samples[0].image.shape[:2]}; a batch needs "
+                               "one size")
+        samples.append(sample)
     return Dataset(name=name or tax_name, taxonomy=taxonomy, samples=samples)
 
 

@@ -1,15 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation on an explicit tape.
 
-Ops compute with numpy (hot kernels may be numba-jitted, see kernels.py).
-When a Tape is active and an input requires gradients, the op appends a
-backward rule to the tape. With no active tape the identical arithmetic runs
-tape-free, bitwise equal to the recorded path; finite-difference checks rely
-on that.
+Ops compute with numpy; the hot kernels live in kernels.py. Image-shaped ops
+take an optional leading batch axis: (H, W, C) and (N, H, W, C) both work,
+and node tables are (K, C) or (N, K, C). When a Tape is active and an input
+requires gradients, the op appends a backward rule to the tape. With no
+active tape the identical arithmetic runs tape-free, bitwise equal to the
+recorded path; finite-difference checks rely on that.
 
 Every op output is checked finite; NaN/Inf raises NumericsError immediately.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -166,8 +169,29 @@ class Tape:
         return result
 
 
+_BRANCHES: "list[np.ndarray] | None" = None
+
+
+@contextmanager
+def branch_record():
+    """Collect the branch every piecewise op takes while active: relu masks
+    and max-pool selections. Two runs with equal records evaluate the same
+    smooth piece of the function, so no kink lies between them."""
+    global _BRANCHES
+    saved, _BRANCHES = _BRANCHES, []
+    try:
+        yield _BRANCHES
+    finally:
+        _BRANCHES = saved
+
+
+def _record_branch(choice: np.ndarray) -> None:
+    if _BRANCHES is not None:
+        _BRANCHES.append(choice)
+
+
 def _check_finite(arr: np.ndarray, opname: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"{opname} produced non-finite values")
 
 
@@ -244,15 +268,29 @@ def scale(a: Tensor, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes.
+
+    ``a`` is (M, K) or (N, M, K); ``b`` is (K, P), or (N, K, P) when ``a`` is
+    batched. A 2-D ``b`` is shared by every batch entry and runs as one GEMM
+    over the N*M rows.
+    """
+    ra, rb = a.data.ndim, b.data.ndim
+    if ra not in (2, 3) or rb not in (2, ra) or (rb == 3 and a.shape[0] != b.shape[0]):
+        raise ShapeError(f"matmul needs (M,K) or (N,M,K) x (K,P), or (N,M,K) x (N,K,P), "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
+    shared = ra == 3 and rb == 2
 
     def back(g):
-        ga = g @ bd.T if a.requires_grad else None
-        gb = ad.T @ g if b.requires_grad else None
+        ga = g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None
+        gb = None
+        if b.requires_grad:
+            if shared:
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.swapaxes(ad, -1, -2) @ g
         return ga, gb
 
     return _apply("matmul", ad @ bd, (a, b), back)
@@ -265,10 +303,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _apply("transpose", np.ascontiguousarray(a.data.T), (a,),
-                  lambda g: (np.ascontiguousarray(g.T),))
+    """Swap the last two axes of a 2-D or batched 3-D tensor."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose needs a 2-D or 3-D tensor, got {a.shape}")
+    return _apply("transpose", np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,),
+                  lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -297,6 +336,7 @@ def concat(tensors, axis: int) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
+    _record_branch(mask)
     return _apply("relu", a.data * mask, (a,), lambda g: (g * mask,))
 
 
@@ -336,58 +376,76 @@ def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
                    lambda d, ax, k: d.mean(axis=ax, keepdims=k), back)
 
 
+def _softmax_last(a: Tensor, opname: str) -> Tensor:
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+    s = np.maximum(s, np.finfo(s.dtype).tiny)
+
+    def back(g):
+        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
+
+    return _apply(opname, s, (a,), back)
+
+
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-stabilized softmax over the last axis of a 2-D tensor.
+    """Row-stabilized softmax over the last axis of a (M, K) or (N, M, K) tensor.
 
     Outputs are floored at the dtype's smallest positive normal so that a
     saturated row never underflows to an exact zero; an exact zero would kill
     the gradient of any downstream log-likelihood and make saturation
     unrecoverable in 32-bit training.
     """
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-D tensor, got {a.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
-    s = np.maximum(s, np.finfo(s.dtype).tiny)
-
-    def back(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
-
-    return _apply("softmax_rows", s, (a,), back)
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"softmax_rows needs a 2-D or 3-D tensor, got {a.shape}")
+    return _softmax_last(a, "softmax_rows")
 
 
 def softmax_channels(a: Tensor) -> Tensor:
-    """Softmax over the channel axis of an (H, W, K) tensor."""
-    h, w, k = a.shape
-    return reshape(softmax_rows(reshape(a, (h * w, k))), (h, w, k))
+    """Softmax over the channel axis of an (H, W, K) or (N, H, W, K) tensor."""
+    if a.data.ndim not in (3, 4):
+        raise ShapeError(f"softmax_channels needs (H,W,K) or (N,H,W,K), got {a.shape}")
+    return _softmax_last(a, "softmax_channels")
 
 
 # ---------------------------------------------------------------------------
 # Convolution and the category-pooling / distribution ops
 # ---------------------------------------------------------------------------
 
+def _batch_view(arr: np.ndarray, batched: bool) -> np.ndarray:
+    """``arr`` with a leading batch axis, adding one of extent 1 if absent."""
+    return arr if batched else arr[None]
+
+
 def conv2d(x: Tensor, kern: Tensor, stride: int = 1, pad: int | None = None) -> Tensor:
-    """Cross-correlation of an (H, W, Cin) input with a (kh, kw, Cin, Cout) kernel."""
-    if x.data.ndim != 3 or kern.data.ndim != 4:
-        raise ShapeError(f"conv2d needs (H,W,Cin) x (kh,kw,Cin,Cout), got {x.shape} x {kern.shape}")
+    """Cross-correlation of an (H, W, Cin) or (N, H, W, Cin) input with a
+    (kh, kw, Cin, Cout) kernel."""
+    if x.data.ndim not in (3, 4) or kern.data.ndim != 4:
+        raise ShapeError(f"conv2d needs ([N,]H,W,Cin) x (kh,kw,Cin,Cout), "
+                         f"got {x.shape} x {kern.shape}")
     kh, kw, cin, cout = kern.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d kernel extents must be odd, got ({kh}, {kw})")
-    if x.shape[2] != cin:
+    if x.shape[-1] != cin:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {kern.shape}")
     if pad is None:
         pad = kh // 2
-    h, w = x.shape[:2]
-    xd, kd = x.data, kern.data
+    batched = x.data.ndim == 4
+    xd, kd = _batch_view(x.data, batched), kern.data
+    h, w = xd.shape[1:3]
     out = kernels.conv2d_forward(xd, kd, stride, pad)
 
     def back(g):
-        gx = kernels.conv2d_backward_input(g, kd, stride, pad, h, w) if x.requires_grad else None
-        gk = kernels.conv2d_backward_kernel(xd, g, stride, pad, kh, kw) if kern.requires_grad else None
+        gb = _batch_view(g, batched)
+        gx = gk = None
+        if x.requires_grad:
+            gx = kernels.conv2d_backward_input(gb, kd, stride, pad, h, w)
+            gx = gx if batched else gx[0]
+        if kern.requires_grad:
+            gk = kernels.conv2d_backward_kernel(xd, gb, stride, pad, kh, kw)
         return gx, gk
 
-    return _apply("conv2d", out, (x, kern), back)
+    return _apply("conv2d", out if batched else out[0], (x, kern), back)
 
 
 def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
@@ -396,26 +454,31 @@ def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
     Returns (features, counts): one row per category, holding the masked mean,
     the channelwise masked max, or their concatenation per ``mode``. Empty
     categories pool to zero rows. The label map is a constant; gradients flow
-    to ``f`` through the mean spread and the max selections.
+    to ``f`` through the mean spread and the max selections. A batch,
+    (N, H, W, C) features over (N, H, W) labels, pools each image on its own
+    into (N, K, .) features and (N, K) counts.
     """
     if mode not in ("both", "ave", "max"):
         raise ValueError(f"masked_pool mode must be both|ave|max, got {mode!r}")
-    if f.data.ndim != 3 or label_map.shape != f.shape[:2]:
-        raise ShapeError(f"masked_pool needs (H,W,C) features and (H,W) labels, "
+    if f.data.ndim not in (3, 4) or label_map.shape != f.shape[:-1]:
+        raise ShapeError(f"masked_pool needs ([N,]H,W,C) features and ([N,]H,W) labels, "
                          f"got {f.shape} and {label_map.shape}")
     if label_map.min() < 0 or label_map.max() >= k:
         raise ShapeError(f"label map values out of range [0, {k})")
-    c = f.shape[2]
-    sums, counts, maxv, argi = kernels.masked_pool_forward(f.data, label_map, k)
-    inv = np.zeros(k, f.data.dtype)
+    batched = f.data.ndim == 4
+    c = f.shape[-1]
+    labels = _batch_view(label_map, batched)
+    fd = _batch_view(f.data, batched)
+    sums, counts, maxv, argi = kernels.masked_pool_forward(fd, labels, k)
+    _record_branch(argi)
+    inv = np.zeros(counts.shape, f.data.dtype)
     nz = counts > 0
     inv[nz] = 1.0 / counts[nz]
-    ave = sums * inv[:, None]
-    shape = f.data.shape
-    zeros = np.zeros((k, c), f.data.dtype)
+    ave = sums * inv[..., None]
+    zeros = np.zeros(sums.shape, f.data.dtype)
 
     if mode == "both":
-        feats = np.concatenate([ave, maxv], axis=1)
+        feats = np.concatenate([ave, maxv], axis=-1)
     elif mode == "ave":
         feats = ave
     else:
@@ -423,57 +486,70 @@ def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
 
     def back(g):
         # the kernel spreads the mean gradient evenly over each mask (1/count)
+        g = _batch_view(g, batched)
         if mode == "both":
-            gave, gmax = g[:, :c], g[:, c:]
+            gave, gmax = g[..., :c], g[..., c:]
         elif mode == "ave":
             gave, gmax = g, zeros
         else:
             gave, gmax = zeros, g
-        return (kernels.masked_pool_backward(gave, gmax, label_map, counts, argi, shape),)
+        gf = kernels.masked_pool_backward(gave, gmax, labels, counts, argi, fd.shape)
+        return (gf if batched else gf[0],)
 
-    return _apply("masked_pool", feats, (f,), back), counts
+    if batched:
+        return _apply("masked_pool", feats, (f,), back), counts
+    return _apply("masked_pool", feats[0], (f,), back), counts[0]
 
 
 def broadcast_nodes(w: Tensor, label_map: np.ndarray) -> Tensor:
-    """Per-pixel lookup of a (K, C) row table through an (H, W) label map."""
-    if w.data.ndim != 2:
-        raise ShapeError(f"broadcast_nodes needs a (K,C) table, got {w.shape}")
-    k = w.shape[0]
-    out = kernels.gather_rows(w.data, label_map)
+    """Per-pixel lookup of a (K, C) row table through an (H, W) label map,
+    or of (N, K, C) tables through (N, H, W) maps, image by image."""
+    if w.data.ndim not in (2, 3) or label_map.ndim != w.data.ndim:
+        raise ShapeError(f"broadcast_nodes needs a (K,C) table with (H,W) labels or "
+                         f"(N,K,C) with (N,H,W), got {w.shape} and {label_map.shape}")
+    batched = w.data.ndim == 3
+    k = w.shape[-2]
+    labels = _batch_view(label_map, batched)
+    out = kernels.gather_rows(_batch_view(w.data, batched), labels)
 
     def back(g):
-        return (kernels.scatter_rows(g, label_map, k),)
+        gw = kernels.scatter_rows(_batch_view(g, batched), labels, k)
+        return (gw if batched else gw[0],)
 
-    return _apply("broadcast_nodes", out, (w,), back)
+    return _apply("broadcast_nodes", out if batched else out[0], (w,), back)
 
 
 def cross_entropy_mean(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of an (H, W, K) probability map at ``labels``."""
-    h, w, k = probs.shape
-    if labels.shape != (h, w):
+    """Mean negative log-likelihood of an (H, W, K) or (N, H, W, K) probability
+    map at ``labels``, averaged over every pixel of the batch."""
+    k = probs.shape[-1]
+    if probs.data.ndim not in (3, 4) or labels.shape != probs.shape[:-1]:
         raise ShapeError(f"labels shape {labels.shape} does not match prediction {probs.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise ShapeError(f"label out of range [0, {k})")
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    p = probs.data[ii, jj, labels]
+    p2 = probs.data.reshape(-1, k)
+    rows = np.arange(p2.shape[0])
+    lab = labels.reshape(-1)
+    p = p2[rows, lab]
     tiny = np.finfo(probs.data.dtype).tiny
     pc = np.maximum(p, tiny)
     out = np.asarray(-np.log(pc).mean(), dtype=probs.data.dtype)
-    n = h * w
+    n = p.size
 
     def back(g):
-        gp = np.zeros_like(probs.data)
-        gp[ii, jj, labels] = np.where(p >= tiny, -g / (pc * n), 0.0)
-        return (gp,)
+        gp = np.zeros_like(p2)
+        gp[rows, lab] = np.where(p >= tiny, -g / (pc * n), 0.0)
+        return (gp.reshape(probs.shape),)
 
     return _apply("cross_entropy", out, (probs,), back)
 
 
 def argmax_channel(a: Tensor) -> np.ndarray:
-    """Per-pixel argmax over channels of an (H, W, K) tensor. Not on the tape."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"argmax_channel needs (H,W,K), got {a.shape}")
-    return np.argmax(a.data, axis=2).astype(np.int64)
+    """Per-pixel argmax over channels of an (H, W, K) or (N, H, W, K) tensor.
+    Not on the tape."""
+    if a.data.ndim not in (3, 4):
+        raise ShapeError(f"argmax_channel needs ([N,]H,W,K), got {a.shape}")
+    return np.argmax(a.data, axis=-1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,28 @@ def confusion_oracle(pred, gt, k):
     for p, g in zip(pred.reshape(-1), gt.reshape(-1)):
         cm[g, p] += 1
     return cm
+
+
+def pool_oracle(f, label_map, k):
+    """Per-category sums, counts, channelwise max and first-pixel argmax of
+    one (H, W, C) image, scanning the pixels in row-major order."""
+    c = f.shape[2]
+    sums, maxv = np.zeros((k, c)), np.zeros((k, c))
+    counts, argi = np.zeros(k, np.int64), np.zeros((k, c), np.int64)
+    for i, (row, kk) in enumerate(zip(f.reshape(-1, c), label_map.reshape(-1))):
+        sums[kk] += row
+        for cc in range(c):
+            if counts[kk] == 0 or row[cc] > maxv[kk, cc]:
+                maxv[kk, cc], argi[kk, cc] = row[cc], i
+        counts[kk] += 1
+    return sums, counts, maxv, argi
+
+
+def scatter_oracle(g, label_map, k):
+    """Per-category sums of the (H, W, C) rows of ``g``, pixel by pixel."""
+    out = np.zeros((k, g.shape[2]))
+    h, w = label_map.shape
+    for i in range(h):
+        for j in range(w):
+            out[label_map[i, j]] += g[i, j]
+    return out

@@ -115,6 +115,19 @@ class TestTrain:
                       "--out", str(tmp_path), "--momentum", "1.5")
         assert res.returncode == 2
 
+    def test_label_outside_taxonomy_exits_2_without_traceback(self, tmp_path):
+        from grapy.hierarchy import taxonomy_by_name
+        from grapy.synthdata import Dataset, SceneSpec, generate, save_dataset
+
+        tax = taxonomy_by_name("A")
+        ds = Dataset("A", tax, generate(SceneSpec(seed=41, image_size=(16, 16)), tax, 2))
+        ds.samples[0].labels[0, 0] = 9
+        manifest = save_dataset(tmp_path / "d", ds)
+        res = run_cli("train", "--data", str(manifest), "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "manifest.txt:2" in res.stderr and "label 9" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_epoch_mode_runs_both_phases(self, tmp_path):
         from grapy.hierarchy import taxonomy_by_name
         from grapy.synthdata import Dataset, SceneSpec, generate, save_dataset
@@ -144,8 +157,7 @@ class TestEvalPredict:
     def test_eval_reports_six_metric_pairs(self, bench_dir, trained, tmp_path):
         kv = tmp_path / "metrics.kv"
         res = run_cli("eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),
-                      "--ckpt", str(trained / "model.ckpt"), "--kv-out", str(kv),
-                      "--eval-workers", "2")
+                      "--ckpt", str(trained / "model.ckpt"), "--kv-out", str(kv))
         assert res.returncode == 0, res.stderr
         assert res.stdout.count("miou=") >= 6
         pairs = dict(ln.split("=") for ln in kv.read_text().strip().split("\n"))

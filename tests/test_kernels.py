@@ -1,109 +1,125 @@
-import os
-import subprocess
-import sys
+"""The numpy kernels against the loop oracles, on batches of two images."""
 
 import numpy as np
 import pytest
 
 from grapy import kernels as K
-
-needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not installed")
-
-
-@needs_numba
-class TestBackendEquivalence:
-    def test_conv_forward_and_backward(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(9, 7, 3))
-        k = rng.normal(size=(3, 3, 3, 5))
-        for stride in (1, 2):
-            pad = 1
-            ho, wo = K.conv_output_size(9, 7, 3, 3, stride, pad)
-            xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-            g = rng.normal(size=(ho, wo, 5))
-            assert np.array_equal(K._conv2d_forward_np(xp, k, stride, ho, wo),
-                                  K._conv2d_forward_nb(xp, k, stride, ho, wo))
-            assert np.array_equal(K._conv2d_backward_input_np(g, k, stride, 11, 9),
-                                  K._conv2d_backward_input_nb(g, k, stride, 11, 9))
-            assert np.array_equal(K._conv2d_backward_kernel_np(xp, g, stride, 3, 3),
-                                  K._conv2d_backward_kernel_nb(xp, g, stride, 3, 3))
-
-    def test_masked_pool_paths_agree(self):
-        rng = np.random.default_rng(1)
-        f2 = np.ascontiguousarray(rng.normal(size=(40, 6)))
-        labels = np.ascontiguousarray(rng.integers(0, 4, size=40))
-        a = K._masked_pool_np(f2, labels, 4)
-        b = K._masked_pool_nb(f2, labels, 4)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        gave = rng.normal(size=(4, 6))
-        gmax = rng.normal(size=(4, 6))
-        sums, counts, maxv, argi = a
-        assert np.array_equal(K._masked_pool_backward_np(gave, gmax, labels, counts, argi),
-                              K._masked_pool_backward_nb(gave, gmax, labels, counts, argi))
-
-    def test_empty_category_handled_identically(self):
-        rng = np.random.default_rng(2)
-        f2 = np.ascontiguousarray(rng.normal(size=(10, 3)))
-        labels = np.zeros(10, np.int64)  # category 1 of 2 stays empty
-        a = K._masked_pool_np(f2, labels, 2)
-        b = K._masked_pool_nb(f2, labels, 2)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        assert a[1][1] == 0  # zero count
-
-    def test_gather_scatter_agree(self):
-        rng = np.random.default_rng(3)
-        w = np.ascontiguousarray(rng.normal(size=(5, 4)))
-        labels = np.ascontiguousarray(rng.integers(0, 5, size=(6, 7)))
-        assert np.array_equal(w[labels], K._gather_rows_nb(w, labels, 6, 7))
-        g = rng.normal(size=(6, 7, 4))
-        g2 = np.ascontiguousarray(g.reshape(-1, 4))
-        lab1 = np.ascontiguousarray(labels.reshape(-1))
-        expect = np.zeros((5, 4))
-        np.add.at(expect, lab1, g2)
-        assert np.array_equal(expect, K._scatter_rows_nb(g2, lab1, 5))
-
-    def test_max_tie_breaks_to_first_pixel(self):
-        f2 = np.ascontiguousarray(np.ones((6, 2)))
-        labels = np.ascontiguousarray(np.zeros(6, np.int64))
-        _, _, _, argi_np = K._masked_pool_np(f2, labels, 1)
-        _, _, _, argi_nb = K._masked_pool_nb(f2, labels, 1)
-        assert np.array_equal(argi_np, np.zeros((1, 2), np.int64))
-        assert np.array_equal(argi_np, argi_nb)
+from oracles import conv2d_loops, pool_oracle, rel_err, scatter_oracle
 
 
-def _forward_digest(backend):
-    env = dict(os.environ, GRAPY_BACKEND=backend)
-    env["PYTHONPATH"] = (os.path.join(os.path.dirname(__file__), "..", "src")
-                         + os.pathsep + env.get("PYTHONPATH", ""))
-    code = (
-        "import hashlib, numpy as np\n"
-        "from grapy.hierarchy import taxonomy_by_name\n"
-        "from grapy.model import ModelParams, forward\n"
-        "tax = taxonomy_by_name('A')\n"
-        "rng = np.random.default_rng(0)\n"
-        "params = ModelParams.init(rng, tax, width=8, channels=4)\n"
-        "out = forward(rng.uniform(0, 1, (16, 16, 3)), params, tax)\n"
-        "print(hashlib.sha256(out.y_hat.data.tobytes()).hexdigest())\n"
-    )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    return res.stdout.strip()
+def _conv_shapes(rng, stride, pad):
+    x = rng.normal(size=(2, 9, 7, 3))
+    k = rng.normal(size=(3, 3, 3, 5))
+    ho, wo = K.conv_output_size(9, 7, 3, 3, stride, pad)
+    return x, k, rng.normal(size=(2, ho, wo, 5))
 
 
-@needs_numba
-def test_full_forward_bitwise_equal_across_backends():
-    digests = {backend: _forward_digest(backend) for backend in ("auto", "numpy", "numba")}
-    assert len(set(digests.values())) == 1, digests
+@pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (1, 0), (2, 0)])
+def test_conv_forward_matches_loop_oracle(stride, pad):
+    x, k, _ = _conv_shapes(np.random.default_rng(0), stride, pad)
+    out = K.conv2d_forward(x, k, stride, pad)
+    for n in range(2):
+        assert rel_err(out[n], conv2d_loops(x[n], k, stride, pad)) < 1e-10
 
 
-def test_bogus_backend_env_rejected():
-    env = dict(os.environ, GRAPY_BACKEND="turbo")
-    env["PYTHONPATH"] = (os.path.join(os.path.dirname(__file__), "..", "src")
-                         + os.pathsep + env.get("PYTHONPATH", ""))
-    res = subprocess.run([sys.executable, "-c", "import grapy.kernels"],
-                         capture_output=True, text=True, env=env)
-    assert res.returncode != 0
-    assert "GRAPY_BACKEND" in res.stderr
+@pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (1, 0), (2, 0)])
+def test_conv_backward_kernels_are_adjoints(stride, pad):
+    # <conv(x, k), g> = <x, d_input(g)> = <k, d_kernel(x, g)>
+    x, k, g = _conv_shapes(np.random.default_rng(1), stride, pad)
+    ref = float((K.conv2d_forward(x, k, stride, pad) * g).sum())
+    gx = K.conv2d_backward_input(g, k, stride, pad, 9, 7)
+    gk = K.conv2d_backward_kernel(x, g, stride, pad, 3, 3)
+    assert gx.shape == x.shape and gk.shape == k.shape
+    assert abs(float((x * gx).sum()) - ref) < 1e-9 * max(1.0, abs(ref))
+    assert abs(float((k * gk).sum()) - ref) < 1e-9 * max(1.0, abs(ref))
+
+
+def test_one_by_one_conv_is_a_matrix_product():
+    rng = np.random.default_rng(2)
+    x, k = rng.normal(size=(2, 4, 5, 3)), rng.normal(size=(1, 1, 3, 6))
+    assert rel_err(K.conv2d_forward(x, k, 1, 0), x @ k[0, 0]) < 1e-12
+
+
+def _check_pool(f, labels, k):
+    sums, counts, maxv, argi = K.masked_pool_forward(f, labels, k)
+    pixels = labels[0].size
+    for n in range(f.shape[0]):
+        s, c, m, a = pool_oracle(f[n], labels[n], k)
+        assert rel_err(sums[n], s) < 1e-12 and rel_err(maxv[n], m) < 1e-12
+        assert np.array_equal(counts[n], c)
+        # flat indices over the batch: image n's pixels start at n * H * W
+        assert np.array_equal(argi[n][c > 0], (a + n * pixels)[c > 0])
+    return sums, counts, maxv, argi
+
+
+def test_masked_pool_matches_oracle():
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=(2, 6, 7, 4))
+    labels = rng.integers(0, 5, size=(2, 6, 7))
+    _check_pool(f, labels, 5)
+
+
+def test_max_tie_breaks_to_first_pixel():
+    f = np.ones((2, 3, 4, 2))
+    labels = np.zeros((2, 3, 4), np.int64)
+    labels[:, 1:, 2:] = 1
+    _, _, _, argi = _check_pool(f, labels, 2)
+    # category 0 starts at pixel 0, category 1 at pixel (1, 2) = 6, image 1 at 12
+    assert argi[:, :, 0].tolist() == [[0, 6], [12, 18]]
+
+
+def test_empty_category_pools_to_zero_and_gets_no_gradient():
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=(2, 4, 4, 3))
+    labels = np.zeros((2, 4, 4), np.int64)
+    labels[1, 0, 0] = 1  # category 1 is empty in image 0 only
+    sums, counts, maxv, argi = _check_pool(f, labels, 2)
+    assert counts.tolist() == [[16, 0], [15, 1]]
+    assert not sums[0, 1].any() and not maxv[0, 1].any() and not argi[0, 1].any()
+    gave = np.zeros((2, 2, 3))
+    gmax = np.zeros((2, 2, 3))
+    gave[0, 1] = gmax[0, 1] = 1.0  # gradient on the empty node only
+    gf = K.masked_pool_backward(gave, gmax, labels, counts, argi, f.shape)
+    assert not gf.any()
+
+
+def test_single_category_is_global_pooling():
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(2, 3, 5, 4))
+    sums, counts, maxv, _ = _check_pool(f, np.zeros((2, 3, 5), np.int64), 1)
+    assert counts.tolist() == [[15], [15]]
+    assert rel_err(maxv[:, 0], f.max(axis=(1, 2))) < 1e-12
+
+
+def test_masked_pool_backward_matches_loop():
+    rng = np.random.default_rng(6)
+    f = rng.normal(size=(2, 5, 5, 3))
+    labels = rng.integers(0, 4, size=(2, 5, 5))
+    _, counts, _, argi = K.masked_pool_forward(f, labels, 4)
+    gave, gmax = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
+    got = K.masked_pool_backward(gave, gmax, labels, counts, argi, f.shape).reshape(-1, 3)
+    expect = np.zeros((50, 3))
+    for n in range(2):
+        for i, kk in enumerate(labels[n].reshape(-1)):
+            expect[n * 25 + i] += gave[n, kk] / counts[n, kk]
+        for kk in range(4):
+            for cc in range(3):
+                if counts[n, kk]:
+                    expect[argi[n, kk, cc], cc] += gmax[n, kk, cc]
+    assert rel_err(got, expect) < 1e-12
+
+
+def test_scatter_matches_oracle_and_is_adjoint_of_gather():
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=(2, 5, 4))
+    labels = rng.integers(0, 5, size=(2, 6, 7))
+    labels[0][labels[0] == 3] = 2  # an empty category in image 0
+    g = rng.normal(size=(2, 6, 7, 4))
+    gathered = K.gather_rows(w, labels)
+    scattered = K.scatter_rows(g, labels, 5)
+    for n in range(2):
+        assert np.array_equal(gathered[n], w[n][labels[n]])
+        assert rel_err(scattered[n], scatter_oracle(g[n], labels[n], 5)) < 1e-12
+    assert not scattered[0, 3].any()
+    lhs, rhs = float((gathered * g).sum()), float((w * scattered).sum())
+    assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))

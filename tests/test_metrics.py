@@ -135,15 +135,3 @@ class TestEvaluateAtLevel:
                                        labels=rng.integers(0, 7, (16, 16)))])
         with pytest.raises(ValueError):
             evaluate_at_level(params, ds, 0)
-
-    def test_workers_match_serial(self):
-        rng = np.random.default_rng(7)
-        tax = taxonomy_by_name("A")
-        params = ModelParams.init(rng, tax, width=4, channels=4)
-        samples = [Sample(image=rng.uniform(0, 1, (16, 16, 3)),
-                          labels=rng.integers(0, tax.k3, (16, 16)))
-                   for _ in range(4)]
-        ds = Dataset("A", tax, samples)
-        serial = evaluate_at_level(params, ds, 2, workers=1)
-        parallel = evaluate_at_level(params, ds, 2, workers=3)
-        assert serial == parallel

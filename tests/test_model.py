@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from grapy.hierarchy import taxonomy_by_name
-from grapy.model import (ModelParams, TrainConfig, TrainLog, clip_gradients,
-                         forward, loss_tensor, pretrain_then_train, train_step)
+from grapy.model import (ForwardOut, ModelParams, TrainConfig, TrainLog, batch_loss,
+                         clip_gradients, forward, loss_tensor, pretrain_then_train,
+                         train_step)
 from grapy.synthdata import Dataset, SampleBatch, SceneSpec, generate
-from grapy.tensor import SGD, NumericsError, Tensor, precision
+from grapy.tensor import SGD, NumericsError, Tape, Tensor, add, precision, scale
 from oracles import fd_gradient, rel_err
 
 
@@ -237,3 +238,65 @@ class TestPhases:
             TrainConfig(momentum=1.5).validate()
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0).validate()
+
+
+class TestBatchAxis:
+    """The stacked batch against a loop over its images, in 64-bit.
+
+    Summation order differs (one GEMM over N*H*W rows instead of one per
+    image), so agreement is to 1e-9 relative, not bitwise.
+    """
+
+    @pytest.fixture
+    def setup(self):
+        tax = taxonomy_by_name("B")
+        rng = np.random.default_rng(10)
+        params = ModelParams.init(rng, tax, width=8, channels=4)
+        for lp in params.gpm.levels.values():  # zero-init would hide the levels
+            lp.out_proj.data[:] = rng.normal(size=lp.out_proj.shape) * 0.3
+        params.gpm.head.data[:] = rng.normal(size=params.gpm.head.shape) * 0.3
+        samples = generate(SceneSpec(seed=11, image_size=(16, 16)), tax, 3)
+        batch = SampleBatch([s.image for s in samples], [s.labels for s in samples])
+        return tax, params, batch
+
+    @pytest.mark.parametrize("gt_masks", [False, True])
+    def test_per_sample_outputs_and_losses(self, setup, gt_masks):
+        tax, params, batch = setup
+        q = np.stack(batch.labels)
+        out = forward(np.stack(batch.images), params, tax, gt_labels=q if gt_masks else None)
+        for n, (image, labels) in enumerate(zip(batch.images, batch.labels)):
+            one = forward(image, params, tax, gt_labels=labels if gt_masks else None)
+            assert rel_err(out.y.data[n], one.y.data) < 1e-9
+            assert rel_err(out.y_hat.data[n], one.y_hat.data) < 1e-9
+            sliced = ForwardOut(Tensor(out.y.data[n]), Tensor(out.y_hat.data[n]), None)
+            a = float(loss_tensor(sliced, labels, 1.0).data)
+            b = float(loss_tensor(one, labels, 1.0).data)
+            assert abs(a - b) <= 1e-9 * abs(b)
+
+    @pytest.mark.parametrize("gt_masks", [False, True])
+    def test_batch_loss_and_gradients_match_mean_of_images(self, setup, gt_masks):
+        tax, params, batch = setup
+        with Tape() as tape:
+            loss = batch_loss(batch, params, tax, gt_masks=gt_masks)
+        got = tape.backward(loss)
+        with Tape() as tape:
+            terms = [loss_tensor(forward(img, params, tax,
+                                         gt_labels=q if gt_masks else None), q, 1.0)
+                     for img, q in zip(batch.images, batch.labels)]
+            total = terms[0]
+            for t in terms[1:]:
+                total = add(total, t)
+            mean = scale(total, 1.0 / len(terms))
+        want = tape.backward(mean)
+        assert abs(float(loss.data) - float(mean.data)) <= 1e-9 * abs(float(mean.data))
+        assert set(got) == set(want)
+        for leaf, g in want.items():
+            assert np.abs(got[leaf] - g).max() <= 1e-9 * np.abs(g).max()
+
+    def test_one_tape_per_batch(self, setup):
+        tax, params, batch = setup
+        with Tape() as tape:
+            batch_loss(batch, params, tax)
+        with Tape() as single:
+            batch_loss(SampleBatch(batch.images[:1], batch.labels[:1]), params, tax)
+        assert len(tape) == len(single)

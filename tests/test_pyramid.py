@@ -304,3 +304,45 @@ class TestPyramidForward:
             got = gm.get(leaf, np.zeros_like(leaf.data))
             worst = max(worst, rel_err(got, fd))
         assert worst < 1e-4
+
+
+class TestBatchAxis:
+    """Two images through each stage at once, against the per-image oracles."""
+
+    def test_stages_against_oracles(self):
+        rng = np.random.default_rng(24)
+        f = rng.normal(size=(2, 5, 6, 3))
+        lm = np.stack([random_partition(rng, 5, 6, 4) for _ in range(2)])
+        lm[1][lm[1] == 2] = 1  # category 2 empty in image 1 only
+        params = GpmLevelParams.init(rng, 6, 3)
+        params.out_proj.data[:] = rng.normal(size=params.out_proj.shape) * 0.3
+        nodes = aggregate(Tensor(f), lm, 4, level=2)
+        refined = reason(nodes.features, params)
+        out = distribute(Tensor(f), refined, params.out_proj, lm)
+        assert nodes.features.shape == (2, 4, 6) and nodes.counts.shape == (2, 4)
+        assert nodes.occupancy.tolist() == [[True] * 4, [True, True, False, True]]
+        assert np.array_equal(nodes.masks.sum(axis=1), np.ones((2, 5, 6), np.int64))
+        for n in range(2):
+            pooled = gsa_oracle(f[n], lm[n], 4)
+            assert rel_err(nodes.features.data[n], pooled) < 1e-6
+            gcr = gcr_oracle(pooled, params.q1.data, params.q2.data)
+            assert rel_err(refined.data[n], gcr) < 1e-6
+            assert rel_err(out.data[n], gsd_oracle(f[n], gcr, params.out_proj.data,
+                                                   lm[n])) < 1e-6
+
+    def test_pyramid_forward_against_composed_oracle(self, tax):
+        rng = np.random.default_rng(25)
+        f = rng.normal(size=(2, 6, 6, 4))
+        y = rng.uniform(0, 1, (2, 6, 6, tax.k3))
+        gpm = GpmParams.init(rng, 4, tax.k3)
+        for lp in gpm.levels.values():
+            lp.out_proj.data[:] = rng.normal(size=lp.out_proj.shape) * 0.3
+        gpm.head.data[:] = rng.normal(size=gpm.head.shape) * 0.2
+        f_hat, y_hat = pyramid_forward(Tensor(f), Tensor(y), tax, gpm)
+        tables = {l: tax.table_to(l) for l in (1, 2, 3)}
+        lp = {l: (gpm.levels[l].q1.data, gpm.levels[l].q2.data,
+                  gpm.levels[l].out_proj.data) for l in (1, 2, 3)}
+        for n in range(2):
+            f_exp, y_exp = pyramid_oracle(f[n], y[n], tables, lp, gpm.head.data)
+            assert rel_err(f_hat.data[n], f_exp) < 1e-6
+            assert rel_err(y_hat.data[n], y_exp) < 1e-6

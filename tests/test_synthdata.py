@@ -3,7 +3,7 @@ import pytest
 
 from grapy.hierarchy import builtin_taxonomies, coarsen, taxonomy_by_name
 from grapy.imageio import ParseError, read_pgm, read_ppm, write_pgm, write_ppm
-from grapy.synthdata import (Dataset, GenerationError, SceneSpec, generate,
+from grapy.synthdata import (Dataset, DatasetError, GenerationError, SceneSpec, generate,
                              generate_sample, generate_sample_with_parts,
                              load_dataset, make_benchmark, read_sample,
                              save_dataset, write_sample)
@@ -151,6 +151,28 @@ class TestDatasetIO:
         manifest = save_dataset(tmp_path / "d", ds)
         with pytest.raises(ValueError, match="bound"):
             load_dataset(manifest, taxonomy=taxonomy_by_name("B"))
+
+    def test_label_outside_taxonomy_names_manifest_line(self, tmp_path, tax_a):
+        ds = Dataset("A", tax_a, generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 3))
+        ds.samples[1].labels[2, 3] = tax_a.k3  # one past the last fine label
+        manifest = save_dataset(tmp_path / "d", ds)
+        with pytest.raises(DatasetError, match=r"manifest\.txt:3: .*00001\.pgm.* label 7"):
+            load_dataset(manifest)
+
+    def test_image_size_differing_from_first_rejected(self, tmp_path, tax_a):
+        small = generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 2)
+        large = generate(SceneSpec(seed=6, image_size=(20, 16)), tax_a, 1)
+        manifest = save_dataset(tmp_path / "d", Dataset("A", tax_a, small + large))
+        with pytest.raises(DatasetError, match=r"manifest\.txt:4: .*00002\.ppm.*\(20, 16\)"):
+            load_dataset(manifest)
+
+    def test_unreadable_sample_names_manifest_line(self, tmp_path, tax_a):
+        ds = Dataset("A", tax_a, generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 2))
+        manifest = save_dataset(tmp_path / "d", ds)
+        pgm = tmp_path / "d" / "00001.pgm"
+        pgm.write_bytes(pgm.read_bytes()[:-1])
+        with pytest.raises(DatasetError, match=r"manifest\.txt:3: .*truncated"):
+            load_dataset(manifest)
 
     def test_benchmark_layout(self, tmp_path):
         paths = make_benchmark(0, tmp_path / "bench", image_size=(16, 16))

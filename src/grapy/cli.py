@@ -1,12 +1,10 @@
-"""Command-line entry point.
+"""Command-line entry point: gen-data, train, train-ml, eval, predict, gradcheck.
 
-Commands: gen-data, train, train-ml, eval, predict, gradcheck.
-Exit codes: 0 success, 2 usage/config/dataset error, 3 numerical failure,
-4 artifact mismatch (checkpoint vs dataset taxonomy).
-
-Settings may come from a `key = value` config file (--config); explicit
-command-line flags win over the file, the file wins over defaults. Unknown
-config keys are rejected. GRAPY_SEED provides the default seed.
+Exit codes: 0 success; 2 usage, setting, config, dataset or file error;
+3 numerical failure; 4 checkpoint unusable or bound to another taxonomy.
+Settings are the dataclass fields that declare a ``model.Setting``; flags
+and `key = value` config files (--config) are derived from and checked
+against it. Flags win over the file, the file over defaults.
 """
 
 from __future__ import annotations
@@ -14,242 +12,181 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, fields
+from functools import partial
 
 from . import gradcheck as gradcheck_mod
 from . import metrics, serialize
+from .checkpoint import CheckpointError, load_checkpoint
 from .imageio import colorize_labels, write_ppm
-from .model import (TrainConfig, TrainLog, forward, overfit_train,
-                    pretrain_then_train)
-from .mutual import MlTrainConfig, audit_sharing, train_mutual
+from .model import (SeedConfig, TrainConfig, TrainLog, forward, init_model, overfit_train,
+                    pretrain_then_train, run_phases, setting)
+from .mutual import MlModel, MlTrainConfig, audit_sharing, mutual_phases
 from .synthdata import DatasetError, load_dataset, make_benchmark
 from .tensor import NumericsError, argmax_channel, precision
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-EXIT_MISMATCH = 4
+EXIT_CHECKPOINT = 4
 
 
 class ConfigError(Exception):
     pass
 
 
-class ArtifactMismatch(Exception):
-    pass
+@dataclass
+class Precision:
+    precision: str = setting("f32", "float width of the arithmetic", choices=("f32", "f64"))
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("GRAPY_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"GRAPY_SEED must be an integer, got {raw!r}") from None
+@dataclass
+class Overfit:
+    overfit: int = setting(0, "train on the first N samples, for --steps", bounds="[0, inf)")
+    steps: int = setting(500, "step budget in overfit mode", bounds="[0, inf)")
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
+    if raw.lower() in ("1", "true", "yes", "on"):
         return True
-    if low in ("0", "false", "no", "off"):
+    if raw.lower() in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_levels(raw: str) -> tuple:
+_PARSE = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+
+
+def _settings(*classes) -> list:
+    """The fields of the config ``classes`` that declare a ``Setting``."""
+    return [f for cls in classes for f in fields(cls) if "setting" in f.metadata]
+
+
+def _key(f) -> str:
+    return f.metadata["setting"].key or f.name
+
+
+def _value(f, raw: str):
+    """Parse the text of a flag or config value and check it against its range."""
+    s = f.metadata["setting"]
+    value = (s.parse or _PARSE[f.type])(raw.strip())
+    s.check(value)
+    return value
+
+
+def _flag_value(f, raw: str):
     try:
-        levels = tuple(sorted(int(x) for x in raw.split(",") if x.strip()))
-    except ValueError:
-        raise ConfigError(f"levels must be comma-separated integers, got {raw!r}") from None
-    if not levels or any(l not in (1, 2, 3) for l in levels):
-        raise ConfigError(f"levels must be a subset of 1,2,3, got {raw!r}")
-    return levels
+        return _value(f, raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_CONVERTERS = {int: int, float: float, str: str, bool: _parse_bool, "levels": _parse_levels}
+def _add_settings(p: argparse.ArgumentParser, *classes, config: bool = True) -> None:
+    if config:
+        p.add_argument("--config", help="`key = value` settings file; flags win over it")
+    for f in _settings(*classes):
+        s = f.metadata["setting"]
+        shown = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+        how = (dict(action=argparse.BooleanOptionalAction) if f.type == "bool" else
+               dict(type=partial(_flag_value, f), metavar="|".join(s.choices or ()) or None))
+        doc = f"{s.help} (default: {shown}{', in ' + s.bounds if s.bounds else ''})"
+        p.add_argument("--" + _key(f).replace("_", "-"), dest=f.name, help=doc,
+                       default=argparse.SUPPRESS, **how)
 
 
-def _read_config_file(path, known: dict[str, object]) -> dict[str, object]:
+def _default(f):
+    env = f.metadata["setting"].env
+    try:
+        return f.default if os.environ.get(env or "") is None else _value(f, os.environ[env])
+    except ValueError as exc:
+        raise ConfigError(f"{env}: {exc}") from None
+
+
+def _read_config_file(path, settings: list) -> dict[str, object]:
+    by_key = {k: f for f in settings for k in (_key(f), *f.metadata["setting"].aliases)}
     out: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip().replace("-", "_")
-            if key == "lambda":
-                key = "loss_weight"
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                out[key] = _CONVERTERS[known[key]](raw.strip())
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8", "replace")  # stray bytes fail as key or value
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, raw = stripped.partition("=")
+        key = key.strip().replace("-", "_")
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+        if key not in by_key:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[by_key[key].name] = _value(by_key[key], raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
 
 
-def _merge_settings(args: argparse.Namespace, known: dict[str, object],
-                    defaults: dict[str, object]) -> dict[str, object]:
-    merged = dict(defaults)
+def resolve_settings(args: argparse.Namespace, *classes) -> list:
+    """One instance of each config class: flags win over the config file,
+    the file over defaults."""
+    settings = _settings(*classes)
+    values = {f.name: _default(f) for f in settings}
     if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config, known))
-    for key in known:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-    return merged
-
-
-_TRAIN_KNOWN = {
-    "seed": int, "precision": str, "lr": float, "momentum": float,
-    "batch_size": int, "epochs_pretrain": int, "epochs_main": int,
-    "lr_decay": float, "loss_weight": float,
-    "clip_norm": float, "gt_masks": bool, "gpm": bool, "gpm_levels": "levels", "pooling": str,
-    "iterations": int, "gcr_fresh_weights": bool, "width": int, "channels": int,
-    "overfit": int, "steps": int,
-}
-_TRAIN_DEFAULTS = {
-    "precision": "f32", "lr": 0.1, "momentum": 0.9, "batch_size": 4,
-    "epochs_pretrain": 30, "epochs_main": 30, "lr_decay": 0.1, "clip_norm": 1.0,
-    "loss_weight": 1.0, "gt_masks": False, "gpm": True, "gpm_levels": (1, 2, 3),
-    "pooling": "both", "iterations": 3, "gcr_fresh_weights": False,
-    "width": 16, "channels": 8, "overfit": 0, "steps": 500,
-}
-
-_ML_KNOWN = dict(_TRAIN_KNOWN, epochs_finetune=int, share_backbone=bool, accumulate=bool)
-_ML_DEFAULTS = dict(_TRAIN_DEFAULTS, epochs_finetune=10, share_backbone=True,
-                    accumulate=False)
-
-
-def _add_train_flags(p: argparse.ArgumentParser, ml: bool = False) -> None:
-    p.add_argument("--config", help="key = value settings file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--epochs-pretrain", type=int, default=None, dest="epochs_pretrain")
-    p.add_argument("--epochs-main", type=int, default=None, dest="epochs_main")
-    p.add_argument("--lr-decay", type=float, default=None, dest="lr_decay")
-    p.add_argument("--clip-norm", type=float, default=None, dest="clip_norm")
-    p.add_argument("--lambda", type=float, default=None, dest="loss_weight",
-                   help="pyramid-branch loss weight")
-    p.add_argument("--gt-masks", action="store_const", const=True, default=None,
-                   dest="gt_masks", help="debug: category masks from ground truth")
-    p.add_argument("--no-gpm", action="store_const", const=False, default=None,
-                   dest="gpm", help="train the main branch only (no pyramid)")
-    p.add_argument("--gpm-levels", type=_parse_levels, default=None, dest="gpm_levels")
-    p.add_argument("--pooling", choices=("both", "ave", "max"), default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--gcr-fresh-weights", action="store_const", const=True,
-                   default=None, dest="gcr_fresh_weights",
-                   help="fresh attention projections per reasoning iteration")
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--channels", type=int, default=None)
-    if ml:
-        p.add_argument("--epochs-finetune", type=int, default=None, dest="epochs_finetune")
-        p.add_argument("--share-backbone", action="store_const", const=True,
-                       default=None, dest="share_backbone")
-        p.add_argument("--no-share-backbone", action="store_const", const=False,
-                       dest="share_backbone")
-        p.add_argument("--accumulate", action="store_const", const=True, default=None,
-                       help="one update per dataset group (summed losses)")
-    else:
-        p.add_argument("--overfit", type=int, default=None,
-                       help="train on the first N samples only, step-budgeted")
-        p.add_argument("--steps", type=int, default=None,
-                       help="step budget in overfit mode (default 500)")
-
-
-def _build_train_config(settings: dict, cls=TrainConfig):
-    kwargs = dict(
-        seed=settings["seed"], lr=settings["lr"], momentum=settings["momentum"],
-        batch_size=settings["batch_size"], epochs_pretrain=settings["epochs_pretrain"],
-        epochs_main=settings["epochs_main"], lr_decay=settings["lr_decay"],
-        clip_norm=settings["clip_norm"], loss_weight=settings["loss_weight"],
-        gt_masks=settings["gt_masks"], with_gpm=settings["gpm"],
-        pooling=settings["pooling"], levels=settings["gpm_levels"],
-        iterations=settings["iterations"], fresh_weights=settings["gcr_fresh_weights"],
-        width=settings["width"], channels=settings["channels"],
-    )
-    if cls is MlTrainConfig:
-        kwargs.update(epochs_finetune=settings["epochs_finetune"],
-                      share_backbone=settings["share_backbone"],
-                      accumulate=settings["accumulate"])
-    cfg = cls(**kwargs)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+        values.update(_read_config_file(args.config, settings))
+    values.update({f.name: getattr(args, f.name) for f in settings if hasattr(args, f.name)})
+    return [cls(**{f.name: values[f.name] for f in _settings(cls)}) for cls in classes]
 
 
 def cmd_gen_data(args) -> int:
-    settings = _merge_settings(args, {"seed": int}, {"seed": _default_seed()})
-    paths = make_benchmark(settings["seed"], args.out)
-    for name, split_paths in paths.items():
+    (cfg,) = resolve_settings(args, SeedConfig)
+    for name, split_paths in make_benchmark(cfg.seed, args.out).items():
         for split, manifest in split_paths.items():
             print(f"{name}/{split}: {manifest}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    settings = _merge_settings(args, _TRAIN_KNOWN, dict(_TRAIN_DEFAULTS, seed=_default_seed()))
-    cfg = _build_train_config(settings)
+    cfg, prec, fit = resolve_settings(args, TrainConfig, Precision, Overfit)
     os.makedirs(args.out, exist_ok=True)
-    with precision(settings["precision"]):
+    with precision(prec.precision):
         dataset = load_dataset(args.data)
-        if settings["overfit"] > 0:
-            dataset = dataset.subset(settings["overfit"])
-            if cfg.batch_size > len(dataset):
-                cfg.batch_size = len(dataset)
         log_path = os.path.join(args.out, "train.log")
         with TrainLog(log_path) as log:
-            if settings["overfit"] > 0:
-                params = overfit_train(dataset, cfg, settings["steps"], log)
+            if fit.overfit > 0:
+                params = overfit_train(dataset.subset(fit.overfit), cfg, fit.steps, log)
             else:
                 params = pretrain_then_train(dataset, cfg, log)
         ckpt = os.path.join(args.out, "model.ckpt")
         serialize.save_model(ckpt, params, dataset.taxonomy)
-    print(f"checkpoint: {ckpt}")
-    print(f"log: {log_path}")
+    print(f"checkpoint: {ckpt}\nlog: {log_path}")
     return EXIT_OK
 
 
 def cmd_train_ml(args) -> int:
-    settings = _merge_settings(args, _ML_KNOWN, dict(_ML_DEFAULTS, seed=_default_seed()))
-    cfg = _build_train_config(settings, MlTrainConfig)
+    cfg, prec = resolve_settings(args, MlTrainConfig, Precision)
     names = [n.strip() for n in args.datasets.split(",") if n.strip()]
     if len(names) < 2:
-        print("error: mutual learning needs at least 2 datasets", file=sys.stderr)
-        return EXIT_USAGE
-    finetune_d = None
-    if args.finetune is not None:
-        if args.finetune not in names:
-            print(f"error: --finetune {args.finetune!r} is not among --datasets",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        finetune_d = names.index(args.finetune) + 1
+        raise ConfigError("mutual learning needs at least 2 datasets")
+    if args.finetune is not None and args.finetune not in names:
+        raise ConfigError(f"--finetune {args.finetune!r} is not among --datasets")
+    finetune_d = None if args.finetune is None else names.index(args.finetune) + 1
     os.makedirs(args.out, exist_ok=True)
-    with precision(settings["precision"]):
+    with precision(prec.precision):
         datasets = [load_dataset(os.path.join(args.data_root, n, "train", "manifest.txt"))
                     for n in names]
+        model = init_model(MlModel.init, cfg, [ds.taxonomy for ds in datasets])
+        joint, finetune = mutual_phases(datasets, cfg, model, finetune_d)
         log_path = os.path.join(args.out, "train_ml.log")
+
+        def save(name, what):
+            path = os.path.join(args.out, name)
+            serialize.save_ml_model(path, model)
+            print(f"{what} checkpoint: {path}")
+
         with TrainLog(log_path) as log:
-            model = train_mutual(datasets, cfg, log)
-            joint_ckpt = os.path.join(args.out, "model_ml.ckpt")
-            serialize.save_ml_model(joint_ckpt, model)
-            print(f"joint checkpoint: {joint_ckpt}")
+            at = run_phases(joint, cfg.clip_norm, log, label=model.log_label)
+            save("model_ml.ckpt", "joint")
             if finetune_d is not None:
-                ft_cfg = dc_replace(cfg, epochs_pretrain=0, epochs_main=0)
-                model = train_mutual(datasets, ft_cfg, log, finetune_on=finetune_d,
-                                     model=model)
-                ft_ckpt = os.path.join(args.out, f"model_ml_ft_{args.finetune}.ckpt")
-                serialize.save_ml_model(ft_ckpt, model)
-                print(f"fine-tuned checkpoint: {ft_ckpt}")
+                run_phases(finetune, cfg.clip_norm, log, label=model.log_label, at=at)
+                save(f"model_ml_ft_{args.finetune}.ckpt", "fine-tuned")
         if args.audit_sharing:
             ok, report = audit_sharing(model, datasets)
             for line in report:
@@ -263,29 +200,23 @@ def cmd_train_ml(args) -> int:
 
 
 def _load_eval_params(ckpt_path, dataset):
-    arrays_kind = None
-    from .checkpoint import load_checkpoint
-
-    _, meta = load_checkpoint(ckpt_path)
-    arrays_kind = meta.get("kind", "single")
-    if arrays_kind == "single":
-        params, meta = serialize.load_model(ckpt_path)
-        if meta.get("taxonomies") != dataset.taxonomy.dataset_name:
-            raise ArtifactMismatch(
-                f"checkpoint is bound to taxonomy {meta.get('taxonomies')!r} but the "
-                f"dataset manifest names {dataset.taxonomy.dataset_name!r}")
-        return params
-    model, meta = serialize.load_ml_model(ckpt_path)
+    try:
+        arrays, meta = load_checkpoint(ckpt_path)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{ckpt_path}: {exc}") from None
+    name = dataset.taxonomy.dataset_name
     names = meta.get("taxonomies", "").split(",")
-    if dataset.taxonomy.dataset_name not in names:
-        raise ArtifactMismatch(
-            f"checkpoint branches are bound to taxonomies {names} but the dataset "
-            f"manifest names {dataset.taxonomy.dataset_name!r}")
-    return model.branch_params(names.index(dataset.taxonomy.dataset_name) + 1)
+    if name not in names:
+        raise CheckpointError(f"{ckpt_path}: checkpoint is bound to taxonomies {names} "
+                              f"but the dataset manifest names {name!r}")
+    if meta.get("kind", "single") == "single":
+        return serialize.model_from_arrays(arrays, meta)
+    return serialize.ml_model_from_arrays(arrays, meta).branch_params(names.index(name) + 1)
 
 
 def cmd_eval(args) -> int:
-    with precision(args.precision or "f32"):
+    (prec,) = resolve_settings(args, Precision)
+    with precision(prec.precision):
         dataset = load_dataset(args.data)
         params = _load_eval_params(args.ckpt, dataset)
         report, cms = metrics.evaluate_report(params, dataset)
@@ -298,7 +229,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with precision(args.precision or "f32"):
+    (prec,) = resolve_settings(args, Precision)
+    with precision(prec.precision):
         dataset = load_dataset(args.data)
         params = _load_eval_params(args.ckpt, dataset)
         os.makedirs(args.out, exist_ok=True)
@@ -315,8 +247,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    results, ok = gradcheck_mod.run_all(seed=seed, verbose=True)
+    (cfg,) = resolve_settings(args, SeedConfig)
+    results, ok = gradcheck_mod.run_all(seed=cfg.seed, verbose=True)
     worst = max(results.values())
     print(f"worst suite max_rel_err={worst:.3e} tolerance={gradcheck_mod.TOLERANCE:g}")
     return EXIT_OK if ok else EXIT_NUMERIC
@@ -327,68 +259,48 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="hierarchical figure parsing at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate the three synthetic benchmark datasets")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", help="key = value settings file")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
+    def command(name, func, help, *classes, required: dict, config=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag, flag_help in required.items():
+            p.add_argument(flag, required=True, help=flag_help)
+        _add_settings(p, *classes, config=config)
+        return p
 
-    p = sub.add_parser("train", help="single-dataset pretrain + two-branch training")
-    p.add_argument("--data", required=True, help="dataset manifest path")
-    p.add_argument("--out", required=True)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("train-ml", help="multi-dataset mutual training")
-    p.add_argument("--data-root", required=True, dest="data_root",
-                   help="directory holding <name>/train/manifest.txt")
-    p.add_argument("--datasets", required=True, help="comma-separated dataset names")
-    p.add_argument("--finetune", default=None, help="fine-tune on this dataset afterwards")
-    p.add_argument("--audit-sharing", action="store_true", dest="audit_sharing")
-    p.add_argument("--out", required=True)
-    _add_train_flags(p, ml=True)
-    p.set_defaults(func=cmd_train_ml)
-
-    p = sub.add_parser("eval", help="mIoU / mean accuracy at levels 1-3, both branches")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    p.add_argument("--kv-out", default=None, dest="kv_out",
-                   help="write machine-readable key=value lines here")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="write colorized prediction PPMs")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--out", required=True)
+    out = {"--out": "output directory"}
+    data, ckpt = {"--data": "dataset manifest"}, {"--ckpt": "checkpoint file"}
+    command("gen-data", cmd_gen_data, "generate the three synthetic benchmark datasets",
+            SeedConfig, required=out)
+    command("train", cmd_train, "single-dataset pretrain + two-branch training",
+            TrainConfig, Precision, Overfit, required=data | out)
+    p = command("train-ml", cmd_train_ml, "multi-dataset mutual training", MlTrainConfig,
+                Precision, required={"--data-root": "directory of <name>/train/manifest.txt",
+                                     "--datasets": "comma-separated dataset names", **out})
+    p.add_argument("--finetune", help="fine-tune on this dataset afterwards")
+    p.add_argument("--audit-sharing", action="store_true")
+    p = command("eval", cmd_eval, "mIoU / mean accuracy at levels 1-3, both branches",
+                Precision, required=data | ckpt, config=False)
+    p.add_argument("--kv-out", help="write machine-readable key=value lines here")
+    p = command("predict", cmd_predict, "write colorized prediction PPMs", Precision,
+                required=data | ckpt | out, config=False)
     p.add_argument("--branch", choices=("gpm", "main"), default="gpm")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suites (64-bit)")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_gradcheck)
-
+    p.add_argument("--limit", type=int)
+    command("gradcheck", cmd_gradcheck, "finite-difference gradient suites (64-bit)",
+            SeedConfig, required={}, config=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArtifactMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except NumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        print("diagnostics: loss or an intermediate value became non-finite; "
-              "lower --lr or switch --precision f64", file=sys.stderr)
+        print(f"numerical failure: {exc}\ndiagnostics: loss or an intermediate value became "
+              "non-finite; lower --lr or switch --precision f64", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ConfigError, DatasetError, OSError, CheckpointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECKPOINT if isinstance(exc, CheckpointError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ with per-pixel mean cross-entropy; the pyramid term is weighted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+import inspect
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +40,7 @@ class ConvLayer:
 
     def apply(self, x: Tensor) -> Tensor:
         out = conv2d(x, self.kernel)
-        c = out.shape[-1]
-        return out + reshape(self.bias, (1,) * (out.data.ndim - 1) + (c,))
+        return out + reshape(self.bias, (1,) * (out.data.ndim - 1) + (out.shape[-1],))
 
 
 @dataclass
@@ -59,19 +60,13 @@ class BackboneParams:
         return self.layers[-1].kernel.shape[3]
 
     def named(self, prefix: str = "backbone") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.layers, start=1):
-            out.update(layer.named(f"{prefix}.conv{i}"))
-        return out
+        return {name: t for i, layer in enumerate(self.layers, start=1)
+                for name, t in layer.named(f"{prefix}.conv{i}").items()}
 
     def apply(self, x: Tensor) -> Tensor:
-        out = x
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            out = layer.apply(out)
-            if i != last:
-                out = relu(out)
-        return out
+        for layer in self.layers[:-1]:
+            x = relu(layer.apply(x))
+        return self.layers[-1].apply(x)
 
 
 @dataclass
@@ -86,22 +81,18 @@ class ModelParams:
              channels: int = 8, loss_weight: float = 1.0, with_gpm: bool = True,
              pooling: str = "both", levels=(1, 2, 3), iterations: int = GCR_ITERATIONS,
              fresh_weights: bool = False) -> "ModelParams":
-        rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-               else np.random.default_rng(seed_or_rng))
+        rng = np.random.default_rng(seed_or_rng)  # a Generator passes through
         if loss_weight < 0:
             raise ValueError(f"loss weight must be >= 0, got {loss_weight}")
         backbone = BackboneParams.init(rng, c_in, width, channels)
         main_head = ConvLayer.init(rng, 1, 1, channels, taxonomy.k3)
-        gpm = None
-        if with_gpm:
-            gpm = GpmParams.init(rng, channels, taxonomy.k3, pooling=pooling,
-                                 levels=levels, iterations=iterations,
-                                 fresh_weights=fresh_weights)
+        gpm = (GpmParams.init(rng, channels, taxonomy.k3, pooling=pooling, levels=levels,
+                              iterations=iterations, fresh_weights=fresh_weights)
+               if with_gpm else None)
         return cls(backbone, main_head, gpm, loss_weight)
 
     def named(self) -> dict[str, Tensor]:
-        out = self.backbone.named()
-        out.update(self.main_head.named("main_head"))
+        out = self.main_named()
         if self.gpm is not None:
             out.update(self.gpm.named("gpm"))
         return out
@@ -134,9 +125,8 @@ def forward(image, params: ModelParams, taxonomy: Taxonomy,
     y = softmax_channels(params.main_head.apply(f))
     if main_only or params.gpm is None:
         return ForwardOut(y=y, y_hat=None, f_hat=None)
-    maps = None
-    if gt_labels is not None:
-        maps = gt_label_maps(gt_labels, taxonomy, sorted(params.gpm.levels))
+    maps = None if gt_labels is None else gt_label_maps(gt_labels, taxonomy,
+                                                        sorted(params.gpm.levels))
     f_hat, y_hat = pyramid_forward(f, y, taxonomy, params.gpm, label_maps=maps)
     return ForwardOut(y=y, y_hat=y_hat, f_hat=f_hat)
 
@@ -163,6 +153,9 @@ def batch_loss(batch: SampleBatch, params: ModelParams, taxonomy: Taxonomy,
     return loss_tensor(out, q, params.loss_weight)
 
 
+CLIP_NORM = 1.0  # default gradient-norm cap of every update
+
+
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
     """Scale the whole gradient set so its global norm is at most ``max_norm``.
 
@@ -179,56 +172,129 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
     return grads
 
 
-def train_step(batch: SampleBatch, params: ModelParams, taxonomy: Taxonomy, opt: SGD,
-               gt_masks: bool = False, main_only: bool = False,
-               lr: float | None = None, clip_norm: float = 5.0) -> float:
-    """One forward/backward/SGD update; returns the pre-update loss."""
-    with Tape() as tape:
-        total = batch_loss(batch, params, taxonomy, gt_masks=gt_masks, main_only=main_only)
-    value = float(total.data)
+def apply_update(tape: Tape, total: Tensor, opt: SGD, clip_norm: float) -> None:
+    """Backward from ``total``; clip ``opt``'s gradients (named, in tape order); step."""
     grad_map = tape.backward(total)
     name_of = {id(t): name for name, t in opt.params.items()}
     grads = {name_of[id(t)]: g for t, g in grad_map.items() if id(t) in name_of}
-    opt.step(clip_gradients(grads, clip_norm), lr=lr)
-    return value
+    opt.step(clip_gradients(grads, clip_norm))
+
+
+def train_step(batch: SampleBatch, params: ModelParams, taxonomy: Taxonomy, opt: SGD,
+               gt_masks: bool = False, main_only: bool = False,
+               clip_norm: float = CLIP_NORM) -> float:
+    """One forward/backward/SGD update at ``opt.lr``; returns the pre-update loss."""
+    with Tape() as tape:
+        total = batch_loss(batch, params, taxonomy, gt_masks=gt_masks, main_only=main_only)
+    apply_update(tape, total, opt, clip_norm)
+    return float(total.data)
+
+
+@dataclass(frozen=True)
+class Setting:
+    """Field metadata that makes a config field a flag and a config key: ``key``
+    (default: the field name) is the key and, dashed, the flag; values must lie
+    in ``bounds`` (e.g. ``"[0, 1)"``) or ``choices``; ``parse`` reads text."""
+
+    help: str
+    key: str | None = None
+    aliases: tuple = ()  # further config keys
+    bounds: str | None = None
+    choices: tuple | None = None
+    parse: Callable | None = None
+    env: str | None = None  # environment variable that replaces the default
+
+    def check(self, value) -> None:
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"must be one of {'|'.join(self.choices)}, got {value!r}")
+        if self.bounds is not None:
+            lo, hi = (float(x) for x in self.bounds[1:-1].split(","))
+            above = value > lo if self.bounds[0] == "(" else value >= lo
+            if not (above and (value < hi if self.bounds[-1] == ")" else value <= hi)):
+                raise ValueError(f"must be in {self.bounds}, got {value!r}")
+
+
+def setting(default, help: str, **kw):
+    return field(default=default, metadata={"setting": Setting(help, **kw)})
+
+
+def parse_levels(raw: str) -> tuple:
+    levels = tuple(sorted(int(x) for x in raw.split(",") if x.strip()))
+    if not levels or any(l not in (1, 2, 3) for l in levels):
+        raise ValueError(f"levels must be a subset of 1,2,3, got {raw!r}")
+    return levels
 
 
 @dataclass
-class TrainConfig:
-    seed: int = 0
-    lr: float = 0.1
-    momentum: float = 0.9
-    batch_size: int = 4
-    epochs_pretrain: int = 30
-    epochs_main: int = 30
-    lr_decay: float = 0.1             # applied once, at the pretrain -> main boundary
-    clip_norm: float = 1.0            # global gradient-norm cap, 0 disables
-    loss_weight: float = 1.0
-    gt_masks: bool = False
-    with_gpm: bool = True
-    pooling: str = "both"
-    levels: tuple = (1, 2, 3)
-    iterations: int = GCR_ITERATIONS
-    fresh_weights: bool = False
-    c_in: int = 3
-    width: int = 16
-    channels: int = 8
+class SeedConfig:
+    seed: int = setting(0, "seed of init and batch order", bounds="[0, inf)", env="GRAPY_SEED")
 
     def validate(self) -> None:
-        checks = [
-            (self.lr > 0, "lr must be > 0"),
-            (0 <= self.momentum < 1, "momentum must be in [0, 1)"),
-            (self.batch_size >= 1, "batch size must be >= 1"),
-            (self.epochs_pretrain >= 0, "pretrain epochs must be >= 0"),
-            (self.epochs_main >= 0, "main epochs must be >= 0"),
-            (self.loss_weight >= 0, "loss weight must be >= 0"),
-            (0 < self.lr_decay <= 1, "lr decay must be in (0, 1]"),
-            (self.clip_norm >= 0, "gradient clip norm must be >= 0"),
-            (self.iterations >= 1, "reasoning iterations must be >= 1"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ValueError(msg)
+        """Raise ValueError naming the first setting outside its declared range."""
+        for f in fields(self):
+            try:
+                if "setting" in f.metadata:
+                    f.metadata["setting"].check(getattr(self, f.name))
+            except ValueError as exc:
+                raise ValueError(f"{f.name} {exc}") from None
+
+
+@dataclass
+class TrainConfig(SeedConfig):
+    lr: float = setting(0.1, "learning rate of the pretrain phase", bounds="(0, inf)")
+    momentum: float = setting(0.9, "SGD momentum", bounds="[0, 1)")
+    batch_size: int = setting(4, "images per step", bounds="[1, inf)")
+    epochs_pretrain: int = setting(30, "epochs of main-branch pretrain", bounds="[0, inf)")
+    epochs_main: int = setting(30, "epochs of two-branch training", bounds="[0, inf)")
+    lr_decay: float = setting(0.1, "lr factor from the two-branch phase on", bounds="(0, 1]")
+    clip_norm: float = setting(CLIP_NORM, "gradient-norm cap, 0 disables", bounds="[0, inf)")
+    loss_weight: float = setting(1.0, "pyramid-branch loss weight", key="lambda",
+                                 aliases=("loss_weight",), bounds="[0, inf)")
+    gt_masks: bool = setting(False, "debug: category masks from ground truth")
+    with_gpm: bool = setting(True, "train the pyramid branch (off: main only)", key="gpm")
+    pooling: str = setting("both", "category pooling", choices=("both", "ave", "max"))
+    levels: tuple = setting((1, 2, 3), "pyramid levels", key="gpm_levels", parse=parse_levels)
+    iterations: int = setting(GCR_ITERATIONS, "reasoning iterations", bounds="[1, inf)")
+    fresh_weights: bool = setting(False, "fresh attention projections per iteration",
+                                  key="gcr_fresh_weights")
+    c_in: int = 3  # image channels; the datasets are RGB
+    width: int = setting(16, "backbone conv width", bounds="[1, inf)")
+    channels: int = setting(8, "feature channels", bounds="[1, inf)")
+
+
+def seeded_rng(seed: int, stream: int) -> np.random.Generator:
+    """Stream 0 initialises the model, 1 orders the batches, 2 the fine-tune batches."""
+    return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+
+
+def init_model(init: Callable, cfg, *args):
+    """``init(rng, *args, ...)`` on stream 0 with every ``cfg`` setting it takes."""
+    takes = inspect.signature(init).parameters
+    return init(seeded_rng(cfg.seed, 0), *args,
+                **{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name in takes})
+
+
+def batch_stream(dataset: Dataset, rng: np.random.Generator, batch_size: int,
+                 dataset_index: int = 0) -> Callable[[], SampleBatch]:
+    """``next_batch`` over endless passes of ``dataset``, each reshuffled by ``rng``."""
+    def passes():
+        while len(dataset):  # an empty dataset ends the stream: StopIteration
+            yield from dataset.batches(rng, batch_size, dataset_index=dataset_index)
+    return passes().__next__
+
+
+@dataclass
+class Phase:
+    """One stretch of a schedule: ``opt`` holds the parameters that move and
+    their lr; ``step(batch, opt, **flags)`` updates on ``next_batch()``."""
+
+    opt: SGD
+    step: Callable[..., float]
+    next_batch: Callable[[], object]
+    epochs: int
+    epoch_steps: int
+    main_only: bool = False
+    gt_masks: bool = False
 
 
 class TrainLog:
@@ -238,12 +304,9 @@ class TrainLog:
         self._fh = open(path, "w", encoding="utf-8") if path else None
 
     def write(self, epoch: int, step: int, loss: float, lr: float, dataset: str | None = None):
-        if self._fh is None:
-            return
-        if dataset is None:
-            self._fh.write(f"{epoch}\t{step}\t{loss:.6f}\t{lr:g}\n")
-        else:
-            self._fh.write(f"{epoch}\t{step}\t{dataset}\t{loss:.6f}\t{lr:g}\n")
+        if self._fh is not None:
+            label = "" if dataset is None else f"{dataset}\t"
+            self._fh.write(f"{epoch}\t{step}\t{label}{loss:.6f}\t{lr:g}\n")
 
     def close(self):
         if self._fh is not None:
@@ -258,82 +321,54 @@ class TrainLog:
         return False
 
 
-def main_phase_lr(cfg: TrainConfig) -> float:
-    """Constant lr per phase; the single step decay sits at the phase boundary."""
-    return cfg.lr * cfg.lr_decay
-
-
-def pretrain_then_train(dataset: Dataset, cfg: TrainConfig,
-                        log: TrainLog | None = None,
-                        params: ModelParams | None = None) -> ModelParams:
-    """Phase 1 trains backbone + main head alone so masks become meaningful;
-    phase 2 trains everything with the two-branch objective."""
-    cfg.validate()
+def run_phases(phases: list[Phase], clip_norm: float, log: TrainLog | None = None,
+               label: Callable = lambda batch: None, at: tuple[int, int] = (0, 0)):
+    """The training loop. Log rows take ``label(batch)`` as dataset column and
+    number epochs and steps on from ``at``; returns the (epoch, step) reached."""
     log = log or TrainLog(None)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
+    epoch, step = at
+    for ph in phases:
+        for _ in range(ph.epochs):
+            for _ in range(ph.epoch_steps):
+                batch = ph.next_batch()
+                loss = ph.step(batch, ph.opt, gt_masks=ph.gt_masks, main_only=ph.main_only,
+                               clip_norm=clip_norm)
+                step += 1
+                log.write(epoch, step, loss, ph.opt.lr, dataset=label(batch))
+            epoch += 1
+    return epoch, step
+
+
+def _train_single(dataset: Dataset, cfg: TrainConfig, log, params, pretrain, main):
+    """Backbone + main head alone so masks become meaningful, then everything on
+    the two-branch objective at the decayed lr; both (epochs, epoch_steps)."""
     if params is None:
-        params = ModelParams.init(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])),
-                                  dataset.taxonomy, c_in=cfg.c_in, width=cfg.width,
-                                  channels=cfg.channels, loss_weight=cfg.loss_weight,
-                                  with_gpm=cfg.with_gpm, pooling=cfg.pooling,
-                                  levels=cfg.levels, iterations=cfg.iterations,
-                                  fresh_weights=cfg.fresh_weights)
-    pre_opt = SGD(params.main_named(), cfg.lr, cfg.momentum)
-    step = 0
-    epoch = 0
-    for _ in range(cfg.epochs_pretrain):
-        for batch in dataset.batches(rng, cfg.batch_size):
-            loss = train_step(batch, params, dataset.taxonomy, pre_opt, main_only=True,
-                              clip_norm=cfg.clip_norm)
-            step += 1
-            log.write(epoch, step, loss, cfg.lr)
-        epoch += 1
-    opt = SGD(params.named(), cfg.lr, cfg.momentum)
-    for _ in range(cfg.epochs_main):
-        lr = main_phase_lr(cfg)
-        for batch in dataset.batches(rng, cfg.batch_size):
-            loss = train_step(batch, params, dataset.taxonomy, opt,
-                              gt_masks=cfg.gt_masks, lr=lr, clip_norm=cfg.clip_norm)
-            step += 1
-            log.write(epoch, step, loss, lr)
-        epoch += 1
+        params = init_model(ModelParams.init, cfg, dataset.taxonomy)
+    next_batch = batch_stream(dataset, seeded_rng(cfg.seed, 1), cfg.batch_size)
+
+    def step(batch, opt, **flags):
+        return train_step(batch, params, dataset.taxonomy, opt, **flags)
+
+    sgd = partial(SGD, momentum=cfg.momentum)
+    run_phases([Phase(sgd(params.main_named(), cfg.lr), step, next_batch, *pretrain,
+                      main_only=True),
+                Phase(sgd(params.named(), cfg.lr * cfg.lr_decay), step, next_batch, *main,
+                      gt_masks=cfg.gt_masks)], cfg.clip_norm, log)
     return params
+
+
+def pretrain_then_train(dataset: Dataset, cfg: TrainConfig, log: TrainLog | None = None,
+                        params: ModelParams | None = None) -> ModelParams:
+    """``epochs_pretrain`` main-branch epochs, then ``epochs_main`` two-branch epochs."""
+    cfg.validate()
+    per_epoch = -(-len(dataset) // cfg.batch_size)
+    return _train_single(dataset, cfg, log, params, (cfg.epochs_pretrain, per_epoch),
+                         (cfg.epochs_main, per_epoch))
 
 
 def overfit_train(dataset: Dataset, cfg: TrainConfig, steps: int,
                   log: TrainLog | None = None) -> ModelParams:
-    """Small fixed-subset training driven by a step budget instead of epochs.
-
-    Spends a quarter of the budget on the pretrain phase, the rest on the
-    full objective; full-batch if the subset fits the batch size.
-    """
+    """Fixed-subset training on a step budget, a quarter of it main-branch only,
+    over one batch stream. The log's epoch column counts the two phases."""
     cfg.validate()
-    log = log or TrainLog(None)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    params = ModelParams.init(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])),
-                              dataset.taxonomy, c_in=cfg.c_in, width=cfg.width,
-                              channels=cfg.channels, loss_weight=cfg.loss_weight,
-                              with_gpm=cfg.with_gpm, pooling=cfg.pooling,
-                              levels=cfg.levels, iterations=cfg.iterations,
-                              fresh_weights=cfg.fresh_weights)
-    pre_steps = steps // 4
-    pre_opt = SGD(params.main_named(), cfg.lr, cfg.momentum)
-    opt = SGD(params.named(), cfg.lr, cfg.momentum)
-
-    def batches_forever():
-        while True:
-            yield from dataset.batches(rng, cfg.batch_size)
-
-    stream = batches_forever()
-    for i in range(steps):
-        batch = next(stream)
-        if i < pre_steps:
-            loss = train_step(batch, params, dataset.taxonomy, pre_opt, main_only=True,
-                              clip_norm=cfg.clip_norm)
-            lr = cfg.lr
-        else:
-            lr = cfg.lr * cfg.lr_decay
-            loss = train_step(batch, params, dataset.taxonomy, opt,
-                              gt_masks=cfg.gt_masks, lr=lr, clip_norm=cfg.clip_norm)
-        log.write(0, i + 1, loss, lr)
-    return params
+    return _train_single(dataset, cfg, log, None, (1, steps // 4), (1, steps - steps // 4))

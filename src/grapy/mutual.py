@@ -12,13 +12,16 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .hierarchy import Taxonomy
-from .model import (SGD, BackboneParams, ConvLayer, ModelParams, TrainConfig,
-                    TrainLog, batch_loss, clip_gradients, forward, main_phase_lr,
-                    train_step)
+from .model import (CLIP_NORM, SGD, BackboneParams, ConvLayer, ModelParams, Phase,
+                    TrainConfig, TrainLog, apply_update, batch_loss, batch_stream, forward,
+                    init_model, run_phases, seeded_rng, setting, train_step)
+# the benchmark's tracer wraps ``clip_gradients`` and ``train_step`` here too
+from .model import clip_gradients  # noqa: F401
 from .pyramid import GpmLevelParams, GpmParams
 from .synthdata import Dataset, SampleBatch
 from .tensor import Tape, Tensor, uniform_init
@@ -33,12 +36,9 @@ class SharedCore:
     gpm_l2: GpmLevelParams
 
     def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        if self.backbone is not None:
-            out.update(self.backbone.named("shared.backbone"))
-        out.update(self.gpm_l1.named("shared.gpm.level1"))
-        out.update(self.gpm_l2.named("shared.gpm.level2"))
-        return out
+        out = {} if self.backbone is None else self.backbone.named("shared.backbone")
+        return {**out, **self.gpm_l1.named("shared.gpm.level1"),
+                **self.gpm_l2.named("shared.gpm.level2")}
 
 
 @dataclass
@@ -52,13 +52,9 @@ class DatasetBranch:
 
     def named(self) -> dict[str, Tensor]:
         prefix = f"branch{self.index}"
-        out: dict[str, Tensor] = {}
-        if self.backbone is not None:
-            out.update(self.backbone.named(f"{prefix}.backbone"))
-        out.update(self.main_head.named(f"{prefix}.main_head"))
-        out.update(self.gpm_l3.named(f"{prefix}.gpm.level3"))
-        out[f"{prefix}.gpm.head"] = self.head
-        return out
+        out = {} if self.backbone is None else self.backbone.named(f"{prefix}.backbone")
+        return {**out, **self.main_head.named(f"{prefix}.main_head"),
+                **self.gpm_l3.named(f"{prefix}.gpm.level3"), f"{prefix}.gpm.head": self.head}
 
 
 @dataclass
@@ -76,8 +72,7 @@ class MlModel:
              share_backbone: bool = True, fresh_weights: bool = False) -> "MlModel":
         if len(taxonomies) < 2:
             raise ValueError("mutual learning needs at least 2 datasets")
-        rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-               else np.random.default_rng(seed_or_rng))
+        rng = np.random.default_rng(seed_or_rng)  # a Generator passes through
         c_l = 2 * channels if pooling == "both" else channels
         fresh = iterations if fresh_weights else 0
         shared = SharedCore(
@@ -121,9 +116,13 @@ class MlModel:
 
     def step_params(self, d: int) -> dict[str, Tensor]:
         """Parameters an update on dataset ``d`` may touch: shared + branch d."""
-        out = self.shared.named()
-        out.update(self.branch(d).named())
-        return out
+        return {**self.shared.named(), **self.branch(d).named()}
+
+    def log_label(self, batch) -> str:
+        """The log's dataset column: the batch's dataset, or "all" for a group."""
+        if isinstance(batch, list):
+            return "all"
+        return self.branch(batch.dataset_index).taxonomy.dataset_name
 
     def taxonomy_names(self) -> str:
         return ",".join(br.taxonomy.dataset_name for br in self.branches)
@@ -132,149 +131,98 @@ class MlModel:
 def ml_forward(image, d: int, model: MlModel, gt_labels: np.ndarray | None = None,
                main_only: bool = False):
     """Forward through branch ``d``: shared Levels 1-2, branch-specific Level 3."""
-    br = model.branch(d)
-    return forward(image, model.branch_params(d), br.taxonomy,
+    return forward(image, model.branch_params(d), model.branch(d).taxonomy,
                    gt_labels=gt_labels, main_only=main_only)
 
 
 def ml_step(batch: SampleBatch, model: MlModel, opt: SGD, gt_masks: bool = False,
-            main_only: bool = False, lr: float | None = None,
-            clip_norm: float = 5.0) -> float:
+            main_only: bool = False, clip_norm: float = CLIP_NORM) -> float:
     """One update from a single-dataset batch; gradients reach shared + branch d."""
     d = batch.dataset_index
-    br = model.branch(d)
-    return train_step(batch, model.branch_params(d), br.taxonomy, opt,
-                      gt_masks=gt_masks, main_only=main_only, lr=lr,
-                      clip_norm=clip_norm)
+    return train_step(batch, model.branch_params(d), model.branch(d).taxonomy, opt,
+                      gt_masks=gt_masks, main_only=main_only, clip_norm=clip_norm)
 
 
 def ml_step_accumulated(batches: list[SampleBatch], model: MlModel, opt: SGD,
-                        gt_masks: bool = False, lr: float | None = None,
-                        clip_norm: float = 5.0):
+                        gt_masks: bool = False, main_only: bool = False,
+                        clip_norm: float = CLIP_NORM):
     """One update from one batch per dataset; the loss is the exact sum of the
     per-dataset losses (returned alongside for the additivity check)."""
+    per_dataset, total = [], None
     with Tape() as tape:
-        per_dataset = []
-        total = None
         for batch in batches:
-            params = model.branch_params(batch.dataset_index)
-            term = batch_loss(batch, params, model.branch(batch.dataset_index).taxonomy,
-                              gt_masks=gt_masks)
+            d = batch.dataset_index
+            term = batch_loss(batch, model.branch_params(d), model.branch(d).taxonomy,
+                              gt_masks=gt_masks, main_only=main_only)
             per_dataset.append(float(term.data))
             total = term if total is None else total + term
-    value = float(total.data)
-    grad_map = tape.backward(total)
-    name_of = {id(t): name for name, t in opt.params.items()}
-    grads = {name_of[id(t)]: g for t, g in grad_map.items() if id(t) in name_of}
-    opt.step(clip_gradients(grads, clip_norm), lr=lr)
-    return value, per_dataset
+    apply_update(tape, total, opt, clip_norm)
+    return float(total.data), per_dataset
 
 
 class RoundRobinSampler:
     """Cycles datasets 1, 2, 3, 1, 2, ...; each dataset reshuffles independently."""
 
     def __init__(self, datasets: list[Dataset], rng: np.random.Generator, batch_size: int):
-        self._datasets = datasets
-        self._rng = rng
-        self._batch_size = batch_size
-        self._iters = [iter(()) for _ in datasets]
+        self._streams = [batch_stream(ds, rng, batch_size, dataset_index=d)
+                         for d, ds in enumerate(datasets, start=1)]
         self._cursor = 0
 
     def next_batch(self) -> SampleBatch:
         i = self._cursor
-        self._cursor = (self._cursor + 1) % len(self._datasets)
-        try:
-            return next(self._iters[i])
-        except StopIteration:
-            self._iters[i] = self._datasets[i].batches(self._rng, self._batch_size,
-                                                       dataset_index=i + 1)
-            return next(self._iters[i])
+        self._cursor = (i + 1) % len(self._streams)
+        return self._streams[i]()
 
 
 @dataclass
 class MlTrainConfig(TrainConfig):
-    epochs_finetune: int = 10
-    share_backbone: bool = True
-    accumulate: bool = False
-
-    def validate(self) -> None:
-        super().validate()
-        if self.epochs_finetune < 0:
-            raise ValueError("finetune epochs must be >= 0")
+    epochs_finetune: int = setting(10, "epochs on the --finetune dataset", bounds="[0, inf)")
+    share_backbone: bool = setting(True, "one backbone for every dataset branch")
+    accumulate: bool = setting(False, "one update per dataset group (summed losses)")
 
 
-def _steps_per_epoch(datasets: list[Dataset], batch_size: int) -> int:
-    return sum(-(-len(ds) // batch_size) for ds in datasets)
+def mutual_phases(datasets: list[Dataset], cfg: MlTrainConfig, model: MlModel,
+                  finetune_on: int | None = None) -> tuple[list[Phase], list[Phase]]:
+    """The joint phases and the fine-tune phases (none without ``finetune_on``).
+
+    Joint pretrain of backbone(s) + main heads, then joint two-branch training
+    of everything, on round-robin batches; then shared core + branch
+    ``finetune_on`` on that dataset alone.
+    """
+    sampler = RoundRobinSampler(datasets, seeded_rng(cfg.seed, 1), cfg.batch_size)
+    per_epoch = sum(-(-len(ds) // cfg.batch_size) for ds in datasets)
+
+    def step(batch, opt, **flags):
+        return ml_step(batch, model, opt, **flags)
+
+    def group_step(batches, opt, **flags):
+        return ml_step_accumulated(batches, model, opt, **flags)[0]
+
+    sgd, lr2 = partial(SGD, momentum=cfg.momentum), cfg.lr * cfg.lr_decay
+    pre = {n: t for n, t in model.named().items() if ".gpm." not in n}
+    main = ((group_step, lambda: [sampler.next_batch() for _ in datasets],
+             cfg.epochs_main, max(1, per_epoch // len(datasets))) if cfg.accumulate
+            else (step, sampler.next_batch, cfg.epochs_main, per_epoch))
+    joint = [Phase(sgd(pre, cfg.lr), step, sampler.next_batch, cfg.epochs_pretrain, per_epoch,
+                   main_only=True),
+             Phase(sgd(model.named(), lr2), *main, gt_masks=cfg.gt_masks)]
+    if finetune_on is None:
+        return joint, []
+    d, target = finetune_on, datasets[finetune_on - 1]
+    stream = batch_stream(target, seeded_rng(cfg.seed, 2), cfg.batch_size, dataset_index=d)
+    return joint, [Phase(sgd(model.step_params(d), lr2), step, stream, cfg.epochs_finetune,
+                         -(-len(target) // cfg.batch_size), gt_masks=cfg.gt_masks)]
 
 
 def train_mutual(datasets: list[Dataset], cfg: MlTrainConfig,
                  log: TrainLog | None = None, finetune_on: int | None = None,
                  model: MlModel | None = None) -> MlModel:
-    """Joint pretrain of all main branches, then joint two-branch training with
-    round-robin dataset sampling, then optional fine-tuning on one dataset."""
+    """Every phase of ``mutual_phases`` in one run."""
     cfg.validate()
-    log = log or TrainLog(None)
     if model is None:
-        model = MlModel.init(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])),
-                             [ds.taxonomy for ds in datasets], c_in=cfg.c_in,
-                             width=cfg.width, channels=cfg.channels,
-                             loss_weight=cfg.loss_weight, pooling=cfg.pooling,
-                             iterations=cfg.iterations, share_backbone=cfg.share_backbone,
-                             fresh_weights=cfg.fresh_weights)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    sampler = RoundRobinSampler(datasets, rng, cfg.batch_size)
-    per_epoch = _steps_per_epoch(datasets, cfg.batch_size)
-    step = 0
-    epoch = 0
-
-    def run_phase(epochs, opt, gt_masks, main_only, lr_for):
-        nonlocal step, epoch
-        for _ in range(epochs):
-            lr = lr_for()
-            for _ in range(per_epoch):
-                batch = sampler.next_batch()
-                loss = ml_step(batch, model, opt, gt_masks=gt_masks,
-                               main_only=main_only, lr=lr, clip_norm=cfg.clip_norm)
-                step += 1
-                log.write(epoch, step, loss, lr,
-                          dataset=model.branch(batch.dataset_index).taxonomy.dataset_name)
-            epoch += 1
-
-    # Phase 1: joint pretrain of backbone(s) + per-dataset main heads.
-    pre_params = {n: t for n, t in model.named().items() if ".gpm." not in n}
-    pre_opt = SGD(pre_params, cfg.lr, cfg.momentum)
-    run_phase(cfg.epochs_pretrain, pre_opt, False, True, lambda: cfg.lr)
-
-    # Phase 2: joint mutual training of everything.
-    opt = SGD(model.named(), cfg.lr, cfg.momentum)
-    if cfg.accumulate:
-        for _ in range(cfg.epochs_main):
-            lr = main_phase_lr(cfg)
-            for _ in range(max(1, per_epoch // len(datasets))):
-                group = [sampler.next_batch() for _ in range(len(datasets))]
-                loss, _ = ml_step_accumulated(group, model, opt,
-                                              gt_masks=cfg.gt_masks, lr=lr,
-                                              clip_norm=cfg.clip_norm)
-                step += 1
-                log.write(epoch, step, loss, lr, dataset="all")
-            epoch += 1
-    else:
-        run_phase(cfg.epochs_main, opt, cfg.gt_masks, False,
-                  lambda: main_phase_lr(cfg))
-
-    # Phase 3: optional fine-tune of shared core + target branch on one dataset.
-    if finetune_on is not None and cfg.epochs_finetune > 0:
-        d = finetune_on
-        ft_opt = SGD(model.step_params(d), cfg.lr * cfg.lr_decay, cfg.momentum)
-        ft_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
-        for _ in range(cfg.epochs_finetune):
-            for batch in datasets[d - 1].batches(ft_rng, cfg.batch_size, dataset_index=d):
-                loss = ml_step(batch, model, ft_opt, gt_masks=cfg.gt_masks,
-                               clip_norm=cfg.clip_norm)
-                step += 1
-                log.write(epoch, step, loss, cfg.lr * cfg.lr_decay,
-                          dataset=model.branch(d).taxonomy.dataset_name)
-            epoch += 1
+        model = init_model(MlModel.init, cfg, [ds.taxonomy for ds in datasets])
+    joint, finetune = mutual_phases(datasets, cfg, model, finetune_on)
+    run_phases(joint + finetune, cfg.clip_norm, log, label=model.log_label)
     return model
 
 
@@ -286,26 +234,18 @@ def audit_sharing(model: MlModel, datasets: list[Dataset], lr: float = 0.05,
                   batch_size: int = 2, seed: int = 0) -> tuple[bool, list[str]]:
     """Probe step per dataset: other branches must stay bitwise unchanged while
     at least one shared parameter moves. Returns (ok, report lines)."""
-    report = []
-    ok = True
+    report, ok = [], True
     rng = np.random.default_rng(seed)
     for d in range(1, len(model.branches) + 1):
-        before = {dd: snapshot(model.branch(dd).named()) for dd in
-                  range(1, len(model.branches) + 1)}
+        before = [snapshot(br.named()) for br in model.branches]
         shared_before = snapshot(model.shared.named())
         batch = next(datasets[d - 1].batches(rng, batch_size, dataset_index=d))
-        opt = SGD(model.step_params(d), lr, momentum=0.0)
-        ml_step(batch, model, opt)
+        ml_step(batch, model, SGD(model.step_params(d), lr, momentum=0.0))
         shared_changed = snapshot(model.shared.named()) != shared_before
-        if not shared_changed:
-            ok = False
-            report.append(f"step on dataset {d}: no shared parameter changed")
-        for dd in range(1, len(model.branches) + 1):
-            if dd == d:
-                continue
-            if snapshot(model.branch(dd).named()) != before[dd]:
-                ok = False
-                report.append(f"step on dataset {d}: branch {dd} parameters changed")
+        moved = [dd for dd, br in enumerate(model.branches, start=1)
+                 if dd != d and snapshot(br.named()) != before[dd - 1]]
+        ok = ok and shared_changed and not moved
+        report += [f"step on dataset {d}: branch {dd} parameters changed" for dd in moved]
         report.append(f"step on dataset {d}: shared changed={shared_changed}, "
-                      f"other branches untouched")
+                      f"other branches {'changed' if moved else 'untouched'}")
     return ok, report

@@ -64,14 +64,17 @@ def _build_gpm(arrays: dict[str, np.ndarray], prefix: str, meta: dict[str, str])
 
 def load_model(path) -> tuple[ModelParams, dict[str, str]]:
     arrays, meta = load_checkpoint(path)
+    return model_from_arrays(arrays, meta), meta
+
+
+def model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> ModelParams:
     if meta.get("kind", "single") != "single":
         raise CheckpointError(f"expected a single-dataset checkpoint, got kind={meta.get('kind')!r}")
     backbone = _build_backbone(arrays, "backbone")
     main_head = ConvLayer(_t(arrays["main_head.kernel"]), _t(arrays["main_head.bias"]))
     gpm = _build_gpm(arrays, "gpm", meta) if "gpm.head" in arrays else None
-    params = ModelParams(backbone, main_head, gpm,
-                         loss_weight=float(meta.get("loss_weight", "1.0")))
-    return params, meta
+    return ModelParams(backbone, main_head, gpm,
+                       loss_weight=float(meta.get("loss_weight", "1.0")))
 
 
 def save_ml_model(path, model: MlModel) -> None:
@@ -89,6 +92,10 @@ def save_ml_model(path, model: MlModel) -> None:
 
 def load_ml_model(path) -> tuple[MlModel, dict[str, str]]:
     arrays, meta = load_checkpoint(path)
+    return ml_model_from_arrays(arrays, meta), meta
+
+
+def ml_model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> MlModel:
     if meta.get("kind") != "mutual":
         raise CheckpointError(f"expected a mutual-learning checkpoint, got kind={meta.get('kind')!r}")
     share_backbone = meta.get("share_backbone", "1") == "1"
@@ -110,7 +117,6 @@ def load_ml_model(path) -> tuple[MlModel, dict[str, str]]:
             gpm_l3=_build_level(arrays, f"{prefix}.gpm.level3"),
             head=_t(arrays[f"{prefix}.gpm.head"]),
         ))
-    model = MlModel(shared, branches, loss_weight=float(meta.get("loss_weight", "1.0")),
-                    pooling=meta.get("pooling", "both"),
-                    iterations=int(meta.get("iterations", "3")))
-    return model, meta
+    return MlModel(shared, branches, loss_weight=float(meta.get("loss_weight", "1.0")),
+                   pooling=meta.get("pooling", "both"),
+                   iterations=int(meta.get("iterations", "3")))

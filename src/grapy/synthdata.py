@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imageio
-from .hierarchy import Taxonomy, taxonomy_by_name, validate
+from .hierarchy import Taxonomy, TaxonomyError, taxonomy_by_name, validate
 
 
 class GenerationError(RuntimeError):
@@ -355,9 +355,14 @@ def load_dataset(manifest_path, taxonomy: Taxonomy | None = None, name: str | No
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("taxonomy\t"):
         raise DatasetError(f"{manifest_path}: first manifest line must be 'taxonomy<TAB><name>'")
+    if len(lines) < 2:
+        raise DatasetError(f"{manifest_path}: the manifest lists no samples")
     tax_name = lines[0][1].split("\t", 1)[1]
     if taxonomy is None:
-        taxonomy = taxonomy_by_name(tax_name)
+        try:
+            taxonomy = taxonomy_by_name(tax_name)
+        except TaxonomyError as exc:
+            raise DatasetError(f"{manifest_path}:{lines[0][0]}: {exc}") from None
     elif taxonomy.dataset_name != tax_name:
         raise DatasetError(f"{manifest_path} is bound to taxonomy {tax_name!r}, "
                            f"got {taxonomy.dataset_name!r}")

@@ -231,3 +231,93 @@ def test_gradcheck_command_exits_zero():
     res = run_cli("gradcheck", "--seed", "0")
     assert res.returncode == 0, res.stdout + res.stderr
     assert "max_rel_err" in res.stdout
+
+
+def test_finetune_log_continues_the_run_numbering(ml_out):
+    out, _ = ml_out
+    rows = [ln.split("\t") for ln in (out / "train_ml.log").read_text().strip().split("\n")]
+    steps = [int(r[1]) for r in rows]
+    epochs = [int(r[0]) for r in rows]
+    assert steps == list(range(1, len(rows) + 1))  # strictly increasing, no restart
+    assert epochs == sorted(epochs) and epochs[-1] == 2  # pretrain 0, joint 1, fine-tune 2
+    assert {r[2] for r in rows if r[0] == "2"} == {"A"}
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["width", "steps", "overfit", "channels", "pooling",
+                                  "precision"])
+def test_bad_setting_exits_2_naming_flag_or_key(case, tmp_path):
+    flags = {"width": ["--width", "0"], "steps": ["--steps", "-3"],
+             "overfit": ["--overfit", "-1"], "channels": ["--channels", "0"]}
+    lines = {"pooling": "# comment\npooling = bogus\n", "precision": "precision = f16\n"}
+    if case in flags:
+        argv, where = flags[case], f"argument {flags[case][0]}"
+    else:
+        argv = ["--config", _config(tmp_path, lines[case])]
+        where = f"run.cfg:{lines[case].count(chr(10))}: bad value for {case}"
+    res = run_cli("train", "--data", str(tmp_path / "never-read.txt"),
+                  "--out", str(tmp_path / "o"), *argv)
+    assert res.returncode == 2, res.stderr
+    assert where in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o" / "model.ckpt").exists()
+
+
+class TestInputFiles:
+    def test_missing_ckpt_exits_2(self, bench_dir, tmp_path):
+        res = run_cli("eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),
+                      "--ckpt", str(tmp_path / "absent.ckpt"))
+        assert res.returncode == 2
+        assert "absent.ckpt" in res.stderr and "Traceback" not in res.stderr
+
+    def test_missing_manifest_exits_2(self, tmp_path):
+        res = run_cli("train", "--data", str(tmp_path / "absent.txt"),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "absent.txt" in res.stderr and "Traceback" not in res.stderr
+
+    def test_missing_config_exits_2(self, tmp_path):
+        res = run_cli("train", "--data", str(tmp_path / "absent.txt"),
+                      "--out", str(tmp_path / "o"), "--config", str(tmp_path / "absent.cfg"))
+        assert res.returncode == 2
+        assert "absent.cfg" in res.stderr and "Traceback" not in res.stderr
+
+    def test_manifest_without_samples_exits_2(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("taxonomy\tA\n")
+        res = run_cli("train", "--data", str(manifest), "--out", str(tmp_path / "o"),
+                      "--overfit", "2", "--steps", "4")
+        assert res.returncode == 2
+        assert "no samples" in res.stderr and "Traceback" not in res.stderr
+
+    def test_truncated_checkpoint_exits_4(self, bench_dir, trained, tmp_path):
+        head = tmp_path / "head.ckpt"
+        head.write_bytes((trained / "model.ckpt").read_bytes()[:200])
+        res = run_cli("eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),
+                      "--ckpt", str(head))
+        assert res.returncode == 4
+        assert "head.ckpt" in res.stderr and "truncated" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"lr = 0.1\n\xff\xfe = 3\n")
+    res = run_cli("train", "--data", str(tmp_path / "never-read.txt"),
+                  "--out", str(tmp_path / "o"), "--config", str(cfg))
+    assert res.returncode == 2
+    assert "run.cfg:2: unknown config key" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_manifest_with_unknown_taxonomy_exits_2(tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("taxonomy\tZ\n0\tx.ppm\tx.pgm\n")
+    res = run_cli("train", "--data", str(manifest), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "manifest.txt:1: unknown taxonomy 'Z'" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -60,12 +60,22 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     arrays: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
     while pos < len(blob):
+        start = pos
         name, values, pos = _read_record(blob, pos)
         if name.startswith(_META_PREFIX):
-            meta[name[len(_META_PREFIX):]] = bytes(values.astype(np.uint8)).decode("utf-8")
+            meta[name[len(_META_PREFIX):]] = _text(bytes(values.astype(np.uint8)),
+                                                   f"value of {name!r}", start)
         else:
             arrays[name] = values
     return arrays, meta
+
+
+def _text(raw: bytes, what: str, pos: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{what} in the record at offset {pos} is not UTF-8: "
+                              f"{raw!r}") from None
 
 
 def _read_record(blob: bytes, pos: int):
@@ -77,7 +87,7 @@ def _read_record(blob: bytes, pos: int):
     (nlen,) = struct.unpack_from("<I", blob, pos)
     pos += 4
     need(nlen, "name")
-    name = blob[pos : pos + nlen].decode("utf-8")
+    name = _text(blob[pos : pos + nlen], "name", pos - 4)
     pos += nlen
     need(4, "rank")
     (rank,) = struct.unpack_from("<I", blob, pos)

@@ -41,6 +41,12 @@ class Precision:
 
 
 @dataclass
+class Limit:
+    limit: int | None = setting(None, "write at most N predictions", bounds="[0, inf)",
+                                parse=int)
+
+
+@dataclass
 class Overfit:
     overfit: int = setting(0, "train on the first N samples, for --steps", bounds="[0, inf)")
     steps: int = setting(500, "step budget in overfit mode", bounds="[0, inf)")
@@ -202,16 +208,23 @@ def cmd_train_ml(args) -> int:
 def _load_eval_params(ckpt_path, dataset):
     try:
         arrays, meta = load_checkpoint(ckpt_path)
+        name = dataset.taxonomy.dataset_name
+        names = meta.get("taxonomies", "").split(",")
+        if name not in names:
+            raise CheckpointError(f"checkpoint is bound to taxonomies {names} "
+                                  f"but the dataset manifest names {name!r}")
+        if meta.get("kind", "single") == "single":
+            params = serialize.model_from_arrays(arrays, meta)
+        else:
+            params = serialize.ml_model_from_arrays(arrays, meta).branch_params(
+                names.index(name) + 1)
+        c_in, c = params.backbone.layers[0].kernel.shape[2], dataset.samples[0].image.shape[-1]
+        if c_in != c:
+            raise CheckpointError(f"the backbone takes {c_in}-channel images, "
+                                  f"the dataset's have {c} channels")
+        return params
     except CheckpointError as exc:
         raise CheckpointError(f"{ckpt_path}: {exc}") from None
-    name = dataset.taxonomy.dataset_name
-    names = meta.get("taxonomies", "").split(",")
-    if name not in names:
-        raise CheckpointError(f"{ckpt_path}: checkpoint is bound to taxonomies {names} "
-                              f"but the dataset manifest names {name!r}")
-    if meta.get("kind", "single") == "single":
-        return serialize.model_from_arrays(arrays, meta)
-    return serialize.ml_model_from_arrays(arrays, meta).branch_params(names.index(name) + 1)
 
 
 def cmd_eval(args) -> int:
@@ -229,17 +242,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    (prec,) = resolve_settings(args, Precision)
+    prec, lim = resolve_settings(args, Precision, Limit)
     with precision(prec.precision):
         dataset = load_dataset(args.data)
         params = _load_eval_params(args.ckpt, dataset)
         os.makedirs(args.out, exist_ok=True)
-        count = len(dataset) if args.limit is None else min(args.limit, len(dataset))
+        count = len(dataset) if lim.limit is None else min(lim.limit, len(dataset))
         for i in range(count):
-            sample = dataset.samples[i]
-            out = forward(sample.image, params, dataset.taxonomy)
+            out = forward(dataset.samples[i].image[None], params, dataset.taxonomy)
             pred = argmax_channel(out.y_hat if args.branch == "gpm" and out.y_hat is not None
-                                  else out.y)
+                                  else out.y)[0]
             path = os.path.join(args.out, f"{i:05d}_pred.ppm")
             write_ppm(path, colorize_labels(pred, dataset.taxonomy.k3))
         print(f"wrote {count} predictions to {args.out}")
@@ -281,10 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("eval", cmd_eval, "mIoU / mean accuracy at levels 1-3, both branches",
                 Precision, required=data | ckpt, config=False)
     p.add_argument("--kv-out", help="write machine-readable key=value lines here")
-    p = command("predict", cmd_predict, "write colorized prediction PPMs", Precision,
+    p = command("predict", cmd_predict, "write colorized prediction PPMs", Precision, Limit,
                 required=data | ckpt | out, config=False)
     p.add_argument("--branch", choices=("gpm", "main"), default="gpm")
-    p.add_argument("--limit", type=int)
     command("gradcheck", cmd_gradcheck, "finite-difference gradient suites (64-bit)",
             SeedConfig, required={}, config=False)
     return parser

@@ -17,8 +17,10 @@ import numpy as np
 
 from . import tensor as T
 from .hierarchy import coarsen, taxonomy_by_name
-from .model import ModelParams, batch_loss, forward, loss_tensor
-from .pyramid import GpmLevelParams, pyramid_forward, reason
+from .model import ModelParams, batch_loss
+# the benchmark's tracer wraps ``loss_tensor`` here too
+from .model import loss_tensor  # noqa: F401
+from .pyramid import GpmLevelParams, GpmParams, pyramid_forward, reason
 from .synthdata import SampleBatch
 from .tensor import Tape, Tensor, cross_entropy_mean, precision
 
@@ -115,22 +117,22 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     ab, bb = leaf(3, 1), leaf(1, 4)
     results["broadcast"] = check_tensor_grads(lambda: _weighted(T.mul(ab, bb), w), [ab, bb])
 
-    m, n = leaf(4, 5), leaf(5, 3)
-    wmn = rng.normal(size=(4, 3))
+    m, n = leaf(1, 4, 5), leaf(5, 3)
+    wmn = rng.normal(size=(1, 4, 3))
     results["matmul"] = check_tensor_grads(lambda: _weighted(T.matmul(m, n), wmn), [m, n])
 
-    s = leaf(5, 5)
-    ws = rng.normal(size=(5, 5))
+    s = leaf(1, 5, 5)
+    ws = rng.normal(size=(1, 5, 5))
     results["softmax_rows"] = check_tensor_grads(lambda: _weighted(T.softmax_rows(s), ws), [s])
 
     r = Tensor(rng.normal(0.0, 1.0, (4, 6)) + 0.2, requires_grad=True)  # keep off the kink
     wr = rng.normal(size=(4, 6))
     results["relu"] = check_tensor_grads(lambda: _weighted(T.relu(r), wr), [r])
 
-    x, k = leaf(6, 6, 2), leaf(3, 3, 2, 3)
-    wc = rng.normal(size=(6, 6, 3))
+    x, k = leaf(1, 6, 6, 2), leaf(3, 3, 2, 3)
+    wc = rng.normal(size=(1, 6, 6, 3))
     results["conv2d"] = check_tensor_grads(lambda: _weighted(T.conv2d(x, k), wc), [x, k])
-    wc2 = rng.normal(size=(3, 3, 3))
+    wc2 = rng.normal(size=(1, 3, 3, 3))
     results["conv2d_stride2"] = check_tensor_grads(
         lambda: _weighted(T.conv2d(x, k, stride=2), wc2), [x, k])
 
@@ -147,28 +149,29 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     results["scale"] = check_tensor_grads(lambda: T.scale(T.tsum(u), 2.5), [u])
     wre = rng.normal(size=(12,))
     results["reshape"] = check_tensor_grads(lambda: _weighted(T.reshape(u, (12,)), wre), [u])
-    wtr = rng.normal(size=(4, 3))
-    results["transpose"] = check_tensor_grads(lambda: _weighted(T.transpose(u), wtr), [u])
+    wtr = rng.normal(size=(1, 4, 3))
+    results["transpose"] = check_tensor_grads(
+        lambda: _weighted(T.transpose(T.reshape(u, (1, 3, 4))), wtr), [u])
 
-    f = leaf(5, 6, 3)
-    labels = rng.integers(0, 3, size=(5, 6))
+    f = leaf(1, 5, 6, 3)
+    labels = rng.integers(0, 3, size=(1, 5, 6))
     labels.reshape(-1)[:3] = [0, 1, 2]  # every category occupied
-    wp = rng.normal(size=(3, 6))
+    wp = rng.normal(size=(1, 3, 6))
     results["masked_pool"] = check_tensor_grads(
         lambda: _weighted(T.masked_pool(f, labels, 3)[0], wp), [f])
-    wp_ave = rng.normal(size=(3, 3))
+    wp_ave = rng.normal(size=(1, 3, 3))
     results["masked_pool_ave"] = check_tensor_grads(
         lambda: _weighted(T.masked_pool(f, labels, 3, mode="ave")[0], wp_ave), [f])
     results["masked_pool_max"] = check_tensor_grads(
         lambda: _weighted(T.masked_pool(f, labels, 3, mode="max")[0], wp_ave), [f])
 
-    nodes = leaf(3, 4)
-    wb = rng.normal(size=(5, 6, 4))
+    nodes = leaf(1, 3, 4)
+    wb = rng.normal(size=(1, 5, 6, 4))
     results["broadcast_nodes"] = check_tensor_grads(
         lambda: _weighted(T.broadcast_nodes(nodes, labels), wb), [nodes])
 
-    logits = leaf(4, 4, 3)
-    q = rng.integers(0, 3, size=(4, 4))
+    logits = leaf(1, 4, 4, 3)
+    q = rng.integers(0, 3, size=(1, 4, 4))
     results["cross_entropy"] = check_tensor_grads(
         lambda: cross_entropy_mean(T.softmax_channels(logits), q), [logits])
 
@@ -211,13 +214,12 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     return results
 
 
-def reason_suite(seed: int = 0, batch: int | None = None) -> float:
-    """Attention reasoning over 4 nodes, or over a batch of node sets."""
+def reason_suite(seed: int = 0, batch: int = 1) -> float:
+    """Attention reasoning over a batch of 4-node sets."""
     rng = np.random.default_rng(seed)
-    lead = () if batch is None else (batch,)
-    v = Tensor(rng.normal(0.0, 1.0, lead + (4, 8)), requires_grad=True)
+    v = Tensor(rng.normal(0.0, 1.0, (batch, 4, 8)), requires_grad=True)
     params = GpmLevelParams.init(rng, 8, 4)
-    w = rng.normal(size=lead + (4, 8))
+    w = rng.normal(size=(batch, 4, 8))
     return check_tensor_grads(lambda: _weighted(reason(v, params), w),
                               [v, params.q1, params.q2])
 
@@ -230,13 +232,11 @@ def pyramid_suite(seed: int = 0) -> float:
     """
     rng = np.random.default_rng(seed)
     tax = taxonomy_by_name("A")
-    f = Tensor(rng.normal(0.0, 1.0, (8, 8, 4)), requires_grad=True)
-    from .pyramid import GpmParams
-
+    f = Tensor(rng.normal(0.0, 1.0, (1, 8, 8, 4)), requires_grad=True)
     gpm = GpmParams.init(rng, 4, tax.k3)
-    y = Tensor(rng.uniform(0.0, 1.0, (8, 8, tax.k3)))
-    q = rng.integers(0, tax.k3, size=(8, 8))
-    maps = {level: coarsen(np.argmax(y.data, axis=2), tax, level) for level in (1, 2, 3)}
+    y = Tensor(rng.uniform(0.0, 1.0, (1, 8, 8, tax.k3)))
+    q = rng.integers(0, tax.k3, size=(1, 8, 8))
+    maps = {level: coarsen(np.argmax(y.data, axis=-1), tax, level) for level in (1, 2, 3)}
 
     def build():
         _, y_hat = pyramid_forward(f, y, tax, gpm, label_maps=maps)
@@ -246,31 +246,23 @@ def pyramid_suite(seed: int = 0) -> float:
     return check_tensor_grads(build, leaves)
 
 
-def end_to_end_problem(seed: int = 0, batch: int | None = None):
-    """The two-branch loss on an 8x8x4 instance, as (build, named parameters).
+def end_to_end_problem(seed: int = 0, batch: int = 1):
+    """The two-branch loss of ``batch`` 8x8x4 images through ``batch_loss``, the
+    training path, as (build, named parameters).
 
     Runs in ground-truth-mask mode so the category maps are constants for
-    both the tape and the finite differences. ``batch`` images go through
-    ``batch_loss``, the training path; ``None`` is one image through
-    ``forward``.
+    both the tape and the finite differences.
     """
     rng = np.random.default_rng(seed)
     tax = taxonomy_by_name("A")
     params = ModelParams.init(rng, tax, c_in=4, width=8, channels=4)
-    lead = () if batch is None else (batch,)
-    image = rng.uniform(0.0, 1.0, lead + (8, 8, 4))
-    q = rng.integers(0, tax.k3, size=lead + (8, 8))
-
-    def build():
-        if batch is not None:
-            return batch_loss(SampleBatch(list(image), list(q)), params, tax, gt_masks=True)
-        out = forward(image, params, tax, gt_labels=q)
-        return loss_tensor(out, q, params.loss_weight)
-
-    return build, params.named()
+    images = rng.uniform(0.0, 1.0, (batch, 8, 8, 4))
+    q = rng.integers(0, tax.k3, size=(batch, 8, 8))
+    samples = SampleBatch(list(images), list(q))
+    return lambda: batch_loss(samples, params, tax, gt_masks=True), params.named()
 
 
-def end_to_end_suite(seed: int = 0, batch: int | None = None) -> float:
+def end_to_end_suite(seed: int = 0, batch: int = 1) -> float:
     """Two-branch loss gradient wrt every model parameter (see end_to_end_problem)."""
     build, named = end_to_end_problem(seed, batch)
     return check_tensor_grads(build, list(named.values()))

@@ -1,7 +1,8 @@
 """Three-level label hierarchy and coarsening of fine label maps.
 
 Level 1 and Level 2 are fixed across all datasets; Level 3 is the
-dataset-specific fine list. A label map is a plain 2-D integer array.
+dataset-specific fine list. A label map is an integer array of any shape,
+one category index per pixel; ``coarsen`` maps it elementwise.
 """
 
 from __future__ import annotations

@@ -71,16 +71,17 @@ def _branches_of(params: ModelParams) -> list[str]:
 
 def confusions(params: ModelParams, dataset: Dataset,
                gt_masks: bool = False) -> dict[str, dict[int, ConfusionMatrix]]:
-    """One forward per sample, confusion matrices for every branch and level."""
+    """One forward per sample (a batch of one), confusion matrices for every
+    branch and level."""
     tax = dataset.taxonomy
     total = {b: {level: ConfusionMatrix(tax.k_at(level)) for level in (1, 2, 3)}
              for b in _branches_of(params)}
     for sample in dataset.samples:
-        out = forward(sample.image, params, tax,
-                      gt_labels=sample.labels if gt_masks else None)
-        preds = {"main": argmax_channel(out.y)}
+        out = forward(sample.image[None], params, tax,
+                      gt_labels=sample.labels[None] if gt_masks else None)
+        preds = {"main": argmax_channel(out.y)[0]}
         if out.y_hat is not None:
-            preds["gpm"] = argmax_channel(out.y_hat)
+            preds["gpm"] = argmax_channel(out.y_hat)[0]
         for b, pred in preds.items():
             for level in (1, 2, 3):
                 total[b][level].add(coarsen(pred, tax, level),

@@ -40,7 +40,7 @@ class ConvLayer:
 
     def apply(self, x: Tensor) -> Tensor:
         out = conv2d(x, self.kernel)
-        return out + reshape(self.bias, (1,) * (out.data.ndim - 1) + (out.shape[-1],))
+        return out + reshape(self.bias, (1, 1, 1, out.shape[-1]))
 
 
 @dataclass
@@ -105,23 +105,21 @@ class ModelParams:
 
 
 class ForwardOut(NamedTuple):
-    y: Tensor                 # main-branch per-pixel distribution ([N,] H, W, K3)
+    y: Tensor                 # main-branch per-pixel distribution (N, H, W, K3)
     y_hat: Tensor | None      # pyramid-branch distribution, None in main-only mode
     f_hat: Tensor | None      # fused feature map feeding the pyramid head
 
 
-def forward(image, params: ModelParams, taxonomy: Taxonomy,
+def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
             gt_labels: np.ndarray | None = None, main_only: bool = False) -> ForwardOut:
-    """Full forward pass: features, main prediction, pyramid prediction.
+    """Full forward pass of an (N, H, W, C) batch: features, main prediction,
+    pyramid prediction, each (N, H, W, .).
 
-    ``image`` is one (H, W, C) image or an (N, H, W, C) batch; every output
-    then carries the same leading axes. ``gt_labels`` switches category masks
-    to coarsened ground truth (debug mode); default masks derive from the
-    main prediction's argmax.
+    ``gt_labels`` ((N, H, W)) switches category masks to coarsened ground
+    truth (debug mode); default masks derive from the main prediction's argmax.
     """
     # images arrive in [0, 1]; centering keeps the first conv well conditioned
-    x = image if isinstance(image, Tensor) else Tensor(np.asarray(image) - 0.5)
-    f = params.backbone.apply(x)
+    f = params.backbone.apply(Tensor(np.asarray(images) - 0.5))
     y = softmax_channels(params.main_head.apply(f))
     if main_only or params.gpm is None:
         return ForwardOut(y=y, y_hat=None, f_hat=None)

@@ -72,6 +72,8 @@ class MlModel:
              share_backbone: bool = True, fresh_weights: bool = False) -> "MlModel":
         if len(taxonomies) < 2:
             raise ValueError("mutual learning needs at least 2 datasets")
+        if pooling not in ("both", "ave", "max"):
+            raise ValueError(f"pooling must be both|ave|max, got {pooling!r}")
         rng = np.random.default_rng(seed_or_rng)  # a Generator passes through
         c_l = 2 * channels if pooling == "both" else channels
         fresh = iterations if fresh_weights else 0
@@ -128,10 +130,11 @@ class MlModel:
         return ",".join(br.taxonomy.dataset_name for br in self.branches)
 
 
-def ml_forward(image, d: int, model: MlModel, gt_labels: np.ndarray | None = None,
+def ml_forward(images, d: int, model: MlModel, gt_labels: np.ndarray | None = None,
                main_only: bool = False):
-    """Forward through branch ``d``: shared Levels 1-2, branch-specific Level 3."""
-    return forward(image, model.branch_params(d), model.branch(d).taxonomy,
+    """Forward of an (N, H, W, C) batch through branch ``d``: shared Levels 1-2,
+    branch-specific Level 3."""
+    return forward(images, model.branch_params(d), model.branch(d).taxonomy,
                    gt_labels=gt_labels, main_only=main_only)
 
 

@@ -12,7 +12,7 @@ Category masks come from the per-pixel argmax of the main-branch prediction,
 coarsened through the taxonomy; they are constants inside a training step
 (argmax never joins the tape).
 
-Everything accepts a leading batch axis: (N, H, W, C) feature maps give
+The batch is the leading axis throughout: (N, H, W, C) feature maps give
 (N, K, C) nodes, pooled and attended within each image.
 """
 
@@ -35,9 +35,9 @@ class NodeSet:
     """Per-level graph nodes: pooled features plus the masks that made them."""
 
     level: int
-    features: Tensor          # ([N,] K_l, C_l)
-    label_map: np.ndarray     # ([N,] H, W) category index per pixel at this level
-    counts: np.ndarray        # ([N,] K_l) pixels per category
+    features: Tensor          # (N, K_l, C_l)
+    label_map: np.ndarray     # (N, H, W) category index per pixel at this level
+    counts: np.ndarray        # (N, K_l) pixels per category
 
     @property
     def occupancy(self) -> np.ndarray:
@@ -45,9 +45,9 @@ class NodeSet:
 
     @property
     def masks(self) -> np.ndarray:
-        """Boolean ([N,] K_l, H, W) masks; exactly one is true per pixel."""
+        """Boolean (N, K_l, H, W) masks; exactly one is true per pixel."""
         k = self.features.shape[-2]
-        return self.label_map[..., None, :, :] == np.arange(k)[:, None, None]
+        return self.label_map[:, None] == np.arange(k)[:, None, None]
 
 
 @dataclass

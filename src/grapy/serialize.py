@@ -1,4 +1,9 @@
-"""Model <-> checkpoint conversion. The container format lives in checkpoint.py."""
+"""Model <-> checkpoint conversion. The container format lives in checkpoint.py.
+
+Loading builds the layout that the metadata and the backbone's kernel shapes
+imply, then fills it: a checkpoint must hold exactly its parameter names, each
+with the shape the layout gives it, or it raises CheckpointError.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +11,55 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .hierarchy import Taxonomy, taxonomy_by_name
-from .model import BackboneParams, ConvLayer, ModelParams
-from .mutual import DatasetBranch, MlModel, SharedCore
-from .pyramid import GpmLevelParams, GpmParams
-from .tensor import Tensor, get_default_dtype
+from .model import ModelParams, parse_levels
+from .mutual import MlModel
+from .tensor import get_default_dtype
 
 
-def _t(arr: np.ndarray) -> Tensor:
-    return Tensor(arr.astype(get_default_dtype()), requires_grad=True)
+def _meta(meta: dict[str, str], key: str, default: str, parse=str):
+    try:
+        return parse(meta.get(key, default))
+    except ValueError:
+        raise CheckpointError(f"bad meta.{key}: {meta.get(key)!r}") from None
+
+
+def _backbone_dims(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, int]:
+    """c_in, width and channels, read off the first and last backbone kernels."""
+    dims = []
+    for name in (f"{prefix}.conv1.kernel", f"{prefix}.conv3.kernel"):
+        if name not in arrays or arrays[name].ndim != 4:
+            raise CheckpointError(f"{name} is missing or not a rank-4 conv kernel")
+        dims.append(arrays[name].shape)
+    return {"c_in": dims[0][2], "width": dims[0][3], "channels": dims[1][3]}
+
+
+def _common(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> dict:
+    """The layout settings single and mutual checkpoints share."""
+    return dict(loss_weight=_meta(meta, "loss_weight", "1.0", float),
+                pooling=_meta(meta, "pooling", "both"),
+                iterations=_meta(meta, "iterations", "3", int),
+                fresh_weights=any("_iter" in name for name in arrays))
+
+
+def _filled(init, arrays: dict[str, np.ndarray], *args, **kw):
+    """The layout ``init(seed, *args, **kw)`` builds, holding ``arrays``, which
+    must name exactly its parameters with exactly their shapes."""
+    try:
+        model = init(0, *args, **kw)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
+    named = model.named()
+    unexpected = sorted(set(arrays) - set(named))
+    if unexpected:
+        raise CheckpointError(f"unexpected parameter {unexpected[0]}")
+    for name, t in named.items():
+        if name not in arrays:
+            raise CheckpointError(f"missing parameter {name}")
+        if arrays[name].shape != t.shape:
+            raise CheckpointError(f"parameter {name} has shape {arrays[name].shape}, "
+                                  f"its layout implies {t.shape}")
+        t.data = arrays[name].astype(get_default_dtype())
+    return model
 
 
 def save_model(path, params: ModelParams, taxonomy: Taxonomy) -> None:
@@ -30,38 +76,6 @@ def save_model(path, params: ModelParams, taxonomy: Taxonomy) -> None:
     save_checkpoint(path, arrays, meta)
 
 
-def _build_backbone(arrays: dict[str, np.ndarray], prefix: str) -> BackboneParams:
-    layers = []
-    i = 1
-    while f"{prefix}.conv{i}.kernel" in arrays:
-        layers.append(ConvLayer(_t(arrays[f"{prefix}.conv{i}.kernel"]),
-                                _t(arrays[f"{prefix}.conv{i}.bias"])))
-        i += 1
-    if not layers:
-        raise CheckpointError(f"checkpoint has no {prefix}.conv1.kernel")
-    return BackboneParams(layers)
-
-
-def _build_level(arrays: dict[str, np.ndarray], prefix: str) -> GpmLevelParams:
-    extra = []
-    i = 2
-    while f"{prefix}.q1_iter{i}" in arrays:
-        extra.append((_t(arrays[f"{prefix}.q1_iter{i}"]), _t(arrays[f"{prefix}.q2_iter{i}"])))
-        i += 1
-    return GpmLevelParams(_t(arrays[f"{prefix}.q1"]), _t(arrays[f"{prefix}.q2"]),
-                          _t(arrays[f"{prefix}.out_proj"]), extra)
-
-
-def _build_gpm(arrays: dict[str, np.ndarray], prefix: str, meta: dict[str, str]) -> GpmParams:
-    levels = {}
-    for l in (1, 2, 3):
-        if f"{prefix}.level{l}.q1" in arrays:
-            levels[l] = _build_level(arrays, f"{prefix}.level{l}")
-    return GpmParams(levels=levels, head=_t(arrays[f"{prefix}.head"]),
-                     pooling=meta.get("pooling", "both"),
-                     iterations=int(meta.get("iterations", "3")))
-
-
 def load_model(path) -> tuple[ModelParams, dict[str, str]]:
     arrays, meta = load_checkpoint(path)
     return model_from_arrays(arrays, meta), meta
@@ -70,11 +84,10 @@ def load_model(path) -> tuple[ModelParams, dict[str, str]]:
 def model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> ModelParams:
     if meta.get("kind", "single") != "single":
         raise CheckpointError(f"expected a single-dataset checkpoint, got kind={meta.get('kind')!r}")
-    backbone = _build_backbone(arrays, "backbone")
-    main_head = ConvLayer(_t(arrays["main_head.kernel"]), _t(arrays["main_head.bias"]))
-    gpm = _build_gpm(arrays, "gpm", meta) if "gpm.head" in arrays else None
-    return ModelParams(backbone, main_head, gpm,
-                       loss_weight=float(meta.get("loss_weight", "1.0")))
+    return _filled(ModelParams.init, arrays, _meta(meta, "taxonomies", "", taxonomy_by_name),
+                   **_backbone_dims(arrays, "backbone"), **_common(arrays, meta),
+                   with_gpm="gpm.head" in arrays,
+                   levels=_meta(meta, "levels", "1,2,3", parse_levels))
 
 
 def save_ml_model(path, model: MlModel) -> None:
@@ -98,25 +111,9 @@ def load_ml_model(path) -> tuple[MlModel, dict[str, str]]:
 def ml_model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> MlModel:
     if meta.get("kind") != "mutual":
         raise CheckpointError(f"expected a mutual-learning checkpoint, got kind={meta.get('kind')!r}")
-    share_backbone = meta.get("share_backbone", "1") == "1"
-    shared = SharedCore(
-        backbone=_build_backbone(arrays, "shared.backbone") if share_backbone else None,
-        gpm_l1=_build_level(arrays, "shared.gpm.level1"),
-        gpm_l2=_build_level(arrays, "shared.gpm.level2"),
-    )
-    names = meta.get("taxonomies", "").split(",")
-    branches = []
-    for d, tax_name in enumerate(names, start=1):
-        prefix = f"branch{d}"
-        branches.append(DatasetBranch(
-            index=d,
-            taxonomy=taxonomy_by_name(tax_name),
-            backbone=None if share_backbone else _build_backbone(arrays, f"{prefix}.backbone"),
-            main_head=ConvLayer(_t(arrays[f"{prefix}.main_head.kernel"]),
-                                _t(arrays[f"{prefix}.main_head.bias"])),
-            gpm_l3=_build_level(arrays, f"{prefix}.gpm.level3"),
-            head=_t(arrays[f"{prefix}.gpm.head"]),
-        ))
-    return MlModel(shared, branches, loss_weight=float(meta.get("loss_weight", "1.0")),
-                   pooling=meta.get("pooling", "both"),
-                   iterations=int(meta.get("iterations", "3")))
+    share = meta.get("share_backbone", "1") == "1"
+    taxonomies = _meta(meta, "taxonomies", "", lambda raw: [taxonomy_by_name(n)
+                                                            for n in raw.split(",")])
+    return _filled(MlModel.init, arrays, taxonomies, share_backbone=share,
+                   **_common(arrays, meta),
+                   **_backbone_dims(arrays, "shared.backbone" if share else "branch1.backbone"))

@@ -1,11 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation on an explicit tape.
 
-Ops compute with numpy; the hot kernels live in kernels.py. Image-shaped ops
-take an optional leading batch axis: (H, W, C) and (N, H, W, C) both work,
-and node tables are (K, C) or (N, K, C). When a Tape is active and an input
-requires gradients, the op appends a backward rule to the tape. With no
-active tape the identical arithmetic runs tape-free, bitwise equal to the
-recorded path; finite-difference checks rely on that.
+Ops compute with numpy; the hot kernels live in kernels.py. The batch is the
+leading axis of every image-shaped operand, and each image op accepts that
+one layout only: (N, H, W, C) feature maps, (N, H, W) label maps and
+(N, K, C) node tables. When a Tape is active and an input requires
+gradients, the op appends a backward rule to the tape. With no active tape
+the identical arithmetic runs tape-free, bitwise equal to the recorded path;
+finite-difference checks rely on that.
 
 Every op output is checked finite; NaN/Inf raises NumericsError immediately.
 """
@@ -268,20 +269,17 @@ def scale(a: Tensor, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
-
-    ``a`` is (M, K) or (N, M, K); ``b`` is (K, P), or (N, K, P) when ``a`` is
-    batched. A 2-D ``b`` is shared by every batch entry and runs as one GEMM
-    over the N*M rows.
-    """
-    ra, rb = a.data.ndim, b.data.ndim
-    if ra not in (2, 3) or rb not in (2, ra) or (rb == 3 and a.shape[0] != b.shape[0]):
-        raise ShapeError(f"matmul needs (M,K) or (N,M,K) x (K,P), or (N,M,K) x (N,K,P), "
+    """Matrix product of an (N, M, K) ``a`` with an (N, K, P) ``b``, or with a
+    (K, P) ``b`` shared by every batch entry, which runs as one GEMM over the
+    N*M rows."""
+    rb = b.data.ndim
+    if a.data.ndim != 3 or rb not in (2, 3) or (rb == 3 and a.shape[0] != b.shape[0]):
+        raise ShapeError(f"matmul needs (N,M,K) x (K,P) or (N,M,K) x (N,K,P), "
                          f"got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    shared = ra == 3 and rb == 2
+    shared = rb == 2
 
     def back(g):
         ga = g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None
@@ -303,9 +301,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a 2-D or batched 3-D tensor."""
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose needs a 2-D or 3-D tensor, got {a.shape}")
+    """Swap the last two axes of an (N, M, K) tensor."""
+    if a.data.ndim != 3:
+        raise ShapeError(f"transpose needs (N,M,K), got {a.shape}")
     return _apply("transpose", np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,),
                   lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
 
@@ -389,22 +387,22 @@ def _softmax_last(a: Tensor, opname: str) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-stabilized softmax over the last axis of a (M, K) or (N, M, K) tensor.
+    """Row-stabilized softmax over the last axis of an (N, M, K) tensor.
 
     Outputs are floored at the dtype's smallest positive normal so that a
     saturated row never underflows to an exact zero; an exact zero would kill
     the gradient of any downstream log-likelihood and make saturation
     unrecoverable in 32-bit training.
     """
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"softmax_rows needs a 2-D or 3-D tensor, got {a.shape}")
+    if a.data.ndim != 3:
+        raise ShapeError(f"softmax_rows needs (N,M,K), got {a.shape}")
     return _softmax_last(a, "softmax_rows")
 
 
 def softmax_channels(a: Tensor) -> Tensor:
-    """Softmax over the channel axis of an (H, W, K) or (N, H, W, K) tensor."""
-    if a.data.ndim not in (3, 4):
-        raise ShapeError(f"softmax_channels needs (H,W,K) or (N,H,W,K), got {a.shape}")
+    """Softmax over the channel axis of an (N, H, W, K) tensor."""
+    if a.data.ndim != 4:
+        raise ShapeError(f"softmax_channels needs (N,H,W,K), got {a.shape}")
     return _softmax_last(a, "softmax_channels")
 
 
@@ -412,16 +410,10 @@ def softmax_channels(a: Tensor) -> Tensor:
 # Convolution and the category-pooling / distribution ops
 # ---------------------------------------------------------------------------
 
-def _batch_view(arr: np.ndarray, batched: bool) -> np.ndarray:
-    """``arr`` with a leading batch axis, adding one of extent 1 if absent."""
-    return arr if batched else arr[None]
-
-
 def conv2d(x: Tensor, kern: Tensor, stride: int = 1, pad: int | None = None) -> Tensor:
-    """Cross-correlation of an (H, W, Cin) or (N, H, W, Cin) input with a
-    (kh, kw, Cin, Cout) kernel."""
-    if x.data.ndim not in (3, 4) or kern.data.ndim != 4:
-        raise ShapeError(f"conv2d needs ([N,]H,W,Cin) x (kh,kw,Cin,Cout), "
+    """Cross-correlation of an (N, H, W, Cin) input with a (kh, kw, Cin, Cout) kernel."""
+    if x.data.ndim != 4 or kern.data.ndim != 4:
+        raise ShapeError(f"conv2d needs (N,H,W,Cin) x (kh,kw,Cin,Cout), "
                          f"got {x.shape} x {kern.shape}")
     kh, kw, cin, cout = kern.shape
     if kh % 2 == 0 or kw % 2 == 0:
@@ -430,46 +422,39 @@ def conv2d(x: Tensor, kern: Tensor, stride: int = 1, pad: int | None = None) -> 
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {kern.shape}")
     if pad is None:
         pad = kh // 2
-    batched = x.data.ndim == 4
-    xd, kd = _batch_view(x.data, batched), kern.data
+    xd, kd = x.data, kern.data
     h, w = xd.shape[1:3]
-    out = kernels.conv2d_forward(xd, kd, stride, pad)
 
     def back(g):
-        gb = _batch_view(g, batched)
         gx = gk = None
         if x.requires_grad:
-            gx = kernels.conv2d_backward_input(gb, kd, stride, pad, h, w)
-            gx = gx if batched else gx[0]
+            gx = kernels.conv2d_backward_input(g, kd, stride, pad, h, w)
         if kern.requires_grad:
-            gk = kernels.conv2d_backward_kernel(xd, gb, stride, pad, kh, kw)
+            gk = kernels.conv2d_backward_kernel(xd, g, stride, pad, kh, kw)
         return gx, gk
 
-    return _apply("conv2d", out if batched else out[0], (x, kern), back)
+    return _apply("conv2d", kernels.conv2d_forward(xd, kd, stride, pad), (x, kern), back)
 
 
 def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
-    """Category-wise pooling of (H, W, C) features over an integer label map.
+    """Category-wise pooling of (N, H, W, C) features over (N, H, W) integer
+    label maps, each image on its own.
 
-    Returns (features, counts): one row per category, holding the masked mean,
-    the channelwise masked max, or their concatenation per ``mode``. Empty
-    categories pool to zero rows. The label map is a constant; gradients flow
-    to ``f`` through the mean spread and the max selections. A batch,
-    (N, H, W, C) features over (N, H, W) labels, pools each image on its own
-    into (N, K, .) features and (N, K) counts.
+    Returns (features, counts): (N, K, .) rows, one per category, holding the
+    masked mean, the channelwise masked max, or their concatenation per
+    ``mode``, and (N, K) pixel counts. Empty categories pool to zero rows. The
+    label maps are constants; gradients flow to ``f`` through the mean spread
+    and the max selections.
     """
     if mode not in ("both", "ave", "max"):
         raise ValueError(f"masked_pool mode must be both|ave|max, got {mode!r}")
-    if f.data.ndim not in (3, 4) or label_map.shape != f.shape[:-1]:
-        raise ShapeError(f"masked_pool needs ([N,]H,W,C) features and ([N,]H,W) labels, "
+    if f.data.ndim != 4 or label_map.shape != f.shape[:-1]:
+        raise ShapeError(f"masked_pool needs (N,H,W,C) features and (N,H,W) labels, "
                          f"got {f.shape} and {label_map.shape}")
     if label_map.min() < 0 or label_map.max() >= k:
         raise ShapeError(f"label map values out of range [0, {k})")
-    batched = f.data.ndim == 4
     c = f.shape[-1]
-    labels = _batch_view(label_map, batched)
-    fd = _batch_view(f.data, batched)
-    sums, counts, maxv, argi = kernels.masked_pool_forward(fd, labels, k)
+    sums, counts, maxv, argi = kernels.masked_pool_forward(f.data, label_map, k)
     _record_branch(argi)
     inv = np.zeros(counts.shape, f.data.dtype)
     nz = counts > 0
@@ -486,44 +471,33 @@ def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
 
     def back(g):
         # the kernel spreads the mean gradient evenly over each mask (1/count)
-        g = _batch_view(g, batched)
         if mode == "both":
             gave, gmax = g[..., :c], g[..., c:]
         elif mode == "ave":
             gave, gmax = g, zeros
         else:
             gave, gmax = zeros, g
-        gf = kernels.masked_pool_backward(gave, gmax, labels, counts, argi, fd.shape)
-        return (gf if batched else gf[0],)
+        return (kernels.masked_pool_backward(gave, gmax, label_map, counts, argi, f.shape),)
 
-    if batched:
-        return _apply("masked_pool", feats, (f,), back), counts
-    return _apply("masked_pool", feats[0], (f,), back), counts[0]
+    return _apply("masked_pool", feats, (f,), back), counts
 
 
 def broadcast_nodes(w: Tensor, label_map: np.ndarray) -> Tensor:
-    """Per-pixel lookup of a (K, C) row table through an (H, W) label map,
-    or of (N, K, C) tables through (N, H, W) maps, image by image."""
-    if w.data.ndim not in (2, 3) or label_map.ndim != w.data.ndim:
-        raise ShapeError(f"broadcast_nodes needs a (K,C) table with (H,W) labels or "
-                         f"(N,K,C) with (N,H,W), got {w.shape} and {label_map.shape}")
-    batched = w.data.ndim == 3
+    """Per-pixel lookup of (N, K, C) row tables through (N, H, W) label maps,
+    image by image."""
+    if w.data.ndim != 3 or label_map.ndim != 3:
+        raise ShapeError(f"broadcast_nodes needs (N,K,C) tables with (N,H,W) labels, "
+                         f"got {w.shape} and {label_map.shape}")
     k = w.shape[-2]
-    labels = _batch_view(label_map, batched)
-    out = kernels.gather_rows(_batch_view(w.data, batched), labels)
-
-    def back(g):
-        gw = kernels.scatter_rows(_batch_view(g, batched), labels, k)
-        return (gw if batched else gw[0],)
-
-    return _apply("broadcast_nodes", out if batched else out[0], (w,), back)
+    return _apply("broadcast_nodes", kernels.gather_rows(w.data, label_map), (w,),
+                  lambda g: (kernels.scatter_rows(g, label_map, k),))
 
 
 def cross_entropy_mean(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of an (H, W, K) or (N, H, W, K) probability
-    map at ``labels``, averaged over every pixel of the batch."""
+    """Mean negative log-likelihood of an (N, H, W, K) probability map at
+    ``labels``, averaged over every pixel of the batch."""
     k = probs.shape[-1]
-    if probs.data.ndim not in (3, 4) or labels.shape != probs.shape[:-1]:
+    if probs.data.ndim != 4 or labels.shape != probs.shape[:-1]:
         raise ShapeError(f"labels shape {labels.shape} does not match prediction {probs.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise ShapeError(f"label out of range [0, {k})")
@@ -545,10 +519,9 @@ def cross_entropy_mean(probs: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def argmax_channel(a: Tensor) -> np.ndarray:
-    """Per-pixel argmax over channels of an (H, W, K) or (N, H, W, K) tensor.
-    Not on the tape."""
-    if a.data.ndim not in (3, 4):
-        raise ShapeError(f"argmax_channel needs ([N,]H,W,K), got {a.shape}")
+    """Per-pixel argmax over channels of an (N, H, W, K) tensor. Not on the tape."""
+    if a.data.ndim != 4:
+        raise ShapeError(f"argmax_channel needs (N,H,W,K), got {a.shape}")
     return np.argmax(a.data, axis=-1).astype(np.int64)
 
 

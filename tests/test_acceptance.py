@@ -94,13 +94,23 @@ def test_full_scale_results_out_of_scope():
                       "desk-scale property checks apply"))
 
 
+GRADCHECK_SUITES = [
+    "add", "sub", "mul", "div", "broadcast", "matmul", "softmax_rows", "relu", "conv2d",
+    "conv2d_stride2", "concat", "sum", "sum_axis", "mean", "scale", "reshape", "transpose",
+    "masked_pool", "masked_pool_ave", "masked_pool_max", "broadcast_nodes", "cross_entropy",
+    "matmul_batch2", "matmul_shared_batch2", "transpose_batch2", "softmax_rows_batch2",
+    "conv2d_batch2", "conv2d_stride2_batch2", "masked_pool_batch2", "broadcast_nodes_batch2",
+    "cross_entropy_batch2", "reason", "reason_batch2", "pyramid", "end_to_end",
+    "end_to_end_batch2"]
+
+
 def test_gradient_suite_under_tolerance_and_time():
     t0 = time.time()
     results, ok = run_all(seed=0)
     elapsed = time.time() - t0
     worst = max(results.values())
     assert ok, f"worst suite error {worst:.3e} >= {TOLERANCE}"
-    assert "end_to_end" in results and "pyramid" in results
+    assert list(results) == GRADCHECK_SUITES
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
     print(PASS.format(f"gradient suite: {len(results)} suites, "
                       f"max rel err {worst:.2e} < 1e-4, {elapsed:.1f}s < 60s"))
@@ -118,18 +128,18 @@ def test_oracle_equivalence_20_instances():
         lm = rng.integers(0, k, size=(h, w))
         lm.reshape(-1)[rng.permutation(h * w)[:k]] = np.arange(k)
 
-        nodes = aggregate(Tensor(f), lm, k, level=2)
-        worst = max(worst, rel_err(nodes.features.data, gsa_oracle(f, lm, k)))
+        nodes = aggregate(Tensor(f[None]), lm[None], k, level=2)
+        worst = max(worst, rel_err(nodes.features.data[0], gsa_oracle(f, lm, k)))
 
         lp = GpmLevelParams.init(rng, 2 * c, c)
         lp.out_proj.data[:] = rng.normal(size=lp.out_proj.shape) * 0.3
         refined = reason(nodes.features, lp)
-        worst = max(worst, rel_err(refined.data,
-                                   gcr_oracle(nodes.features.data, lp.q1.data, lp.q2.data)))
+        worst = max(worst, rel_err(refined.data[0],
+                                   gcr_oracle(nodes.features.data[0], lp.q1.data, lp.q2.data)))
 
-        out = distribute(Tensor(f), refined, lp.out_proj, lm)
-        worst = max(worst, rel_err(out.data,
-                                   gsd_oracle(f, refined.data, lp.out_proj.data, lm)))
+        out = distribute(Tensor(f[None]), refined, lp.out_proj, lm[None])
+        worst = max(worst, rel_err(out.data[0],
+                                   gsd_oracle(f, refined.data[0], lp.out_proj.data, lm)))
         assert worst < 1e-6, f"trial {trial}: {worst:.2e}"
 
     comp_worst = 0.0
@@ -140,11 +150,12 @@ def test_oracle_equivalence_20_instances():
         for lp in gpm.levels.values():
             lp.out_proj.data[:] = rng.normal(size=lp.out_proj.shape) * 0.3
         gpm.head.data[:] = rng.normal(size=gpm.head.shape) * 0.2
-        f_hat, y_hat = pyramid_forward(Tensor(f), Tensor(y), tax, gpm)
+        f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
         level_arrays = {l: (gpm.levels[l].q1.data, gpm.levels[l].q2.data,
                             gpm.levels[l].out_proj.data) for l in (1, 2, 3)}
         f_exp, y_exp = pyramid_oracle(f, y, tables, level_arrays, gpm.head.data)
-        comp_worst = max(comp_worst, rel_err(f_hat.data, f_exp), rel_err(y_hat.data, y_exp))
+        comp_worst = max(comp_worst, rel_err(f_hat.data[0], f_exp),
+                         rel_err(y_hat.data[0], y_exp))
         assert comp_worst < 1e-6, f"composed trial {trial}: {comp_worst:.2e}"
     print(PASS.format(f"oracle equivalence: 20 instances per stage "
                       f"(worst {worst:.2e}) and 20 composed (worst {comp_worst:.2e}) < 1e-6"))
@@ -155,26 +166,26 @@ def test_invariant_suite(bench):
     tax = taxonomy_by_name("B")
 
     # mask partition at every level for prediction-derived maps
-    y = Tensor(rng.uniform(0, 1, (8, 8, tax.k3)))
+    y = Tensor(rng.uniform(0, 1, (1, 8, 8, tax.k3)))
     from grapy.pyramid import masks_from_prediction
 
     for level in (1, 2, 3):
-        lm = masks_from_prediction(y, tax, level)
+        lm = masks_from_prediction(y, tax, level)[0]
         k = tax.k_at(level)
         masks = lm[None] == np.arange(k)[:, None, None]
         assert np.array_equal(masks.sum(axis=0), np.ones((8, 8), np.int64))
 
     # attention rows sum to 1 +- 1e-6 at every level and iteration
     for c_l in (8, 16):
-        v = Tensor(rng.normal(0, 3, (5, c_l)))
+        v = Tensor(rng.normal(0, 3, (1, 5, c_l)))
         lp = GpmLevelParams.init(rng, c_l, c_l // 2)
         for mat in attention_rows(v, lp):
-            assert np.abs(mat.sum(axis=1) - 1).max() < 1e-6
+            assert np.abs(mat[0].sum(axis=1) - 1).max() < 1e-6
 
     # softmax shift invariance within 1e-9
     x = rng.normal(size=(6, 9))
-    a = softmax_rows(Tensor(x)).data
-    b = softmax_rows(Tensor(x + 11.25)).data
+    a = softmax_rows(Tensor(x[None])).data[0]
+    b = softmax_rows(Tensor(x[None] + 11.25)).data[0]
     assert np.abs(a - b).max() < 1e-9
 
     # coarsening composition: L3 -> L2 -> L1 equals L3 -> L1
@@ -186,9 +197,9 @@ def test_invariant_suite(bench):
     # redistribution is the identity under zero nodes
     f = rng.normal(size=(6, 6, 4))
     lm = rng.integers(0, 3, size=(6, 6))
-    out = distribute(Tensor(f), Tensor(np.zeros((3, 8))),
-                     Tensor(rng.normal(size=(8, 4))), lm)
-    assert np.array_equal(out.data, f)
+    out = distribute(Tensor(f[None]), Tensor(np.zeros((1, 3, 8))),
+                     Tensor(rng.normal(size=(8, 4))), lm[None])
+    assert np.array_equal(out.data[0], f)
 
     # permutation equivariance of the category pipeline
     k, c = 4, 4
@@ -199,25 +210,25 @@ def test_invariant_suite(bench):
     lp.out_proj.data[:] = rng.normal(size=lp.out_proj.shape) * 0.3
     perm = rng.permutation(k)
     inv = np.argsort(perm)
-    nodes = aggregate(Tensor(f), lm, k, level=2)
+    nodes = aggregate(Tensor(f[None]), lm[None], k, level=2)
     refined = reason(nodes.features, lp)
-    base_out = distribute(Tensor(f), refined, lp.out_proj, lm)
-    nodes_p = aggregate(Tensor(f), inv[lm], k, level=2)
-    assert rel_err(nodes_p.features.data, nodes.features.data[perm]) < 1e-9
+    base_out = distribute(Tensor(f[None]), refined, lp.out_proj, lm[None])
+    nodes_p = aggregate(Tensor(f[None]), inv[lm][None], k, level=2)
+    assert rel_err(nodes_p.features.data[0], nodes.features.data[0][perm]) < 1e-9
     refined_p = reason(nodes_p.features, lp)
-    out_p = distribute(Tensor(f), refined_p, lp.out_proj, inv[lm])
-    assert rel_err(out_p.data, base_out.data) < 1e-9
+    out_p = distribute(Tensor(f[None]), refined_p, lp.out_proj, inv[lm][None])
+    assert rel_err(out_p.data[0], base_out.data[0]) < 1e-9
 
     # two-branch loss additivity, exactly as computed
     tax_a = taxonomy_by_name("A")
     params = ModelParams.init(rng, tax_a, width=4, channels=4)
     image = rng.uniform(0, 1, (16, 16, 3))
     q = rng.integers(0, tax_a.k3, (16, 16))
-    out = forward(image, params, tax_a)
-    l_main = float(cross_entropy_mean(out.y, q).data)
-    l_gpm = float(cross_entropy_mean(out.y_hat, q).data)
+    out = forward(image[None], params, tax_a)
+    l_main = float(cross_entropy_mean(out.y, q[None]).data)
+    l_gpm = float(cross_entropy_mean(out.y_hat, q[None]).data)
     for lam in (1.0, 0.35):
-        assert float(loss_tensor(out, q, lam).data) == l_main + lam * l_gpm
+        assert float(loss_tensor(out, q[None], lam).data) == l_main + lam * l_gpm
 
     # multi-dataset additivity in accumulation mode (1e-9)
     taxes = list(builtin_taxonomies())
@@ -230,9 +241,9 @@ def test_invariant_suite(bench):
                                    dataset_index=d))
     per = []
     for batch in batches:
-        o = forward(batch.images[0], model.branch_params(batch.dataset_index),
+        o = forward(batch.images[0][None], model.branch_params(batch.dataset_index),
                     model.branch(batch.dataset_index).taxonomy)
-        per.append(float(loss_tensor(o, batch.labels[0], model.loss_weight).data))
+        per.append(float(loss_tensor(o, batch.labels[0][None], model.loss_weight).data))
     total, _ = ml_step_accumulated(batches, model, SGD(model.named(), lr=0.0))
     assert abs(total - sum(per)) < 1e-9
     print(PASS.format("invariant suite: partition, attention rows, softmax shift, "
@@ -264,13 +275,13 @@ def test_sharing_audit():
     feats = []
     for d in (1, 2, 3):
         params = model.branch_params(d)
-        f = params.backbone.apply(Tensor(np.asarray(image) - 0.5))
-        n1 = aggregate(f, lm1, 2, level=1)
+        f = params.backbone.apply(Tensor(np.asarray(image)[None] - 0.5))
+        n1 = aggregate(f, lm1[None], 2, level=1)
         r1 = reason(n1.features, params.gpm.levels[1])
-        f1 = distribute(f, r1, params.gpm.levels[1].out_proj, lm1)
-        n2 = aggregate(f1, lm2, 5, level=2)
+        f1 = distribute(f, r1, params.gpm.levels[1].out_proj, lm1[None])
+        n2 = aggregate(f1, lm2[None], 5, level=2)
         r2 = reason(n2.features, params.gpm.levels[2])
-        feats.append((r1.data.tobytes(), r2.data.tobytes()))
+        feats.append((r1.data[0].tobytes(), r2.data[0].tobytes()))
     assert feats[0] == feats[1] == feats[2]
     print(PASS.format("sharing audit: branch isolation + shared movement + "
                       "forced-mask coarse-node equality"))

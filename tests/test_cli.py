@@ -321,3 +321,58 @@ def test_manifest_with_unknown_taxonomy_exits_2(tmp_path):
     assert res.returncode == 2
     assert "manifest.txt:1: unknown taxonomy 'Z'" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_predict_negative_limit_exits_2(tmp_path):
+    res = run_cli("predict", "--data", str(tmp_path / "never-read.txt"),
+                  "--ckpt", str(tmp_path / "never-read.ckpt"), "--out", str(tmp_path / "o"),
+                  "--limit", "-1")
+    assert res.returncode == 2
+    assert "argument --limit: must be in [0, inf), got -1" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+EVAL_CKPT = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "eval_abc.ckpt")
+
+
+def _edit_eval_ckpt(case: str, path) -> str:
+    """A copy of the joint A/B/C checkpoint broken one way; returns what the error names."""
+    from grapy.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(EVAL_CKPT)
+    kernel = "branch1.main_head.kernel"
+    if case == "missing_parameter":
+        del arrays[kernel]
+    elif case == "meta_not_a_number":
+        meta["iterations"] = "three"
+    elif case == "bias_wider_than_kernel":
+        arrays[kernel] = arrays[kernel][..., :3]
+    elif case == "unexpected_parameter":
+        arrays["branch1.main_head.scale"] = np.ones(3)
+    elif case == "unknown_pooling":
+        meta["pooling"] = "median"
+    elif case == "four_channel_backbone":
+        first = arrays["shared.backbone.conv1.kernel"]
+        arrays["shared.backbone.conv1.kernel"] = np.concatenate([first, first[:, :, :1]], 2)
+    save_checkpoint(path, arrays, meta)
+    if case == "name_not_utf8":
+        blob = path.read_bytes()
+        assert blob.count(b"branch1.gpm.head") == 1
+        path.write_bytes(blob.replace(b"branch1.gpm.head", b"branch1.gpm.\xff\xfe\xfd\xfc"))
+        return "not UTF-8"
+    return {"meta_not_a_number": "iterations", "unexpected_parameter": "branch1.main_head.scale",
+            "unknown_pooling": "median", "four_channel_backbone": "4-channel"}.get(case, kernel)
+
+
+@pytest.mark.parametrize("case", ["missing_parameter", "meta_not_a_number",
+                                  "bias_wider_than_kernel", "name_not_utf8",
+                                  "unexpected_parameter", "unknown_pooling",
+                                  "four_channel_backbone"])
+def test_unusable_checkpoint_exits_4_naming_the_key(case, bench_dir, tmp_path):
+    ckpt = tmp_path / "edited.ckpt"
+    named = _edit_eval_ckpt(case, ckpt)
+    res = run_cli("eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),
+                  "--ckpt", str(ckpt))
+    assert res.returncode == 4, res.stderr
+    assert "edited.ckpt" in res.stderr and named in res.stderr
+    assert "Traceback" not in res.stderr

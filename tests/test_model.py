@@ -27,35 +27,35 @@ def tiny(tax):
 class TestForward:
     def test_outputs_are_distributions(self, tax, tiny):
         params, image, _ = tiny
-        out = forward(image, params, tax)
+        out = forward(image[None], params, tax)
         for y in (out.y, out.y_hat):
-            assert np.abs(y.data.sum(axis=2) - 1).max() < 1e-6
-            assert y.data.min() >= 0
+            assert np.abs(y.data[0].sum(axis=2) - 1).max() < 1e-6
+            assert y.data[0].min() >= 0
 
     def test_shapes(self, tax):
         rng = np.random.default_rng(1)
         params = ModelParams.init(rng, tax, c_in=3, width=4, channels=4)
-        out = forward(rng.uniform(0, 1, (16, 16, 3)), params, tax)
-        assert out.y.shape == (16, 16, 7)
-        assert out.y_hat.shape == (16, 16, 7)
-        assert out.f_hat.shape == (16, 16, 16)
+        out = forward(rng.uniform(0, 1, (16, 16, 3))[None], params, tax)
+        assert out.y.data[0].shape == (16, 16, 7)
+        assert out.y_hat.data[0].shape == (16, 16, 7)
+        assert out.f_hat.data[0].shape == (16, 16, 16)
 
     def test_deterministic_bitwise(self, tax, tiny):
         params, image, _ = tiny
-        a = forward(image, params, tax)
-        b = forward(image, params, tax)
-        assert a.y.data.tobytes() == b.y.data.tobytes()
-        assert a.y_hat.data.tobytes() == b.y_hat.data.tobytes()
+        a = forward(image[None], params, tax)
+        b = forward(image[None], params, tax)
+        assert a.y.data[0].tobytes() == b.y.data[0].tobytes()
+        assert a.y_hat.data[0].tobytes() == b.y_hat.data[0].tobytes()
 
     def test_main_only_skips_pyramid(self, tax, tiny):
         params, image, _ = tiny
-        out = forward(image, params, tax, main_only=True)
+        out = forward(image[None], params, tax, main_only=True)
         assert out.y_hat is None and out.f_hat is None
 
     def test_no_gpm_model(self, tax):
         rng = np.random.default_rng(2)
         params = ModelParams.init(rng, tax, width=4, channels=4, with_gpm=False)
-        out = forward(rng.uniform(0, 1, (16, 16, 3)), params, tax)
+        out = forward(rng.uniform(0, 1, (16, 16, 3))[None], params, tax)
         assert out.y_hat is None
         assert not any(n.startswith("gpm") for n in params.named())
 
@@ -63,15 +63,15 @@ class TestForward:
 class TestLoss:
     def test_one_hot_both_branches_zero(self, tax):
         q = np.random.default_rng(3).integers(0, tax.k3, (4, 4))
-        one_hot = Tensor(np.eye(tax.k3)[q])
+        one_hot = Tensor(np.eye(tax.k3)[q][None])
         from grapy.model import ForwardOut
 
         out = ForwardOut(y=one_hot, y_hat=one_hot, f_hat=None)
-        assert abs(float(loss_tensor(out, q, 1.0).data)) < 1e-9
+        assert abs(float(loss_tensor(out, q[None], 1.0).data)) < 1e-9
 
     def test_uniform_gives_two_log_k(self, tax):
-        q = np.zeros((4, 4), np.int64)
-        uniform = Tensor(np.full((4, 4, tax.k3), 1.0 / tax.k3))
+        q = np.zeros((1, 4, 4), np.int64)
+        uniform = Tensor(np.full((1, 4, 4, tax.k3), 1.0 / tax.k3))
         from grapy.model import ForwardOut
 
         out = ForwardOut(y=uniform, y_hat=uniform, f_hat=None)
@@ -79,28 +79,28 @@ class TestLoss:
 
     def test_lambda_zero_is_main_only(self, tax, tiny):
         params, image, q = tiny
-        out = forward(image, params, tax)
-        main = loss_tensor(out, q, 0.0)
+        out = forward(image[None], params, tax)
+        main = loss_tensor(out, q[None], 0.0)
         from grapy.tensor import cross_entropy_mean
 
-        assert np.isclose(float(main.data), float(cross_entropy_mean(out.y, q).data))
+        assert np.isclose(float(main.data), float(cross_entropy_mean(out.y, q[None]).data))
 
     def test_additive_decomposition(self, tax, tiny):
         params, image, q = tiny
-        out = forward(image, params, tax)
+        out = forward(image[None], params, tax)
         from grapy.tensor import cross_entropy_mean
 
-        l_main = float(cross_entropy_mean(out.y, q).data)
-        l_gpm = float(cross_entropy_mean(out.y_hat, q).data)
-        total = float(loss_tensor(out, q, 1.0).data)
+        l_main = float(cross_entropy_mean(out.y, q[None]).data)
+        l_gpm = float(cross_entropy_mean(out.y_hat, q[None]).data)
+        total = float(loss_tensor(out, q[None], 1.0).data)
         assert np.isclose(total, l_main + l_gpm, rtol=0, atol=1e-12)
-        total_w = float(loss_tensor(out, q, 0.37).data)
+        total_w = float(loss_tensor(out, q[None], 0.37).data)
         assert np.isclose(total_w, l_main + 0.37 * l_gpm, rtol=0, atol=1e-12)
 
     def test_label_out_of_range(self, tax, tiny):
         params, image, _ = tiny
-        out = forward(image, params, tax)
-        bad = np.full((16, 16), tax.k3, np.int64)
+        out = forward(image[None], params, tax)
+        bad = np.full((1, 16, 16), tax.k3, np.int64)
         from grapy.tensor import ShapeError
 
         with pytest.raises(ShapeError):
@@ -132,8 +132,8 @@ class TestTrainStep:
     def test_end_to_end_gradcheck(self, tax):
         rng = np.random.default_rng(7)
         params = ModelParams.init(rng, tax, c_in=4, width=4, channels=4)
-        image = rng.uniform(0, 1, (8, 8, 4))
-        q = rng.integers(0, tax.k3, (8, 8))
+        image = rng.uniform(0, 1, (1, 8, 8, 4))
+        q = rng.integers(0, tax.k3, (1, 8, 8))
 
         def build():
             out = forward(image, params, tax, gt_labels=q)
@@ -202,8 +202,8 @@ class TestPhases:
 
         hit = 0
         for s in ds.samples:
-            out = forward(s.image, params, tax, main_only=True)
-            lm = masks_from_prediction(out.y, tax, 1)
+            out = forward(s.image[None], params, tax, main_only=True)
+            lm = masks_from_prediction(out.y, tax, 1)[0]
             if (s.labels > 0).any() and (lm == 1).any():
                 hit += 1
         assert hit >= len(ds.samples) // 2
@@ -265,12 +265,13 @@ class TestBatchAxis:
         q = np.stack(batch.labels)
         out = forward(np.stack(batch.images), params, tax, gt_labels=q if gt_masks else None)
         for n, (image, labels) in enumerate(zip(batch.images, batch.labels)):
-            one = forward(image, params, tax, gt_labels=labels if gt_masks else None)
-            assert rel_err(out.y.data[n], one.y.data) < 1e-9
-            assert rel_err(out.y_hat.data[n], one.y_hat.data) < 1e-9
-            sliced = ForwardOut(Tensor(out.y.data[n]), Tensor(out.y_hat.data[n]), None)
-            a = float(loss_tensor(sliced, labels, 1.0).data)
-            b = float(loss_tensor(one, labels, 1.0).data)
+            one = forward(image[None], params, tax,
+                          gt_labels=labels[None] if gt_masks else None)
+            assert rel_err(out.y.data[n], one.y.data[0]) < 1e-9
+            assert rel_err(out.y_hat.data[n], one.y_hat.data[0]) < 1e-9
+            sliced = ForwardOut(Tensor(out.y.data[n:n + 1]), Tensor(out.y_hat.data[n:n + 1]), None)
+            a = float(loss_tensor(sliced, labels[None], 1.0).data)
+            b = float(loss_tensor(one, labels[None], 1.0).data)
             assert abs(a - b) <= 1e-9 * abs(b)
 
     @pytest.mark.parametrize("gt_masks", [False, True])
@@ -280,8 +281,8 @@ class TestBatchAxis:
             loss = batch_loss(batch, params, tax, gt_masks=gt_masks)
         got = tape.backward(loss)
         with Tape() as tape:
-            terms = [loss_tensor(forward(img, params, tax,
-                                         gt_labels=q if gt_masks else None), q, 1.0)
+            terms = [loss_tensor(forward(img[None], params, tax,
+                                         gt_labels=q[None] if gt_masks else None), q[None], 1.0)
                      for img, q in zip(batch.images, batch.labels)]
             total = terms[0]
             for t in terms[1:]:

@@ -34,9 +34,9 @@ class TestStructure:
         rng = np.random.default_rng(1)
         image = rng.uniform(0, 1, (16, 16, 3))
         for d, k3 in ((1, 7), (2, 12), (3, 10)):
-            out = ml_forward(image, d, model)
-            assert out.y.shape == (16, 16, k3)
-            assert out.y_hat.shape == (16, 16, k3)
+            out = ml_forward(image[None], d, model)
+            assert out.y.data[0].shape == (16, 16, k3)
+            assert out.y_hat.data[0].shape == (16, 16, k3)
 
     def test_invalid_dataset_index(self, taxonomies):
         model = small_model(taxonomies)
@@ -92,11 +92,11 @@ class TestWeightSharing:
         feats = {}
         for d in (1, 2, 3):
             params = model.branch_params(d)
-            x = Tensor(np.asarray(image) - 0.5)
+            x = Tensor(np.asarray(image)[None] - 0.5)
             f = params.backbone.apply(x)
-            nodes = aggregate(f, lm1, 2, level=1)
+            nodes = aggregate(f, lm1[None], 2, level=1)
             refined = reason(nodes.features, params.gpm.levels[1])
-            feats[d] = refined.data
+            feats[d] = refined.data[0]
         assert np.array_equal(feats[1], feats[2])
         assert np.array_equal(feats[1], feats[3])
 
@@ -108,10 +108,10 @@ class TestWeightSharing:
         rng = np.random.default_rng(3)
         image = rng.uniform(0, 1, (16, 16, 3))
         q = rng.integers(0, 7, (16, 16))
-        a = ml_forward(image, 1, model, gt_labels=q)
-        b = forward(image, params, taxonomies[0], gt_labels=q)
-        assert a.y.data.tobytes() == b.y.data.tobytes()
-        assert a.y_hat.data.tobytes() == b.y_hat.data.tobytes()
+        a = ml_forward(image[None], 1, model, gt_labels=q[None])
+        b = forward(image[None], params, taxonomies[0], gt_labels=q[None])
+        assert a.y.data[0].tobytes() == b.y.data[0].tobytes()
+        assert a.y_hat.data[0].tobytes() == b.y_hat.data[0].tobytes()
 
 
 class TestSteps:
@@ -139,9 +139,9 @@ class TestSteps:
         per = []
         for batch in batches:
             params = model.branch_params(batch.dataset_index)
-            out = forward(batch.images[0], params,
+            out = forward(batch.images[0][None], params,
                           model.branch(batch.dataset_index).taxonomy)
-            per.append(float(loss_tensor(out, batch.labels[0], model.loss_weight).data))
+            per.append(float(loss_tensor(out, batch.labels[0][None], model.loss_weight).data))
         opt = SGD(model.named(), lr=0.0, momentum=0.0)
         total, reported = ml_step_accumulated(batches, model, opt)
         assert np.isclose(total, sum(per), rtol=0, atol=1e-9)

@@ -24,27 +24,27 @@ def random_partition(rng, h, w, k):
 
 class TestMasksFromPrediction:
     def test_all_class0_prediction(self, tax):
-        y = Tensor(np.eye(tax.k3)[np.zeros((4, 4), np.int64)])
+        y = Tensor(np.eye(tax.k3)[np.zeros((4, 4), np.int64)][None])
         lm = masks_from_prediction(y, tax, 1)
         assert np.all(lm == 0)
 
     def test_known_fine_map(self, tax):
         rng = np.random.default_rng(0)
         m = rng.integers(0, tax.k3, size=(5, 5))
-        y = Tensor(np.eye(tax.k3)[m] + rng.uniform(0, 0.4, (5, 5, tax.k3)))
+        y = Tensor((np.eye(tax.k3)[m] + rng.uniform(0, 0.4, (5, 5, tax.k3)))[None])
         for level in (1, 2, 3):
-            assert np.array_equal(masks_from_prediction(y, tax, level),
+            assert np.array_equal(masks_from_prediction(y, tax, level)[0],
                                   coarsen(m, tax, level))
 
     def test_against_pixel_oracle(self, tax):
         rng = np.random.default_rng(1)
-        y = Tensor(rng.uniform(0, 1, (6, 6, tax.k3)))
+        y = Tensor(rng.uniform(0, 1, (1, 6, 6, tax.k3)))
         for level in (1, 2, 3):
-            expect = masks_oracle(y.data, tax.table_to(level))
-            assert np.array_equal(masks_from_prediction(y, tax, level), expect)
+            expect = masks_oracle(y.data[0], tax.table_to(level))
+            assert np.array_equal(masks_from_prediction(y, tax, level)[0], expect)
 
     def test_never_on_tape(self, tax):
-        y = Tensor(np.random.rand(4, 4, tax.k3), requires_grad=True)
+        y = Tensor(np.random.rand(1, 4, 4, tax.k3), requires_grad=True)
         with Tape() as tape:
             masks_from_prediction(y, tax, 2)
         assert len(tape) == 0
@@ -53,80 +53,80 @@ class TestMasksFromPrediction:
 class TestAggregate:
     def test_single_category_global_means(self):
         rng = np.random.default_rng(2)
-        f = Tensor(rng.normal(size=(4, 4, 3)))
-        nodes = aggregate(f, np.zeros((4, 4), np.int64), 1, level=1)
-        assert np.allclose(nodes.features.data[0, :3], f.data.mean(axis=(0, 1)))
-        assert np.allclose(nodes.features.data[0, 3:], f.data.max(axis=(0, 1)))
+        f = Tensor(rng.normal(size=(1, 4, 4, 3)))
+        nodes = aggregate(f, np.zeros((1, 4, 4), np.int64), 1, level=1)
+        assert np.allclose(nodes.features.data[0, 0, :3], f.data[0].mean(axis=(0, 1)))
+        assert np.allclose(nodes.features.data[0, 0, 3:], f.data[0].max(axis=(0, 1)))
 
     def test_constant_region_ave_equals_max(self):
-        f = Tensor(np.full((3, 3, 2), 1.5))
-        nodes = aggregate(f, np.zeros((3, 3), np.int64), 1, level=1)
+        f = Tensor(np.full((1, 3, 3, 2), 1.5))
+        nodes = aggregate(f, np.zeros((1, 3, 3), np.int64), 1, level=1)
         assert np.allclose(nodes.features.data, 1.5)
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=(4, 4, 3))
         lm = random_partition(rng, 4, 4, 2)
-        nodes = aggregate(Tensor(f), lm, 2, level=2)
-        assert rel_err(nodes.features.data, gsa_oracle(f, lm, 2)) < 1e-6
+        nodes = aggregate(Tensor(f[None]), lm[None], 2, level=2)
+        assert rel_err(nodes.features.data[0], gsa_oracle(f, lm, 2)) < 1e-6
 
     def test_empty_category_zero_row_and_occupancy(self):
         rng = np.random.default_rng(4)
-        f = Tensor(rng.normal(size=(4, 4, 3)))
-        lm = np.zeros((4, 4), np.int64)  # category 1 empty
+        f = Tensor(rng.normal(size=(1, 4, 4, 3)))
+        lm = np.zeros((1, 4, 4), np.int64)  # category 1 empty
         nodes = aggregate(f, lm, 2, level=2)
-        assert np.all(nodes.features.data[1] == 0)
-        assert nodes.occupancy.tolist() == [True, False]
+        assert np.all(nodes.features.data[0, 1] == 0)
+        assert nodes.occupancy[0].tolist() == [True, False]
 
     def test_masks_property_partitions(self):
         rng = np.random.default_rng(5)
-        f = Tensor(rng.normal(size=(5, 5, 2)))
+        f = Tensor(rng.normal(size=(1, 5, 5, 2)))
         lm = random_partition(rng, 5, 5, 3)
-        nodes = aggregate(f, lm, 3, level=2)
-        assert np.array_equal(nodes.masks.sum(axis=0), np.ones((5, 5), np.int64))
+        nodes = aggregate(f, lm[None], 3, level=2)
+        assert np.array_equal(nodes.masks[0].sum(axis=0), np.ones((5, 5), np.int64))
 
     def test_pooling_modes(self):
         rng = np.random.default_rng(6)
         f = rng.normal(size=(4, 4, 3))
         lm = random_partition(rng, 4, 4, 2)
-        ave = aggregate(Tensor(f), lm, 2, level=1, pooling="ave")
-        mx = aggregate(Tensor(f), lm, 2, level=1, pooling="max")
-        assert rel_err(ave.features.data, gsa_oracle(f, lm, 2, "ave")) < 1e-6
-        assert rel_err(mx.features.data, gsa_oracle(f, lm, 2, "max")) < 1e-6
+        ave = aggregate(Tensor(f[None]), lm[None], 2, level=1, pooling="ave")
+        mx = aggregate(Tensor(f[None]), lm[None], 2, level=1, pooling="max")
+        assert rel_err(ave.features.data[0], gsa_oracle(f, lm, 2, "ave")) < 1e-6
+        assert rel_err(mx.features.data[0], gsa_oracle(f, lm, 2, "max")) < 1e-6
 
 
 class TestReason:
     def test_identical_rows_double_per_iteration(self):
         rng = np.random.default_rng(7)
         row = rng.normal(size=8)
-        v = Tensor(np.tile(row, (5, 1)))
+        v = Tensor(np.tile(row, (5, 1))[None])
         params = GpmLevelParams.init(rng, 8, 4)
         out = reason(v, params, iterations=3)
-        assert rel_err(out.data, 8.0 * v.data) < 1e-9
+        assert rel_err(out.data[0], 8.0 * v.data[0]) < 1e-9
 
     def test_single_node_attention_is_one(self):
         rng = np.random.default_rng(8)
-        v = Tensor(rng.normal(size=(1, 8)))
+        v = Tensor(rng.normal(size=(1, 8))[None])
         params = GpmLevelParams.init(rng, 8, 4)
         mats = attention_rows(v, params)
-        assert all(np.allclose(m, 1.0) for m in mats)
+        assert all(np.allclose(m[0], 1.0) for m in mats)
         out = reason(v, params, iterations=3)
-        assert rel_err(out.data, 8.0 * v.data) < 1e-9
+        assert rel_err(out.data[0], 8.0 * v.data[0]) < 1e-9
 
     def test_against_straightline_oracle(self):
         rng = np.random.default_rng(9)
         v = rng.normal(size=(5, 16))
         params = GpmLevelParams.init(rng, 16, 8)
-        out = reason(Tensor(v), params)
+        out = reason(Tensor(v[None]), params)
         expect = gcr_oracle(v, params.q1.data, params.q2.data)
-        assert rel_err(out.data, expect) < 1e-6
+        assert rel_err(out.data[0], expect) < 1e-6
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
-        v = Tensor(rng.normal(0, 3, size=(6, 16)))
+        v = Tensor(rng.normal(0, 3, size=(6, 16))[None])
         params = GpmLevelParams.init(rng, 16, 8)
         for mat in attention_rows(v, params):
-            assert np.abs(mat.sum(axis=1) - 1).max() < 1e-6
+            assert np.abs(mat[0].sum(axis=1) - 1).max() < 1e-6
 
     def test_fresh_weights_differ_from_shared(self):
         rng = np.random.default_rng(11)
@@ -134,18 +134,18 @@ class TestReason:
         shared = GpmLevelParams.init(np.random.default_rng(1), 8, 4)
         fresh = GpmLevelParams.init(np.random.default_rng(1), 8, 4, fresh_iterations=3)
         assert len(fresh.extra) == 2
-        out_shared = reason(Tensor(v), shared)
-        out_fresh = reason(Tensor(v), fresh)
+        out_shared = reason(Tensor(v[None]), shared)
+        out_fresh = reason(Tensor(v[None]), fresh)
         pairs = [(fresh.q1.data, fresh.q2.data)] + [(a.data, b.data) for a, b in fresh.extra]
         expect = gcr_oracle(v, None, None, pairs=pairs)
-        assert rel_err(out_fresh.data, expect) < 1e-6
-        assert not np.allclose(out_shared.data, out_fresh.data)
+        assert rel_err(out_fresh.data[0], expect) < 1e-6
+        assert not np.allclose(out_shared.data[0], out_fresh.data[0])
 
     def test_gradcheck(self):
         rng = np.random.default_rng(12)
-        v = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+        v = Tensor(rng.normal(size=(1, 4, 8)), requires_grad=True)
         params = GpmLevelParams.init(rng, 8, 4)
-        w = rng.normal(size=(4, 8))
+        w = rng.normal(size=(1, 4, 8))
 
         def build():
             from grapy.tensor import tsum, mul
@@ -162,19 +162,19 @@ class TestReason:
 class TestDistribute:
     def test_zero_nodes_identity(self):
         rng = np.random.default_rng(13)
-        f = Tensor(rng.normal(size=(4, 4, 3)))
-        v = Tensor(np.zeros((2, 6)))
+        f = Tensor(rng.normal(size=(1, 4, 4, 3)))
+        v = Tensor(np.zeros((1, 2, 6)))
         proj = Tensor(rng.normal(size=(6, 3)))
-        out = distribute(f, v, proj, random_partition(rng, 4, 4, 2))
-        assert np.array_equal(out.data, f.data)
+        out = distribute(f, v, proj, random_partition(rng, 4, 4, 2)[None])
+        assert np.array_equal(out.data[0], f.data[0])
 
     def test_full_image_category_adds_row(self):
         rng = np.random.default_rng(14)
-        f = Tensor(rng.normal(size=(3, 3, 2)))
-        v = Tensor(np.ones((1, 4)))
+        f = Tensor(rng.normal(size=(1, 3, 3, 2)))
+        v = Tensor(np.ones((1, 1, 4)))
         proj = Tensor(np.full((4, 2), 0.25))
-        out = distribute(f, v, proj, np.zeros((3, 3), np.int64))
-        assert np.allclose(out.data, f.data + 1.0)
+        out = distribute(f, v, proj, np.zeros((1, 3, 3), np.int64))
+        assert np.allclose(out.data[0], f.data[0] + 1.0)
 
     def test_against_indicator_oracle(self):
         rng = np.random.default_rng(15)
@@ -182,8 +182,8 @@ class TestDistribute:
         v = rng.normal(size=(4, 6))
         proj = rng.normal(size=(6, 3))
         lm = random_partition(rng, 5, 5, 4)
-        out = distribute(Tensor(f), Tensor(v), Tensor(proj), lm)
-        assert rel_err(out.data, gsd_oracle(f, v, proj, lm)) < 1e-6
+        out = distribute(Tensor(f[None]), Tensor(v[None]), Tensor(proj), lm[None])
+        assert rel_err(out.data[0], gsd_oracle(f, v, proj, lm)) < 1e-6
 
 
 class TestPyramidForward:
@@ -201,18 +201,18 @@ class TestPyramidForward:
             lp.q2.data[:] = 0
             lp.out_proj.data[:] = 0
         gpm.head.data[:] = 0
-        f_hat, y_hat = pyramid_forward(Tensor(f), Tensor(y), tax, gpm)
-        assert np.array_equal(f_hat.data, np.concatenate([f] * 4, axis=2))
-        assert np.allclose(y_hat.data, 1.0 / tax.k3)
+        f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
+        assert np.array_equal(f_hat.data[0], np.concatenate([f] * 4, axis=2))
+        assert np.allclose(y_hat.data[0], 1.0 / tax.k3)
 
     def test_output_shapes(self, tax):
         rng = np.random.default_rng(17)
-        f = Tensor(rng.normal(size=(16, 16, 8)))
-        y = Tensor(rng.uniform(0, 1, (16, 16, tax.k3)))
+        f = Tensor(rng.normal(size=(1, 16, 16, 8)))
+        y = Tensor(rng.uniform(0, 1, (1, 16, 16, tax.k3)))
         gpm = GpmParams.init(rng, 8, tax.k3)
         f_hat, y_hat = pyramid_forward(f, y, tax, gpm)
-        assert f_hat.shape == (16, 16, 32)
-        assert y_hat.shape == (16, 16, tax.k3)
+        assert f_hat.data[0].shape == (16, 16, 32)
+        assert y_hat.data[0].shape == (16, 16, tax.k3)
 
     def test_against_composed_oracle(self, tax):
         rng = np.random.default_rng(18)
@@ -221,32 +221,32 @@ class TestPyramidForward:
         for lp in gpm.levels.values():  # zero-init projections hide the level path
             lp.out_proj.data[:] = rng.normal(size=lp.out_proj.shape) * 0.3
         gpm.head.data[:] = rng.normal(size=gpm.head.shape) * 0.2
-        f_hat, y_hat = pyramid_forward(Tensor(f), Tensor(y), tax, gpm)
+        f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
         tables = {l: tax.table_to(l) for l in (1, 2, 3)}
         lp = {l: (gpm.levels[l].q1.data, gpm.levels[l].q2.data,
                   gpm.levels[l].out_proj.data) for l in (1, 2, 3)}
         f_exp, y_exp = pyramid_oracle(f, y, tables, lp, gpm.head.data)
-        assert rel_err(f_hat.data, f_exp) < 1e-6
-        assert rel_err(y_hat.data, y_exp) < 1e-6
+        assert rel_err(f_hat.data[0], f_exp) < 1e-6
+        assert rel_err(y_hat.data[0], y_exp) < 1e-6
 
     def test_level_subset(self, tax):
         rng = np.random.default_rng(19)
         f, y = self._inputs(rng, tax)
         gpm = GpmParams.init(rng, 4, tax.k3, levels=(3,))
-        f_hat, y_hat = pyramid_forward(Tensor(f), Tensor(y), tax, gpm)
-        assert f_hat.shape == (6, 6, 8)
-        assert y_hat.shape == (6, 6, tax.k3)
+        f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
+        assert f_hat.data[0].shape == (6, 6, 8)
+        assert y_hat.data[0].shape == (6, 6, tax.k3)
 
     def test_gt_label_maps_override(self, tax):
         rng = np.random.default_rng(20)
         f, y = self._inputs(rng, tax)
         gpm = GpmParams.init(rng, 4, tax.k3)
         q = rng.integers(0, tax.k3, (6, 6))
-        maps = gt_label_maps(q, tax, (1, 2, 3))
+        maps = gt_label_maps(q[None], tax, (1, 2, 3))
         for level in (1, 2, 3):
-            assert np.array_equal(maps[level], coarsen(q, tax, level))
-        f_hat, _ = pyramid_forward(Tensor(f), Tensor(y), tax, gpm, label_maps=maps)
-        assert f_hat.shape == (6, 6, 16)
+            assert np.array_equal(maps[level][0], coarsen(q, tax, level))
+        f_hat, _ = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm, label_maps=maps)
+        assert f_hat.data[0].shape == (6, 6, 16)
 
     def test_permutation_equivariance(self):
         # permuting category order (masks and node rows together) permutes the
@@ -260,17 +260,17 @@ class TestPyramidForward:
         perm = rng.permutation(k)
         inv = np.argsort(perm)
 
-        nodes = aggregate(Tensor(f), lm, k, level=2)
+        nodes = aggregate(Tensor(f[None]), lm[None], k, level=2)
         refined = reason(nodes.features, params)
-        out = distribute(Tensor(f), refined, params.out_proj, lm)
+        out = distribute(Tensor(f[None]), refined, params.out_proj, lm[None])
 
         lm_p = inv[lm]  # category i is renamed to inv[perm...]: new index of old k
-        nodes_p = aggregate(Tensor(f), lm_p, k, level=2)
-        assert rel_err(nodes_p.features.data, nodes.features.data[perm]) < 1e-9
+        nodes_p = aggregate(Tensor(f[None]), lm_p[None], k, level=2)
+        assert rel_err(nodes_p.features.data[0], nodes.features.data[0][perm]) < 1e-9
         refined_p = reason(nodes_p.features, params)
-        assert rel_err(refined_p.data, refined.data[perm]) < 1e-9
-        out_p = distribute(Tensor(f), refined_p, params.out_proj, lm_p)
-        assert rel_err(out_p.data, out.data) < 1e-9
+        assert rel_err(refined_p.data[0], refined.data[0][perm]) < 1e-9
+        out_p = distribute(Tensor(f[None]), refined_p, params.out_proj, lm_p[None])
+        assert rel_err(out_p.data[0], out.data[0]) < 1e-9
 
     def test_determinism_bitwise(self, tax):
         rng = np.random.default_rng(22)
@@ -278,17 +278,17 @@ class TestPyramidForward:
         gpm = GpmParams.init(np.random.default_rng(3), 4, tax.k3)
 
         def run():
-            f_hat, y_hat = pyramid_forward(Tensor(f), Tensor(y), tax, gpm)
-            return f_hat.data.tobytes() + y_hat.data.tobytes()
+            f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
+            return f_hat.data[0].tobytes() + y_hat.data[0].tobytes()
 
         assert run() == run()
 
     def test_branch_loss_gradcheck(self, tax):
         rng = np.random.default_rng(23)
-        f = Tensor(rng.normal(size=(8, 8, 4)), requires_grad=True)
-        y = Tensor(rng.uniform(0, 1, (8, 8, tax.k3)))
+        f = Tensor(rng.normal(size=(1, 8, 8, 4)), requires_grad=True)
+        y = Tensor(rng.uniform(0, 1, (1, 8, 8, tax.k3)))
         gpm = GpmParams.init(rng, 4, tax.k3)
-        q = rng.integers(0, tax.k3, (8, 8))
+        q = rng.integers(0, tax.k3, (1, 8, 8))
         maps = {l: masks_from_prediction(y, tax, l) for l in (1, 2, 3)}
 
         def build():

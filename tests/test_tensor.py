@@ -61,21 +61,21 @@ class TestElementwise:
 class TestMatmul:
     def test_identity(self):
         m = Tensor(np.arange(9.0).reshape(3, 3))
-        out = T.matmul(Tensor(np.eye(3)), m)
-        assert np.array_equal(out.data, m.data)
+        out = T.matmul(Tensor(np.eye(3)[None]), m)
+        assert np.array_equal(out.data[0], m.data)
 
     def test_hand_case(self):
-        out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
-        assert np.array_equal(out.data, [[3.0], [7.0]])
+        out = T.matmul(Tensor([[[1.0, 2.0], [3.0, 4.0]]]), Tensor([[1.0], [1.0]]))
+        assert np.array_equal(out.data[0], [[3.0], [7.0]])
 
     def test_inner_extent_mismatch(self):
         with pytest.raises(ShapeError, match="inner"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            T.matmul(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((4, 2))))
 
     def test_gradcheck_random(self):
         rng = np.random.default_rng(3)
-        a, b = leaf(rng, 4, 5), leaf(rng, 5, 3)
-        w = rng.normal(size=(4, 3))
+        a, b = leaf(rng, 1, 4, 5), leaf(rng, 5, 3)
+        w = rng.normal(size=(1, 4, 3))
 
         def build():
             return T.tsum(T.mul(T.matmul(a, b), Tensor(w)))
@@ -87,30 +87,30 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_equal_values_uniform(self):
-        out = T.softmax_rows(Tensor([[2.0, 2.0, 2.0, 2.0]]))
+        out = T.softmax_rows(Tensor([[[2.0, 2.0, 2.0, 2.0]]]))
         assert np.allclose(out.data, 0.25)
 
     def test_closed_form(self):
-        out = T.softmax_rows(Tensor([[0.0, np.log(3.0)]]))
-        assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-12)
+        out = T.softmax_rows(Tensor([[[0.0, np.log(3.0)]]]))
+        assert np.allclose(out.data[0], [[0.25, 0.75]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
-        out = T.softmax_rows(Tensor(rng.normal(0, 10, (6, 5))))
-        assert np.all(out.data >= 0)
-        assert np.abs(out.data.sum(axis=1) - 1).max() < 1e-6
+        out = T.softmax_rows(Tensor(rng.normal(0, 10, (1, 6, 5))))
+        assert np.all(out.data[0] >= 0)
+        assert np.abs(out.data[0].sum(axis=1) - 1).max() < 1e-6
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 6))
-        a = T.softmax_rows(Tensor(x)).data
-        b = T.softmax_rows(Tensor(x + 7.3)).data
+        a = T.softmax_rows(Tensor(x[None])).data[0]
+        b = T.softmax_rows(Tensor(x[None] + 7.3)).data[0]
         assert np.abs(a - b).max() < 1e-9
 
     def test_gradcheck(self):
         rng = np.random.default_rng(6)
-        x = leaf(rng, 5, 5)
-        w = rng.normal(size=(5, 5))
+        x = leaf(rng, 1, 5, 5)
+        w = rng.normal(size=(1, 5, 5))
 
         def build():
             return T.tsum(T.mul(T.softmax_rows(x), Tensor(w)))
@@ -122,40 +122,40 @@ class TestSoftmax:
 class TestConv2d:
     def test_one_by_one_identity_kernel(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(5, 4, 3)))
+        x = Tensor(rng.normal(size=(1, 5, 4, 3)))
         k = Tensor(np.eye(3).reshape(1, 1, 3, 3))
         out = T.conv2d(x, k)
-        assert np.allclose(out.data, x.data)
+        assert np.allclose(out.data[0], x.data[0])
 
     def test_ones_kernel_on_one_hot(self):
         x = np.zeros((5, 5, 1))
         x[2, 2, 0] = 1.0
-        out = T.conv2d(Tensor(x), Tensor(np.ones((3, 3, 1, 1))))
+        out = T.conv2d(Tensor(x[None]), Tensor(np.ones((3, 3, 1, 1))))
         expected = np.zeros((5, 5))
         expected[1:4, 1:4] = 1.0
-        assert np.array_equal(out.data[:, :, 0], expected)
+        assert np.array_equal(out.data[0, :, :, 0], expected)
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(6, 7, 2))
         k = rng.normal(size=(3, 3, 2, 4))
-        out = T.conv2d(Tensor(x), Tensor(k))
-        assert rel_err(out.data, conv2d_loops(x, k)) < 1e-10
-        out2 = T.conv2d(Tensor(x), Tensor(k), stride=2)
-        assert rel_err(out2.data, conv2d_loops(x, k, stride=2)) < 1e-10
+        out = T.conv2d(Tensor(x[None]), Tensor(k))
+        assert rel_err(out.data[0], conv2d_loops(x, k)) < 1e-10
+        out2 = T.conv2d(Tensor(x[None]), Tensor(k), stride=2)
+        assert rel_err(out2.data[0], conv2d_loops(x, k, stride=2)) < 1e-10
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel"):
-            T.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 3, 1))))
+            T.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 3, 3, 1))))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
-            T.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((2, 2, 2, 1))))
+            T.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((2, 2, 2, 1))))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(9)
-        x, k = leaf(rng, 6, 6, 2), leaf(rng, 3, 3, 2, 3)
-        w = rng.normal(size=(6, 6, 3))
+        x, k = leaf(rng, 1, 6, 6, 2), leaf(rng, 3, 3, 2, 3)
+        w = rng.normal(size=(1, 6, 6, 3))
 
         def build():
             return T.tsum(T.mul(T.conv2d(x, k), Tensor(w)))
@@ -201,10 +201,10 @@ class TestConcatReduceMisc:
         rng = np.random.default_rng(12)
         labels = rng.integers(0, 5, size=(6, 6))
         y = np.eye(5)[labels]
-        assert np.array_equal(argmax_channel(Tensor(y)), labels)
+        assert np.array_equal(argmax_channel(Tensor(y[None]))[0], labels)
 
     def test_argmax_not_on_tape(self):
-        x = Tensor(np.random.rand(3, 3, 4), requires_grad=True)
+        x = Tensor(np.random.rand(1, 3, 3, 4), requires_grad=True)
         with Tape() as tape:
             argmax_channel(x)
         assert len(tape) == 0
@@ -295,8 +295,8 @@ class TestDeterminismAndPrecision:
         k = rng.normal(size=(3, 3, 2, 3))
 
         def run():
-            out = T.conv2d(Tensor(x), Tensor(k))
-            return T.softmax_rows(T.reshape(out, (25, 3))).data.tobytes()
+            out = T.conv2d(Tensor(x[None]), Tensor(k))
+            return T.softmax_rows(T.reshape(out, (1, 25, 3))).data[0].tobytes()
 
         assert run() == run()
 
@@ -314,26 +314,56 @@ class TestCrossEntropy:
     def test_one_hot_gives_zero(self):
         labels = np.array([[0, 1], [2, 1]])
         y = np.eye(3)[labels]
-        loss = T.cross_entropy_mean(Tensor(y), labels)
+        loss = T.cross_entropy_mean(Tensor(y[None]), labels[None])
         assert abs(float(loss.data)) < 1e-12
 
     def test_uniform_gives_log_k(self):
-        y = np.full((4, 4, 5), 0.2)
-        loss = T.cross_entropy_mean(Tensor(y), np.zeros((4, 4), np.int64))
+        y = np.full((1, 4, 4, 5), 0.2)
+        loss = T.cross_entropy_mean(Tensor(y), np.zeros((1, 4, 4), np.int64))
         assert np.isclose(float(loss.data), np.log(5.0))
 
     def test_label_out_of_range(self):
         with pytest.raises(ShapeError):
-            T.cross_entropy_mean(Tensor(np.full((2, 2, 3), 1 / 3)),
-                                 np.full((2, 2), 3, np.int64))
+            T.cross_entropy_mean(Tensor(np.full((1, 2, 2, 3), 1 / 3)),
+                                 np.full((1, 2, 2), 3, np.int64))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(15)
-        logits = leaf(rng, 4, 4, 3)
-        q = rng.integers(0, 3, size=(4, 4))
+        logits = leaf(rng, 1, 4, 4, 3)
+        q = rng.integers(0, 3, size=(1, 4, 4))
 
         def build():
             return T.cross_entropy_mean(T.softmax_channels(logits), q)
 
         _, (g,) = tape_grad(build, [logits])
         assert rel_err(g, fd_gradient(lambda: float(build().data), logits.data)) < 1e-6
+
+
+def _single_image_calls():
+    """Each image op, and ``forward``, called on one image without the batch axis."""
+    from grapy.hierarchy import taxonomy_by_name
+    from grapy.model import ModelParams, forward
+
+    tax = taxonomy_by_name("A")
+    params = ModelParams.init(0, tax, width=4, channels=4)
+    f, labels = Tensor(np.ones((4, 4, 3))), np.zeros((4, 4), np.int64)
+    return {
+        "conv2d": lambda: T.conv2d(f, Tensor(np.ones((3, 3, 3, 2)))),
+        "masked_pool": lambda: T.masked_pool(f, labels, 2),
+        "broadcast_nodes": lambda: T.broadcast_nodes(Tensor(np.ones((2, 3))), labels),
+        "cross_entropy_mean": lambda: T.cross_entropy_mean(Tensor(np.full((4, 4, 2), 0.5)),
+                                                           labels),
+        "softmax_channels": lambda: T.softmax_channels(f),
+        "argmax_channel": lambda: argmax_channel(f),
+        "matmul": lambda: T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
+        "transpose": lambda: T.transpose(Tensor(np.ones((2, 3)))),
+        "softmax_rows": lambda: T.softmax_rows(Tensor(np.ones((2, 3)))),
+        "forward": lambda: forward(np.ones((4, 4, 3)), params, tax),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_single_image_calls()))
+def test_image_ops_take_the_batch_axis_only(op):
+    # (N, H, W, C) maps, (N, H, W) labels and (N, K, C) tables are the one layout
+    with pytest.raises(ShapeError):
+        _single_image_calls()[op]()

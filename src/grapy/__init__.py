@@ -1,7 +1,7 @@
 """Desk-scale hierarchical figure parsing with a graph pyramid module."""
 
 from .hierarchy import (LEVEL1_LABELS, LEVEL2_LABELS, Taxonomy, builtin_taxonomies,
-                        coarsen, load_taxonomy, taxonomy_by_name, validate)
+                        coarsen, taxonomy_by_name, validate)
 from .metrics import ConfusionMatrix, evaluate_at_level
 from .model import ModelParams, TrainConfig, forward, pretrain_then_train, train_step
 from .mutual import MlModel, MlTrainConfig, ml_forward, ml_step, train_mutual

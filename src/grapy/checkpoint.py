@@ -4,11 +4,14 @@ Layout: magic b"GRPY", format version u32, then one record per entry:
 u32 name length, UTF-8 name, u32 rank, u64 extents, little-endian float64
 values. Metadata strings (taxonomy bindings and model layout hints) travel
 as records named ``meta.<key>`` whose values are the UTF-8 byte codepoints;
-that keeps the container flat and the round-trip bit-exact.
+that keeps the container flat and the round-trip bit-exact. Record names
+are unique. A save writes a temporary file next to the target, syncs it and
+renames it over the target, so a failed save leaves the old file as it was.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -23,17 +26,26 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for key, text in (meta or {}).items():
-            raw = text.encode("utf-8")
-            vals = np.frombuffer(raw, dtype=np.uint8).astype("<f8")
-            _write_record(fh, _META_PREFIX + key, vals)
-        for name, arr in arrays.items():
-            if name.startswith(_META_PREFIX):
-                raise CheckpointError(f"parameter name {name!r} collides with metadata prefix")
-            _write_record(fh, name, np.asarray(arr, dtype="<f8"))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            for key, text in (meta or {}).items():
+                raw = text.encode("utf-8")
+                vals = np.frombuffer(raw, dtype=np.uint8).astype("<f8")
+                _write_record(fh, _META_PREFIX + key, vals)
+            for name, arr in arrays.items():
+                if name.startswith(_META_PREFIX):
+                    raise CheckpointError(f"parameter name {name!r} collides with metadata prefix")
+                _write_record(fh, name, np.asarray(arr, dtype="<f8"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_record(fh, name: str, values: np.ndarray) -> None:
@@ -59,9 +71,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     pos = 8
     arrays: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
+    names: set[str] = set()
     while pos < len(blob):
         start = pos
         name, values, pos = _read_record(blob, pos)
+        if name in names:
+            raise CheckpointError(f"duplicate record name {name!r} at offset {start}")
+        names.add(name)
         if name.startswith(_META_PREFIX):
             meta[name[len(_META_PREFIX):]] = _text(bytes(values.astype(np.uint8)),
                                                    f"value of {name!r}", start)

@@ -109,10 +109,7 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     a, b = leaf(3, 4), leaf(3, 4)
     w = rng.normal(size=(3, 4))
     results["add"] = check_tensor_grads(lambda: _weighted(T.add(a, b), w), [a, b])
-    results["sub"] = check_tensor_grads(lambda: _weighted(T.sub(a, b), w), [a, b])
     results["mul"] = check_tensor_grads(lambda: _weighted(T.mul(a, b), w), [a, b])
-    bp = Tensor(rng.uniform(0.5, 1.5, (3, 4)), requires_grad=True)
-    results["div"] = check_tensor_grads(lambda: _weighted(T.div(a, bp), w), [a, bp])
 
     ab, bb = leaf(3, 1), leaf(1, 4)
     results["broadcast"] = check_tensor_grads(lambda: _weighted(T.mul(ab, bb), w), [ab, bb])
@@ -132,9 +129,6 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     x, k = leaf(1, 6, 6, 2), leaf(3, 3, 2, 3)
     wc = rng.normal(size=(1, 6, 6, 3))
     results["conv2d"] = check_tensor_grads(lambda: _weighted(T.conv2d(x, k), wc), [x, k])
-    wc2 = rng.normal(size=(1, 3, 3, 3))
-    results["conv2d_stride2"] = check_tensor_grads(
-        lambda: _weighted(T.conv2d(x, k, stride=2), wc2), [x, k])
 
     c1, c2 = leaf(3, 2), leaf(3, 3)
     wcc = rng.normal(size=(3, 5))
@@ -145,7 +139,6 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     results["sum"] = check_tensor_grads(lambda: T.tsum(u), [u])
     wsum = rng.normal(size=(4,))
     results["sum_axis"] = check_tensor_grads(lambda: _weighted(T.tsum(u, axes=0), wsum), [u])
-    results["mean"] = check_tensor_grads(lambda: T.tmean(u), [u])
     results["scale"] = check_tensor_grads(lambda: T.scale(T.tsum(u), 2.5), [u])
     wre = rng.normal(size=(12,))
     results["reshape"] = check_tensor_grads(lambda: _weighted(T.reshape(u, (12,)), wre), [u])
@@ -193,9 +186,6 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     wcb = rng.normal(size=(2, 6, 6, 3))
     results["conv2d_batch2"] = check_tensor_grads(
         lambda: _weighted(T.conv2d(xb, k), wcb), [xb, k])
-    wcb2 = rng.normal(size=(2, 3, 3, 3))
-    results["conv2d_stride2_batch2"] = check_tensor_grads(
-        lambda: _weighted(T.conv2d(xb, k, stride=2), wcb2), [xb, k])
     fb = leaf(2, 5, 6, 3)
     lb = rng.integers(0, 3, size=(2, 5, 6))
     lb.reshape(2, -1)[:, :3] = [0, 1, 2]

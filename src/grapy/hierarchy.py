@@ -7,7 +7,6 @@ one category index per pixel; ``coarsen`` maps it elementwise.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,42 +125,3 @@ def taxonomy_by_name(name: str) -> Taxonomy:
         if tax.dataset_name == name:
             return tax
     raise TaxonomyError(f"unknown taxonomy {name!r}; built-ins are A, B, C")
-
-
-def load_taxonomy(path, dataset_name: str | None = None) -> Taxonomy:
-    """Read a taxonomy config: one `fine_index<TAB>fine_name<TAB>level2_name` per line."""
-    rows: dict[int, tuple[str, str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise TaxonomyError(f"{path}:{lineno}: need 3 tab-separated fields, got {len(parts)}")
-            idx_s, fine_name, l2_name = parts
-            try:
-                idx = int(idx_s)
-            except ValueError:
-                raise TaxonomyError(f"{path}:{lineno}: bad fine index {idx_s!r}") from None
-            if l2_name not in LEVEL2_LABELS:
-                raise TaxonomyError(f"{path}:{lineno}: unknown Level-2 label {l2_name!r}")
-            if idx in rows:
-                raise TaxonomyError(f"{path}:{lineno}: duplicate fine index {idx}")
-            rows[idx] = (fine_name, l2_name)
-    if sorted(rows) != list(range(len(rows))):
-        raise TaxonomyError(f"{path}: fine indices must be contiguous from 0")
-    fine = tuple(rows[i][0] for i in range(len(rows)))
-    to_l2 = tuple(LEVEL2_LABELS.index(rows[i][1]) for i in range(len(rows)))
-    tax = Taxonomy(dataset_name=dataset_name or os.path.splitext(os.path.basename(path))[0],
-                   fine_labels=fine, to_level2=to_l2)
-    bad = validate(tax)
-    if bad:
-        raise TaxonomyError(f"{path}: invalid taxonomy: " + "; ".join(bad))
-    return tax
-
-
-def save_taxonomy(path, tax: Taxonomy) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, name in enumerate(tax.fine_labels):
-            fh.write(f"{i}\t{name}\t{LEVEL2_LABELS[tax.to_level2[i]]}\n")

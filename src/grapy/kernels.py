@@ -4,10 +4,11 @@ Every kernel takes a leading batch axis: feature maps are (N, H, W, C),
 label maps (N, H, W) and node tables (N, K, C). All of them are numpy with no
 Python loop over images, pixels or categories:
 
-- convolution runs as GEMMs over all N*H*W rows (Chellapilla et al. 2006,
-  "High Performance Convolutional Neural Networks for Document Processing"):
-  the forward as one GEMM per kernel tap, both backward passes as one im2col
-  GEMM each, the input gradient as a correlation with the flipped kernel;
+- convolution is same-padded and stride-1, and runs as GEMMs over all N*H*W
+  rows (Chellapilla et al. 2006, "High Performance Convolutional Neural
+  Networks for Document Processing"): the forward as one GEMM per kernel tap,
+  both backward passes as one im2col GEMM each, the input gradient as a
+  correlation with the flipped kernel;
 - masked pooling sorts the pixels by segment id ``n * K + k`` and reduces
   each run with ``ufunc.reduceat``; the max's argmax breaks ties toward the
   first pixel in row-major order;
@@ -20,12 +21,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 
-def conv_output_size(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
-    return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-
-
 # ---------------------------------------------------------------------------
-# 2-D convolution (cross-correlation), NHWC layout, kernel (kh, kw, cin, cout)
+# 2-D convolution (cross-correlation), NHWC layout, kernel (kh, kw, cin, cout),
+# stride 1, zero padding kh // 2 on every side: the output keeps the input size
 # ---------------------------------------------------------------------------
 
 def _pad(x, pad):
@@ -37,64 +35,53 @@ def _pad(x, pad):
     return xp
 
 
-def _im2col(xp, kh, kw, stride, ho, wo):
+def _im2col(xp, kh, kw, ho, wo):
     """(N*Ho*Wo, kh*kw*C) receptive fields of ``xp``, taps in (dy, dx, c) order.
 
     The windows are a strided view; the reshape copies them into rows unless
-    the view already is one (1x1 kernel, stride 1, contiguous input).
+    the view already is one (1x1 kernel, contiguous input).
     """
     n, _, _, c = xp.shape
     sn, sh, sw, sc = xp.strides
-    win = as_strided(xp, (n, ho, wo, kh, kw, c),
-                     (sn, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    win = as_strided(xp, (n, ho, wo, kh, kw, c), (sn, sh, sw, sh, sw, sc), writeable=False)
     return win.reshape(n * ho * wo, kh * kw * c)
 
 
-def _tap(xp, dy, dx, stride, ho, wo):
-    """The (N, Ho, Wo, C) view of ``xp`` that kernel tap (dy, dx) multiplies."""
-    return xp[:, dy : dy + (ho - 1) * stride + 1 : stride, dx : dx + (wo - 1) * stride + 1 : stride]
-
-
-def conv2d_forward(x, k, stride, pad):
-    """One GEMM per kernel tap over all N*Ho*Wo output pixels.
+def conv2d_forward(x, k):
+    """One GEMM per kernel tap over all N*H*W output pixels.
 
     Measured at batch 4 with 16 input channels, summing the taps beats one
     im2col GEMM, whose column copy costs more than the nine adds; a 1x1
     kernel is a single GEMM.
     """
     n, h, w, _ = x.shape
-    kh, kw, cin, cout = k.shape
-    ho, wo = conv_output_size(h, w, kh, kw, stride, pad)
-    xp = _pad(x, pad)
+    kh, kw = k.shape[:2]
+    xp = _pad(x, kh // 2)
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as a NumericsError upstream
-        out = _tap(xp, 0, 0, stride, ho, wo) @ k[0, 0]
+        out = xp[:, :h, :w] @ k[0, 0]
         for dy in range(kh):
             for dx in range(kw):
                 if dy or dx:
-                    out += _tap(xp, dy, dx, stride, ho, wo) @ k[dy, dx]
+                    out += xp[:, dy : dy + h, dx : dx + w] @ k[dy, dx]
     return out
 
 
-def conv2d_backward_input(g, k, stride, pad, h, w):
-    """Adjoint in the input: a stride-1 correlation of the zero-dilated,
-    zero-framed output gradient with the flipped, transposed kernel."""
-    n, ho, wo, cout = g.shape
+def conv2d_backward_input(g, k):
+    """Adjoint in the input: the correlation of the output gradient with the
+    flipped, transposed kernel, itself a same-padded convolution."""
+    n, h, w, cout = g.shape
     kh, kw, cin, _ = k.shape
-    frame = np.zeros((n, h + 2 * pad + kh - 1, w + 2 * pad + kw - 1, cout), g.dtype)
-    frame[:, kh - 1 : kh - 1 + (ho - 1) * stride + 1 : stride,
-          kw - 1 : kw - 1 + (wo - 1) * stride + 1 : stride] = g
-    # padded-input row i collects frame rows i..i+kh-1; rows before ``pad`` are cropped
-    cols = _im2col(frame[:, pad : pad + h + kh - 1, pad : pad + w + kw - 1], kh, kw, 1, h, w)
+    cols = _im2col(_pad(g, kh // 2), kh, kw, h, w)
     flipped = k[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
     return (cols @ flipped).reshape(n, h, w, cin)
 
 
-def conv2d_backward_kernel(x, g, stride, pad, kh, kw):
+def conv2d_backward_kernel(x, g, kh, kw):
     """Adjoint in the kernel: ``cols.T @ g``, the columns rebuilt from ``x``."""
-    n, ho, wo, cout = g.shape
+    n, h, w, cout = g.shape
     cin = x.shape[3]
-    cols = _im2col(_pad(x, pad), kh, kw, stride, ho, wo)
-    return (cols.T @ g.reshape(n * ho * wo, cout)).reshape(kh, kw, cin, cout)
+    cols = _im2col(_pad(x, kh // 2), kh, kw, h, w)
+    return (cols.T @ g.reshape(n * h * w, cout)).reshape(kh, kw, cin, cout)
 
 
 # ---------------------------------------------------------------------------

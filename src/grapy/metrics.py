@@ -69,16 +69,14 @@ def _branches_of(params: ModelParams) -> list[str]:
     return ["main"] + (["gpm"] if params.gpm is not None else [])
 
 
-def confusions(params: ModelParams, dataset: Dataset,
-               gt_masks: bool = False) -> dict[str, dict[int, ConfusionMatrix]]:
+def confusions(params: ModelParams, dataset: Dataset) -> dict[str, dict[int, ConfusionMatrix]]:
     """One forward per sample (a batch of one), confusion matrices for every
     branch and level."""
     tax = dataset.taxonomy
     total = {b: {level: ConfusionMatrix(tax.k_at(level)) for level in (1, 2, 3)}
              for b in _branches_of(params)}
     for sample in dataset.samples:
-        out = forward(sample.image[None], params, tax,
-                      gt_labels=sample.labels[None] if gt_masks else None)
+        out = forward(sample.image[None], params, tax)
         preds = {"main": argmax_channel(out.y)[0]}
         if out.y_hat is not None:
             preds["gpm"] = argmax_channel(out.y_hat)[0]
@@ -90,7 +88,7 @@ def confusions(params: ModelParams, dataset: Dataset,
 
 
 def evaluate_at_level(params: ModelParams, dataset: Dataset, level: int,
-                      branch: str = "gpm", gt_masks: bool = False) -> tuple[float, float]:
+                      branch: str = "gpm") -> tuple[float, float]:
     """(mIoU, mean accuracy) with predictions and ground truth coarsened to ``level``."""
     if level not in (1, 2, 3):
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
@@ -98,7 +96,7 @@ def evaluate_at_level(params: ModelParams, dataset: Dataset, level: int,
         raise ValueError(f"branch must be 'main' or 'gpm', got {branch!r}")
     if branch == "gpm" and params.gpm is None:
         raise ValueError("model has no pyramid branch; evaluate branch='main'")
-    cm = confusions(params, dataset, gt_masks)[branch][level]
+    cm = confusions(params, dataset)[branch][level]
     return cm.miou(), cm.mean_accuracy()
 
 

@@ -155,19 +155,6 @@ def reason(features: Tensor, params: GpmLevelParams, iterations: int = GCR_ITERA
     return v
 
 
-def attention_rows(features: Tensor, params: GpmLevelParams, iterations: int = GCR_ITERATIONS):
-    """The per-iteration attention matrices (diagnostics; plain arrays)."""
-    v = features
-    mats = []
-    for it in range(iterations):
-        q1, q2 = params.projections(it)
-        scores = matmul(matmul(v, q1), transpose(matmul(v, q2)))
-        attn = softmax_rows(scores)
-        mats.append(attn.data.copy())
-        v = v + matmul(attn, v)
-    return mats
-
-
 def distribute(f_prev: Tensor, v_gcr: Tensor, out_proj: Tensor,
                label_map: np.ndarray) -> Tensor:
     """Project refined nodes back to feature width and add them on their pixels.

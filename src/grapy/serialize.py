@@ -2,25 +2,36 @@
 
 Loading builds the layout that the metadata and the backbone's kernel shapes
 imply, then fills it: a checkpoint must hold exactly its parameter names, each
-with the shape the layout gives it, or it raises CheckpointError.
+with the shape the layout gives it, and metadata inside the ranges the
+training settings declare, or it raises CheckpointError.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .hierarchy import Taxonomy, taxonomy_by_name
-from .model import ModelParams, parse_levels
+from .model import ModelParams, TrainConfig, parse_levels
 from .mutual import MlModel
 from .tensor import get_default_dtype
 
 
+_SETTINGS = {f.name: f.metadata["setting"] for f in fields(TrainConfig) if "setting" in f.metadata}
+
+
 def _meta(meta: dict[str, str], key: str, default: str, parse=str):
+    """``meta[key]`` parsed, and checked against the range of the training
+    setting of that name, if there is one."""
     try:
-        return parse(meta.get(key, default))
-    except ValueError:
-        raise CheckpointError(f"bad meta.{key}: {meta.get(key)!r}") from None
+        value = parse(meta.get(key, default))
+        if key in _SETTINGS:
+            _SETTINGS[key].check(value)
+        return value
+    except ValueError as exc:
+        raise CheckpointError(f"bad meta.{key}: {meta.get(key)!r} ({exc})") from None
 
 
 def _backbone_dims(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, int]:

@@ -66,44 +66,21 @@ class precision:
 class Tensor:
     """A dense real array, optionally participating in the active tape."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _DTYPE)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _ACTIVE: "Tape | None" = None
@@ -136,11 +113,8 @@ class Tape:
         return len(self._entries)
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """Accumulate dloss/dleaf into ``.grad`` of every requires_grad leaf.
-
-        Returns the gradient map {leaf tensor: gradient array}. Repeated calls
-        without zeroing grads accumulate.
-        """
+        """The gradient map {leaf tensor: dloss/dleaf} of every requires_grad
+        leaf the loss reaches. The tape and the leaves keep no state from it."""
         if loss.data.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), loss.data.dtype)}
@@ -160,14 +134,7 @@ class Tape:
                     grads[key] = ig
                 if key not in produced:
                     by_id[key] = t
-        result: dict[Tensor, np.ndarray] = {}
-        for key, g in grads.items():
-            t = by_id.get(key)
-            if t is None:
-                continue
-            t.grad = g if t.grad is None else t.grad + g
-            result[t] = g
-        return result
+        return {by_id[key]: g for key, g in grads.items() if key in by_id}
 
 
 _BRANCHES: "list[np.ndarray] | None" = None
@@ -243,19 +210,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                         lambda g, x, y: g, lambda g, x, y: g)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("sub", a, b, lambda x, y: x - y,
-                        lambda g, x, y: g, lambda g, x, y: -g)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _elementwise("mul", a, b, lambda x, y: x * y,
                         lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("div", a, b, lambda x, y: x / y,
-                        lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -338,40 +295,16 @@ def relu(a: Tensor) -> Tensor:
     return _apply("relu", a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def _reduce(opname, a, axes, keepdims, fwd, back):
-    nd = a.data.ndim
-    if axes is None:
-        ax = tuple(range(nd))
-    elif isinstance(axes, int):
-        ax = (axes % nd,)
-    else:
-        ax = tuple(x % nd for x in axes)
-    out = fwd(a.data, ax, keepdims)
-    return _apply(opname, out, (a,), lambda g: (back(g, a.data.shape, ax, keepdims),))
+def tsum(a: Tensor, axes=None) -> Tensor:
+    """Sum over ``axes`` (an int, a tuple, or None for all)."""
+    shape = a.data.shape
 
+    def back(g):
+        if axes is not None:
+            g = np.expand_dims(g, axes)
+        return (np.ascontiguousarray(np.broadcast_to(g, shape)),)
 
-def _expand(g, shape, ax, keepdims):
-    if not keepdims:
-        for x in sorted(ax):
-            g = np.expand_dims(g, x)
-    return np.broadcast_to(g, shape)
-
-
-def tsum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    return _reduce("sum", a, axes, keepdims,
-                   lambda d, ax, k: d.sum(axis=ax, keepdims=k),
-                   lambda g, shape, ax, k: np.ascontiguousarray(_expand(g, shape, ax, k)))
-
-
-def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    def back(g, shape, ax, k):
-        n = 1
-        for x in ax:
-            n *= shape[x]
-        return np.ascontiguousarray(_expand(g, shape, ax, k)) / n
-
-    return _reduce("mean", a, axes, keepdims,
-                   lambda d, ax, k: d.mean(axis=ax, keepdims=k), back)
+    return _apply("sum", a.data.sum(axis=axes), (a,), back)
 
 
 def _softmax_last(a: Tensor, opname: str) -> Tensor:
@@ -410,30 +343,26 @@ def softmax_channels(a: Tensor) -> Tensor:
 # Convolution and the category-pooling / distribution ops
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, kern: Tensor, stride: int = 1, pad: int | None = None) -> Tensor:
-    """Cross-correlation of an (N, H, W, Cin) input with a (kh, kw, Cin, Cout) kernel."""
+def conv2d(x: Tensor, kern: Tensor) -> Tensor:
+    """Same-padded, stride-1 cross-correlation of an (N, H, W, Cin) input with
+    a square, odd (k, k, Cin, Cout) kernel: zero padding k // 2 on every side
+    keeps the (N, H, W, Cout) output the input's size."""
     if x.data.ndim != 4 or kern.data.ndim != 4:
         raise ShapeError(f"conv2d needs (N,H,W,Cin) x (kh,kw,Cin,Cout), "
                          f"got {x.shape} x {kern.shape}")
     kh, kw, cin, cout = kern.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv2d kernel extents must be odd, got ({kh}, {kw})")
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d kernel extents must be equal and odd, got ({kh}, {kw})")
     if x.shape[-1] != cin:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {kern.shape}")
-    if pad is None:
-        pad = kh // 2
     xd, kd = x.data, kern.data
-    h, w = xd.shape[1:3]
 
     def back(g):
-        gx = gk = None
-        if x.requires_grad:
-            gx = kernels.conv2d_backward_input(g, kd, stride, pad, h, w)
-        if kern.requires_grad:
-            gk = kernels.conv2d_backward_kernel(xd, g, stride, pad, kh, kw)
+        gx = kernels.conv2d_backward_input(g, kd) if x.requires_grad else None
+        gk = kernels.conv2d_backward_kernel(xd, g, kh, kw) if kern.requires_grad else None
         return gx, gk
 
-    return _apply("conv2d", kernels.conv2d_forward(xd, kd, stride, pad), (x, kern), back)
+    return _apply("conv2d", kernels.conv2d_forward(xd, kd), (x, kern), back)
 
 
 def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
@@ -563,9 +492,8 @@ class SGD:
         self.momentum = momentum
         self.buffers: dict[str, np.ndarray] = {}
 
-    def step(self, grads: dict[str, np.ndarray], lr: float | None = None) -> None:
-        sgd_step(self.params, grads, self.lr if lr is None else lr,
-                 self.momentum, self.buffers)
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        sgd_step(self.params, grads, self.lr, self.momentum, self.buffers)
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:

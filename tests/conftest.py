@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from grapy import pyramid
 from grapy.tensor import set_default_dtype
 
 
@@ -15,3 +16,18 @@ def f64_default():
     set_default_dtype(np.float64)
     yield
     set_default_dtype(np.float64)
+
+
+@pytest.fixture
+def attention_mats(monkeypatch):
+    """The attention matrices ``pyramid.reason`` computes from now on, one per
+    iteration, as copies of the row-softmaxed scores."""
+    mats, softmax_rows = [], pyramid.softmax_rows
+
+    def recording(scores):
+        attn = softmax_rows(scores)
+        mats.append(attn.data.copy())
+        return attn
+
+    monkeypatch.setattr(pyramid, "softmax_rows", recording)
+    return mats

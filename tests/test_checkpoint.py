@@ -102,3 +102,25 @@ def test_model_checkpoint_names(tmp_path):
         "gpm.head",
     }
     assert set(arrays) == expected
+
+
+def test_failed_save_leaves_the_old_file_and_no_stray_file(tmp_path):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"w": np.arange(4.0)}, meta={"kind": "single"})
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError, match="meta.x"):
+        save_checkpoint(path, {"w": np.zeros(4), "meta.x": np.zeros(1)})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.ckpt"]
+
+
+@pytest.mark.parametrize("arrays,meta,name", [({"w": np.arange(3.0)}, None, "w"),
+                                             ({}, {"kind": "single"}, "meta.kind")],
+                         ids=["parameter", "meta"])
+def test_duplicate_record_name_rejected_at_its_offset(tmp_path, arrays, meta, name):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, arrays, meta)
+    blob = path.read_bytes()
+    path.write_bytes(blob + blob[8:])  # the file's one record, twice
+    with pytest.raises(CheckpointError, match=f"duplicate record name '{name}' at offset {len(blob)}"):
+        load_checkpoint(path)

@@ -351,6 +351,12 @@ def _edit_eval_ckpt(case: str, path) -> str:
         arrays["branch1.main_head.scale"] = np.ones(3)
     elif case == "unknown_pooling":
         meta["pooling"] = "median"
+    elif case == "iterations_zero":
+        meta["iterations"] = "0"
+    elif case == "iterations_negative":
+        meta["iterations"] = "-1"
+    elif case == "negative_loss_weight":
+        meta["loss_weight"] = "-1.0"
     elif case == "four_channel_backbone":
         first = arrays["shared.backbone.conv1.kernel"]
         arrays["shared.backbone.conv1.kernel"] = np.concatenate([first, first[:, :, :1]], 2)
@@ -361,13 +367,16 @@ def _edit_eval_ckpt(case: str, path) -> str:
         path.write_bytes(blob.replace(b"branch1.gpm.head", b"branch1.gpm.\xff\xfe\xfd\xfc"))
         return "not UTF-8"
     return {"meta_not_a_number": "iterations", "unexpected_parameter": "branch1.main_head.scale",
-            "unknown_pooling": "median", "four_channel_backbone": "4-channel"}.get(case, kernel)
+            "unknown_pooling": "median", "four_channel_backbone": "4-channel",
+            "iterations_zero": "meta.iterations", "iterations_negative": "meta.iterations",
+            "negative_loss_weight": "meta.loss_weight"}.get(case, kernel)
 
 
 @pytest.mark.parametrize("case", ["missing_parameter", "meta_not_a_number",
                                   "bias_wider_than_kernel", "name_not_utf8",
                                   "unexpected_parameter", "unknown_pooling",
-                                  "four_channel_backbone"])
+                                  "four_channel_backbone", "iterations_zero",
+                                  "iterations_negative", "negative_loss_weight"])
 def test_unusable_checkpoint_exits_4_naming_the_key(case, bench_dir, tmp_path):
     ckpt = tmp_path / "edited.ckpt"
     named = _edit_eval_ckpt(case, ckpt)

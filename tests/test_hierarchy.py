@@ -3,8 +3,7 @@ import pytest
 
 from grapy.hierarchy import (K1, K2, LEVEL1_LABELS, LEVEL2_LABELS, Taxonomy,
                              TaxonomyError, builtin_taxonomies, coarsen,
-                             load_taxonomy, save_taxonomy, taxonomy_by_name,
-                             validate)
+                             taxonomy_by_name, validate)
 
 
 @pytest.fixture(scope="module")
@@ -117,29 +116,3 @@ class TestValidate:
 def problems_of(tax):
     return validate(tax)
 
-
-class TestConfigIO:
-    def test_round_trip(self, tmp_path, taxonomies):
-        for tax in taxonomies:
-            path = tmp_path / f"{tax.dataset_name}.tsv"
-            save_taxonomy(path, tax)
-            loaded = load_taxonomy(path)
-            assert loaded.fine_labels == tax.fine_labels
-            assert loaded.to_level2 == tax.to_level2
-
-    def test_name_from_filename(self, tmp_path, taxonomies):
-        path = tmp_path / "custom.tsv"
-        save_taxonomy(path, taxonomies[0])
-        assert load_taxonomy(path).dataset_name == "custom"
-
-    def test_bad_level2_name(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("0\tBackground\tBackground\n1\tHead\tSkull\n")
-        with pytest.raises(TaxonomyError, match="Skull"):
-            load_taxonomy(path)
-
-    def test_non_contiguous_indices(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("0\tBackground\tBackground\n2\tHead\tHead\n")
-        with pytest.raises(TaxonomyError, match="contiguous"):
-            load_taxonomy(path)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from grapy.hierarchy import coarsen, taxonomy_by_name
-from grapy.pyramid import (GpmLevelParams, GpmParams, aggregate, attention_rows,
-                           distribute, gt_label_maps, masks_from_prediction,
-                           pyramid_forward, reason)
+from grapy.pyramid import (GpmLevelParams, GpmParams, aggregate, distribute,
+                           gt_label_maps, masks_from_prediction, pyramid_forward,
+                           reason)
 from grapy.tensor import Tape, Tensor, cross_entropy_mean
 from oracles import (fd_gradient, gcr_oracle, gsa_oracle, gsd_oracle,
                      masks_oracle, pyramid_oracle, rel_err)
@@ -104,13 +104,13 @@ class TestReason:
         out = reason(v, params, iterations=3)
         assert rel_err(out.data[0], 8.0 * v.data[0]) < 1e-9
 
-    def test_single_node_attention_is_one(self):
+    def test_single_node_attention_is_one(self, attention_mats):
         rng = np.random.default_rng(8)
         v = Tensor(rng.normal(size=(1, 8))[None])
         params = GpmLevelParams.init(rng, 8, 4)
-        mats = attention_rows(v, params)
-        assert all(np.allclose(m[0], 1.0) for m in mats)
         out = reason(v, params, iterations=3)
+        assert len(attention_mats) == 3
+        assert all(np.allclose(m[0], 1.0) for m in attention_mats)
         assert rel_err(out.data[0], 8.0 * v.data[0]) < 1e-9
 
     def test_against_straightline_oracle(self):
@@ -121,11 +121,13 @@ class TestReason:
         expect = gcr_oracle(v, params.q1.data, params.q2.data)
         assert rel_err(out.data[0], expect) < 1e-6
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, attention_mats):
         rng = np.random.default_rng(10)
         v = Tensor(rng.normal(0, 3, size=(6, 16))[None])
         params = GpmLevelParams.init(rng, 16, 8)
-        for mat in attention_rows(v, params):
+        reason(v, params)
+        assert len(attention_mats) == 3
+        for mat in attention_mats:
             assert np.abs(mat[0].sum(axis=1) - 1).max() < 1e-6
 
     def test_fresh_weights_differ_from_shared(self):

@@ -20,7 +20,7 @@ from .hierarchy import coarsen, taxonomy_by_name
 from .model import ModelParams, batch_loss
 # the benchmark's tracer wraps ``loss_tensor`` here too
 from .model import loss_tensor  # noqa: F401
-from .pyramid import GpmLevelParams, GpmParams, pyramid_forward, reason
+from .pyramid import GCR_ITERATIONS, GpmLevelParams, GpmParams, pyramid_forward, reason
 from .synthdata import SampleBatch
 from .tensor import Tape, Tensor, cross_entropy_mean, precision
 
@@ -118,10 +118,6 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     wmn = rng.normal(size=(1, 4, 3))
     results["matmul"] = check_tensor_grads(lambda: _weighted(T.matmul(m, n), wmn), [m, n])
 
-    s = leaf(1, 5, 5)
-    ws = rng.normal(size=(1, 5, 5))
-    results["softmax_rows"] = check_tensor_grads(lambda: _weighted(T.softmax_rows(s), ws), [s])
-
     r = Tensor(rng.normal(0.0, 1.0, (4, 6)) + 0.2, requires_grad=True)  # keep off the kink
     wr = rng.normal(size=(4, 6))
     results["relu"] = check_tensor_grads(lambda: _weighted(T.relu(r), wr), [r])
@@ -129,6 +125,9 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     x, k = leaf(1, 6, 6, 2), leaf(3, 3, 2, 3)
     wc = rng.normal(size=(1, 6, 6, 3))
     results["conv2d"] = check_tensor_grads(lambda: _weighted(T.conv2d(x, k), wc), [x, k])
+    kb = leaf(3)
+    results["conv2d_bias"] = check_tensor_grads(
+        lambda: _weighted(T.conv2d(x, k, kb), wc), [x, k, kb])
 
     c1, c2 = leaf(3, 2), leaf(3, 3)
     wcc = rng.normal(size=(3, 5))
@@ -140,11 +139,6 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     wsum = rng.normal(size=(4,))
     results["sum_axis"] = check_tensor_grads(lambda: _weighted(T.tsum(u, axes=0), wsum), [u])
     results["scale"] = check_tensor_grads(lambda: T.scale(T.tsum(u), 2.5), [u])
-    wre = rng.normal(size=(12,))
-    results["reshape"] = check_tensor_grads(lambda: _weighted(T.reshape(u, (12,)), wre), [u])
-    wtr = rng.normal(size=(1, 4, 3))
-    results["transpose"] = check_tensor_grads(
-        lambda: _weighted(T.transpose(T.reshape(u, (1, 3, 4))), wtr), [u])
 
     f = leaf(1, 5, 6, 3)
     labels = rng.integers(0, 3, size=(1, 5, 6))
@@ -169,19 +163,10 @@ def op_suites(seed: int = 0) -> dict[str, float]:
         lambda: cross_entropy_mean(T.softmax_channels(logits), q), [logits])
 
     # the same ops over a leading batch axis of 2
-    ma, mb, mw = leaf(2, 4, 5), leaf(2, 5, 3), leaf(5, 3)
+    ma, mw = leaf(2, 4, 5), leaf(5, 3)
     wm = rng.normal(size=(2, 4, 3))
-    results["matmul_batch2"] = check_tensor_grads(
-        lambda: _weighted(T.matmul(ma, mb), wm), [ma, mb])
     results["matmul_shared_batch2"] = check_tensor_grads(
         lambda: _weighted(T.matmul(ma, mw), wm), [ma, mw])
-    wt = rng.normal(size=(2, 5, 4))
-    results["transpose_batch2"] = check_tensor_grads(
-        lambda: _weighted(T.transpose(ma), wt), [ma])
-    sb = leaf(2, 4, 4)
-    wsb = rng.normal(size=(2, 4, 4))
-    results["softmax_rows_batch2"] = check_tensor_grads(
-        lambda: _weighted(T.softmax_rows(sb), wsb), [sb])
     xb = leaf(2, 6, 6, 2)
     wcb = rng.normal(size=(2, 6, 6, 3))
     results["conv2d_batch2"] = check_tensor_grads(
@@ -204,14 +189,17 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     return results
 
 
-def reason_suite(seed: int = 0, batch: int = 1) -> float:
-    """Attention reasoning over a batch of 4-node sets."""
+def reason_suite(seed: int = 0, batch: int = 1, fresh_weights: bool = False) -> float:
+    """Attention reasoning over a batch of 4-node sets, with one projection
+    pair shared by every round or a fresh pair per round."""
     rng = np.random.default_rng(seed)
     v = Tensor(rng.normal(0.0, 1.0, (batch, 4, 8)), requires_grad=True)
-    params = GpmLevelParams.init(rng, 8, 4)
+    params = GpmLevelParams.init(rng, 8, 4,
+                                 fresh_iterations=GCR_ITERATIONS if fresh_weights else 0)
     w = rng.normal(size=(batch, 4, 8))
+    extra = [q for pair in params.extra for q in pair]
     return check_tensor_grads(lambda: _weighted(reason(v, params), w),
-                              [v, params.q1, params.q2])
+                              [v, params.q1, params.q2, *extra])
 
 
 def pyramid_suite(seed: int = 0) -> float:
@@ -264,6 +252,7 @@ def run_all(seed: int = 0, verbose: bool = False) -> tuple[dict[str, float], boo
         results = op_suites(seed)
         results["reason"] = reason_suite(seed)
         results["reason_batch2"] = reason_suite(seed, batch=2)
+        results["reason_fresh"] = reason_suite(seed, fresh_weights=True)
         results["pyramid"] = pyramid_suite(seed)
         results["end_to_end"] = end_to_end_suite(seed)
         results["end_to_end_batch2"] = end_to_end_suite(seed, batch=2)

@@ -37,9 +37,6 @@ class Taxonomy:
     def k_at(self, level: int) -> int:
         return {1: K1, 2: K2, 3: self.k3}[level]
 
-    def labels_at(self, level: int) -> tuple[str, ...]:
-        return {1: LEVEL1_LABELS, 2: LEVEL2_LABELS, 3: self.fine_labels}[level]
-
     def table_to(self, level: int) -> np.ndarray:
         """Fine-index -> level-index lookup table (identity at level 3)."""
         t2 = np.asarray(self.to_level2, dtype=np.int64)
@@ -50,9 +47,6 @@ class Taxonomy:
         if level == 1:
             return np.asarray(LEVEL2_TO_LEVEL1, dtype=np.int64)[t2]
         raise TaxonomyError(f"level must be 1, 2 or 3, got {level}")
-
-    def fine_index(self, name: str) -> int:
-        return self.fine_labels.index(name)
 
 
 def validate(tax: Taxonomy) -> list[str]:

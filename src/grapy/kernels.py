@@ -10,8 +10,8 @@ Python loop over images, pixels or categories:
   both backward passes as one im2col GEMM each, the input gradient as a
   correlation with the flipped kernel;
 - masked pooling sorts the pixels by segment id ``n * K + k`` and reduces
-  each run with ``ufunc.reduceat``; the max's argmax breaks ties toward the
-  first pixel in row-major order;
+  each run with ``ufunc.reduceat``; the max's argmax, computed only on
+  request, breaks ties toward the first pixel in row-major order;
 - the node scatter is a one-hot GEMM per image.
 """
 
@@ -95,13 +95,13 @@ def _segments(labels, k):
     return (lab + (np.arange(n, dtype=np.int64) * k)[:, None]).reshape(-1)
 
 
-def masked_pool_forward(f, labels, k):
+def masked_pool_forward(f, labels, k, argmax=True):
     """Per-image, per-category sums, counts, channelwise max and argmax.
 
     ``f`` is (N, H, W, C); ``labels`` is (N, H, W) with values in [0, k).
     Returns sums (N, k, C), counts (N, k), max (N, k, C) and argmax (N, k, C)
-    as flat indices into the N*H*W pixels. Empty categories get zero sums and
-    max, count 0 and argmax 0.
+    as flat indices into the N*H*W pixels, or None without ``argmax``. Empty
+    categories get zero sums and max, count 0 and argmax 0.
     """
     n, c = f.shape[0], f.shape[-1]
     f2 = f.reshape(-1, c)
@@ -113,15 +113,17 @@ def masked_pool_forward(f, labels, k):
     starts = (np.cumsum(counts) - counts)[nz]
     sums = np.zeros((n * k, c), f.dtype)
     maxv = np.zeros((n * k, c), f.dtype)
-    argi = np.zeros((n * k, c), np.int64)
     sums[nz] = np.add.reduceat(fs, starts, axis=0)
     maxv[nz] = np.maximum.reduceat(fs, starts, axis=0)
-    # the first sorted row attaining its segment's max, per channel
-    hit = fs == np.repeat(maxv[nz], counts[nz], axis=0)
-    pos = np.where(hit, np.arange(seg.size)[:, None], seg.size)
-    argi[nz] = order[np.minimum.reduceat(pos, starts, axis=0)]
-    return (sums.reshape(n, k, c), counts.reshape(n, k), maxv.reshape(n, k, c),
-            argi.reshape(n, k, c))
+    argi = None
+    if argmax:
+        # the first sorted row attaining its segment's max, per channel
+        hit = fs == np.repeat(maxv[nz], counts[nz], axis=0)
+        pos = np.where(hit, np.arange(seg.size)[:, None], seg.size)
+        argi = np.zeros((n * k, c), np.int64)
+        argi[nz] = order[np.minimum.reduceat(pos, starts, axis=0)]
+        argi = argi.reshape(n, k, c)
+    return sums.reshape(n, k, c), counts.reshape(n, k), maxv.reshape(n, k, c), argi
 
 
 def masked_pool_backward(gave, gmax, labels, counts, argi, shape):

@@ -54,11 +54,9 @@ class ConfusionMatrix:
             raise ValueError("no class has any pixels; mIoU undefined")
         return float(iou[valid].mean())
 
-    def mean_accuracy(self, include_background: bool = True) -> float:
+    def mean_accuracy(self) -> float:
         """Mean per-class recall over classes with ground-truth support."""
         rec = self.per_class_recall()
-        if not include_background:
-            rec = rec[1:]
         valid = ~np.isnan(rec)
         if not valid.any():
             raise ValueError("no class has ground-truth pixels; mean accuracy undefined")

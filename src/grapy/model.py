@@ -20,8 +20,8 @@ import numpy as np
 from .hierarchy import Taxonomy
 from .pyramid import GCR_ITERATIONS, GpmParams, gt_label_maps, pyramid_forward
 from .synthdata import Dataset, SampleBatch
-from .tensor import (SGD, Tape, Tensor, conv2d, cross_entropy_mean, relu,
-                     reshape, scale, softmax_channels, uniform_init)
+from .tensor import (SGD, Tape, Tensor, conv2d, cross_entropy_mean, relu, scale,
+                     softmax_channels, uniform_init)
 
 
 @dataclass
@@ -39,8 +39,7 @@ class ConvLayer:
         return {f"{prefix}.kernel": self.kernel, f"{prefix}.bias": self.bias}
 
     def apply(self, x: Tensor) -> Tensor:
-        out = conv2d(x, self.kernel)
-        return out + reshape(self.bias, (1, 1, 1, out.shape[-1]))
+        return conv2d(x, self.kernel, self.bias)
 
 
 @dataclass

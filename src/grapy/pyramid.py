@@ -9,8 +9,10 @@ category's pixels. The final prediction head sees the initial map
 concatenated with all refined maps.
 
 Category masks come from the per-pixel argmax of the main-branch prediction,
-coarsened through the taxonomy; they are constants inside a training step
-(argmax never joins the tape).
+taken once per forward and coarsened through the taxonomy at each level; they
+are constants inside a training step (argmax never joins the tape). The
+reasoning rounds of a level are one tape op with a hand-written adjoint
+(``tensor.attention_rounds``).
 
 The batch is the leading axis throughout: (N, H, W, C) feature maps give
 (N, K, C) nodes, pooled and attended within each image.
@@ -23,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hierarchy import Taxonomy, coarsen
-from .tensor import (Tensor, argmax_channel, broadcast_nodes, concat, conv2d,
-                     masked_pool, matmul, softmax_channels, softmax_rows,
-                     transpose, uniform_init)
+from .tensor import (Tensor, argmax_channel, attention_rounds, broadcast_nodes, concat,
+                     conv2d, masked_pool, matmul, softmax_channels, uniform_init)
 
 GCR_ITERATIONS = 3
 
@@ -124,12 +125,12 @@ class GpmParams:
         return out
 
 
-def masks_from_prediction(y: Tensor, taxonomy: Taxonomy, level: int) -> np.ndarray:
-    """Category label map at ``level`` from the per-pixel argmax of ``y``.
+def masks_from_prediction(fine: np.ndarray, taxonomy: Taxonomy, level: int) -> np.ndarray:
+    """Category label map at ``level`` from the fine (N, H, W) argmax map of
+    the main prediction.
 
     Never recorded on the tape: downstream ops treat the map as a constant.
     """
-    fine = argmax_channel(y)
     return coarsen(fine, taxonomy, level)
 
 
@@ -141,18 +142,12 @@ def aggregate(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,
 
 
 def reason(features: Tensor, params: GpmLevelParams, iterations: int = GCR_ITERATIONS) -> Tensor:
-    """Iterated residual self-attention over the node rows.
+    """Iterated residual self-attention over the node rows, one tape op.
 
     Per iteration: scores = (v q1)(v q2)^T row-softmaxed into attention, the
     attended mix a v is added back onto v, and the sum feeds the next round.
     """
-    v = features
-    for it in range(iterations):
-        q1, q2 = params.projections(it)
-        scores = matmul(matmul(v, q1), transpose(matmul(v, q2)))
-        attn = softmax_rows(scores)
-        v = v + matmul(attn, v)
-    return v
+    return attention_rounds(features, [params.projections(it) for it in range(iterations)])
 
 
 def distribute(f_prev: Tensor, v_gcr: Tensor, out_proj: Tensor,
@@ -182,12 +177,14 @@ def pyramid_forward(f: Tensor, y: Tensor, taxonomy: Taxonomy, params: GpmParams,
     stay fixed).
     """
     maps = label_maps or {}
+    levels = sorted(params.levels)
+    fine = None if all(l in maps for l in levels) else argmax_channel(y)
     f_l = f
     pyramid = [f]
-    for level in sorted(params.levels):
+    for level in levels:
         label_map = maps.get(level)
         if label_map is None:
-            label_map = masks_from_prediction(y, taxonomy, level)
+            label_map = masks_from_prediction(fine, taxonomy, level)
         f_l = level_forward(f_l, label_map, taxonomy.k_at(level), level,
                             params.levels[level], params.pooling, params.iterations)
         pyramid.append(f_l)

@@ -93,7 +93,6 @@ _FAMILY_BASE = {
     "leg": np.array([0.33, 0.62, 0.30]),
 }
 _BG_BASE = np.array([0.91, 0.91, 0.88])
-_FAMILY_L2 = {"head": 1, "torso": 2, "arm": 3, "leg": 4}
 _DRAW_ORDER = ("arm", "leg", "torso", "head")  # torso covers shoulder/hip joints
 
 
@@ -260,19 +259,13 @@ def _raster(prim, h, w):
 
 
 def generate_sample(spec: SceneSpec, taxonomy: Taxonomy, index: int) -> Sample:
-    sample, _ = generate_sample_with_parts(spec, taxonomy, index)
-    return sample
-
-
-def generate_sample_with_parts(spec: SceneSpec, taxonomy: Taxonomy, index: int):
-    """Generate one sample plus the generator's internal Level-2 region map."""
+    """Generate sample ``index`` of ``spec`` labelled in ``taxonomy``."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
     h, w = spec.image_size
     name_to_idx = {n: i for i, n in enumerate(taxonomy.fine_labels)}
     offsets = _fine_offsets(taxonomy)
 
     fine = np.zeros((h, w), np.int64)
-    lvl2 = np.zeros((h, w), np.int64)
     img = np.empty((h, w, 3))
     img[:] = np.clip(_BG_BASE + spec.palette_jitter * rng.normal(0.0, 1.0, 3), 0.0, 1.0)
 
@@ -290,13 +283,12 @@ def generate_sample_with_parts(spec: SceneSpec, taxonomy: Taxonomy, index: int):
                     continue
                 fids = _refine(taxonomy.dataset_name, part, seg, t, name_to_idx)
                 fine[ys, xs] = fids
-                lvl2[ys, xs] = _FAMILY_L2[part]
                 color = _FAMILY_BASE[part] + spec.palette_jitter * (
                     0.8 * offsets[fids] + jitter[part])
                 img[ys, xs] = np.clip(color, 0.0, 1.0)
     if spec.noise_sigma > 0:
         img = np.clip(img + rng.normal(0.0, spec.noise_sigma, img.shape), 0.0, 1.0)
-    return Sample(image=img, labels=fine), lvl2
+    return Sample(image=img, labels=fine)
 
 
 def generate(spec: SceneSpec, taxonomy: Taxonomy, count: int) -> list[Sample]:

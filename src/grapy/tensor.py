@@ -8,7 +8,10 @@ gradients, the op appends a backward rule to the tape. With no active tape
 the identical arithmetic runs tape-free, bitwise equal to the recorded path;
 finite-difference checks rely on that.
 
-Every op output is checked finite; NaN/Inf raises NumericsError immediately.
+Every op output is checked finite; NaN/Inf raises NumericsError immediately,
+naming the op. A fused op also checks its intermediate stages and names the
+failing one: the attention rounds check every round's scores ("reason round
+2: scores produced non-finite values") before their output ("reason ...").
 """
 
 from __future__ import annotations
@@ -226,43 +229,25 @@ def scale(a: Tensor, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of an (N, M, K) ``a`` with an (N, K, P) ``b``, or with a
-    (K, P) ``b`` shared by every batch entry, which runs as one GEMM over the
-    N*M rows."""
-    rb = b.data.ndim
-    if a.data.ndim != 3 or rb not in (2, 3) or (rb == 3 and a.shape[0] != b.shape[0]):
-        raise ShapeError(f"matmul needs (N,M,K) x (K,P) or (N,M,K) x (N,K,P), "
-                         f"got {a.shape} and {b.shape}")
+    """Matrix product of an (N, M, K) ``a`` with a (K, P) ``b`` shared by every
+    batch entry, run as one GEMM over the N*M rows."""
+    if a.data.ndim != 3 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs (N,M,K) x (K,P), got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    shared = rb == 2
 
     def back(g):
         ga = g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None
-        gb = None
-        if b.requires_grad:
-            if shared:
-                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.swapaxes(ad, -1, -2) @ g
+        gb = _shared_grad(ad, g) if b.requires_grad else None
         return ga, gb
 
     return _apply("matmul", ad @ bd, (a, b), back)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-    out = a.data.reshape(shape)
-    return _apply("reshape", out, (a,), lambda g: (g.reshape(old),))
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of an (N, M, K) tensor."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"transpose needs (N,M,K), got {a.shape}")
-    return _apply("transpose", np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,),
-                  lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
+def _shared_grad(ad: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient in the shared (K, P) operand of ``ad @ b``: one GEMM over all rows."""
+    return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -307,46 +292,104 @@ def tsum(a: Tensor, axes=None) -> Tensor:
     return _apply("sum", a.data.sum(axis=axes), (a,), back)
 
 
-def _softmax_last(a: Tensor, opname: str) -> Tensor:
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-    s = np.maximum(s, np.finfo(s.dtype).tiny)
-
-    def back(g):
-        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
-
-    return _apply(opname, s, (a,), back)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-stabilized softmax over the last axis of an (N, M, K) tensor.
+def _softmax(x: np.ndarray, xmax: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by its max ``xmax`` (keepdims shape).
 
     Outputs are floored at the dtype's smallest positive normal so that a
     saturated row never underflows to an exact zero; an exact zero would kill
     the gradient of any downstream log-likelihood and make saturation
     unrecoverable in 32-bit training.
     """
-    if a.data.ndim != 3:
-        raise ShapeError(f"softmax_rows needs (N,M,K), got {a.shape}")
-    return _softmax_last(a, "softmax_rows")
+    e = np.exp(x - xmax)
+    s = e / e.sum(axis=-1, keepdims=True)
+    return np.maximum(s, np.finfo(s.dtype).tiny)
+
+
+def _softmax_back(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
+def row_softmax(x: np.ndarray) -> np.ndarray:
+    """The floored softmax over the last axis of a short-rowed array (the
+    attention rows)."""
+    return _softmax(x, x.max(axis=-1, keepdims=True))
 
 
 def softmax_channels(a: Tensor) -> Tensor:
-    """Softmax over the channel axis of an (N, H, W, K) tensor."""
+    """Softmax over the channel axis of an (N, H, W, K) tensor.
+
+    The channel max is taken one column at a time: K ``np.maximum`` calls over
+    the N*H*W pixels beat numpy's reduction over a short contiguous last axis,
+    and a max is exact in any order.
+    """
     if a.data.ndim != 4:
         raise ShapeError(f"softmax_channels needs (N,H,W,K), got {a.shape}")
-    return _softmax_last(a, "softmax_channels")
+    x = a.data
+    xmax = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(xmax, x[..., j : j + 1], out=xmax)
+    s = _softmax(x, xmax)
+    return _apply("softmax_channels", s, (a,), lambda g: (_softmax_back(s, g),))
+
+
+# ---------------------------------------------------------------------------
+# Graph reasoning: residual self-attention rounds over node rows
+# ---------------------------------------------------------------------------
+
+def attention_rounds(v: Tensor, pairs) -> Tensor:
+    """Residual self-attention over (N, K, C) node rows, one round per (q1, q2)
+    pair of (C, B) projections: scores = (v q1)(v q2)^T, attn their row
+    softmax, and v + attn v feeds the next round.
+
+    One tape entry covers every round. Its adjoint replays, round by round in
+    reverse, the accumulation order of the op-by-op graph (matmul, transpose,
+    row softmax, add), so gradients are bitwise the same: the gradient of v is
+    the residual term, plus attn^T g, plus the term through q2, plus the term
+    through q1. Each round's projections are separate inputs, last round
+    first, so a pair shared by several rounds sums its gradient from the last
+    round on. Every round's scores are checked finite and named in the error.
+    """
+    vd = v.data
+    if vd.ndim != 3 or any(q1.data.ndim != 2 or q1.shape != q2.shape or q1.shape[0] != v.shape[-1]
+                           for q1, q2 in pairs):
+        raise ShapeError(f"reason needs (N,K,C) nodes and (C,B) projections, got {v.shape} "
+                         f"and {[(q1.shape, q2.shape) for q1, q2 in pairs]}")
+    saved = []
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as a NumericsError
+        for r, (q1, q2) in enumerate(pairs, start=1):
+            a1 = vd @ q1.data
+            a2t = np.ascontiguousarray(np.swapaxes(vd @ q2.data, -1, -2))
+            scores = a1 @ a2t
+            _check_finite(scores, f"reason round {r}: scores")
+            attn = row_softmax(scores)
+            saved.append((vd, a1, a2t, attn))
+            vd = vd + attn @ vd
+
+    def back(g):
+        qgrads = []
+        for (vr, a1, a2t, attn), (q1, q2) in zip(reversed(saved), reversed(pairs)):
+            gs = _softmax_back(attn, g @ np.swapaxes(vr, -1, -2))
+            ga1 = gs @ np.swapaxes(a2t, -1, -2)
+            ga2 = np.ascontiguousarray(np.swapaxes(np.swapaxes(a1, -1, -2) @ gs, -1, -2))
+            g = (g + np.swapaxes(attn, -1, -2) @ g) + ga2 @ np.swapaxes(q2.data, -1, -2)
+            g = g + ga1 @ np.swapaxes(q1.data, -1, -2)
+            qgrads += [_shared_grad(vr, ga1) if q1.requires_grad else None,
+                       _shared_grad(vr, ga2) if q2.requires_grad else None]
+        return (g, *qgrads)
+
+    inputs = (v, *(q for pair in reversed(pairs) for q in pair))
+    return _apply("reason", vd, inputs, back)
 
 
 # ---------------------------------------------------------------------------
 # Convolution and the category-pooling / distribution ops
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, kern: Tensor) -> Tensor:
+def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None) -> Tensor:
     """Same-padded, stride-1 cross-correlation of an (N, H, W, Cin) input with
     a square, odd (k, k, Cin, Cout) kernel: zero padding k // 2 on every side
-    keeps the (N, H, W, Cout) output the input's size."""
+    keeps the (N, H, W, Cout) output the input's size. An optional (Cout,)
+    ``bias`` is added to every pixel."""
     if x.data.ndim != 4 or kern.data.ndim != 4:
         raise ShapeError(f"conv2d needs (N,H,W,Cin) x (kh,kw,Cin,Cout), "
                          f"got {x.shape} x {kern.shape}")
@@ -355,14 +398,22 @@ def conv2d(x: Tensor, kern: Tensor) -> Tensor:
         raise ShapeError(f"conv2d kernel extents must be equal and odd, got ({kh}, {kw})")
     if x.shape[-1] != cin:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {kern.shape}")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
     xd, kd = x.data, kern.data
+    out = kernels.conv2d_forward(xd, kd)
+    if bias is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += bias.data
 
     def back(g):
         gx = kernels.conv2d_backward_input(g, kd) if x.requires_grad else None
         gk = kernels.conv2d_backward_kernel(xd, g, kh, kw) if kern.requires_grad else None
-        return gx, gk
+        if bias is None:
+            return gx, gk
+        return gx, gk, (g.sum(axis=(0, 1, 2)) if bias.requires_grad else None)
 
-    return _apply("conv2d", kernels.conv2d_forward(xd, kd), (x, kern), back)
+    return _apply("conv2d", out, (x, kern) if bias is None else (x, kern, bias), back)
 
 
 def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
@@ -383,8 +434,11 @@ def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
     if label_map.min() < 0 or label_map.max() >= k:
         raise ShapeError(f"label map values out of range [0, {k})")
     c = f.shape[-1]
-    sums, counts, maxv, argi = kernels.masked_pool_forward(f.data, label_map, k)
-    _record_branch(argi)
+    # the max selections serve only the backward and the branch records
+    argmax = _BRANCHES is not None or (_ACTIVE is not None and f.requires_grad)
+    sums, counts, maxv, argi = kernels.masked_pool_forward(f.data, label_map, k, argmax)
+    if argi is not None:
+        _record_branch(argi)
     inv = np.zeros(counts.shape, f.data.dtype)
     nz = counts > 0
     inv[nz] = 1.0 / counts[nz]

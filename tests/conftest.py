@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from grapy import pyramid
+from grapy import tensor
 from grapy.tensor import set_default_dtype
 
 
@@ -22,12 +22,12 @@ def f64_default():
 def attention_mats(monkeypatch):
     """The attention matrices ``pyramid.reason`` computes from now on, one per
     iteration, as copies of the row-softmaxed scores."""
-    mats, softmax_rows = [], pyramid.softmax_rows
+    mats, row_softmax = [], tensor.row_softmax
 
     def recording(scores):
-        attn = softmax_rows(scores)
-        mats.append(attn.data.copy())
+        attn = row_softmax(scores)
+        mats.append(attn.copy())
         return attn
 
-    monkeypatch.setattr(pyramid, "softmax_rows", recording)
+    monkeypatch.setattr(tensor, "row_softmax", recording)
     return mats

@@ -24,8 +24,8 @@ from grapy.pyramid import (GCR_ITERATIONS, GpmLevelParams, GpmParams, aggregate,
                            distribute, pyramid_forward, reason)
 from grapy.synthdata import (Dataset, SampleBatch, SceneSpec, generate,
                              make_benchmark_datasets, read_sample, write_sample)
-from grapy.tensor import (SGD, Tensor, cross_entropy_mean, precision,
-                          softmax_rows)
+from grapy.tensor import (SGD, Tensor, argmax_channel, cross_entropy_mean, precision,
+                          row_softmax)
 from oracles import gcr_oracle, gsa_oracle, gsd_oracle, pyramid_oracle, rel_err
 
 PASS = "PASS: {}"
@@ -95,12 +95,11 @@ def test_full_scale_results_out_of_scope():
 
 
 GRADCHECK_SUITES = [
-    "add", "mul", "broadcast", "matmul", "softmax_rows", "relu", "conv2d", "concat", "sum",
-    "sum_axis", "scale", "reshape", "transpose", "masked_pool", "masked_pool_ave",
-    "masked_pool_max", "broadcast_nodes", "cross_entropy", "matmul_batch2",
-    "matmul_shared_batch2", "transpose_batch2", "softmax_rows_batch2", "conv2d_batch2",
+    "add", "mul", "broadcast", "matmul", "relu", "conv2d", "conv2d_bias", "concat", "sum",
+    "sum_axis", "scale", "masked_pool", "masked_pool_ave", "masked_pool_max",
+    "broadcast_nodes", "cross_entropy", "matmul_shared_batch2", "conv2d_batch2",
     "masked_pool_batch2", "broadcast_nodes_batch2", "cross_entropy_batch2", "reason",
-    "reason_batch2", "pyramid", "end_to_end", "end_to_end_batch2"]
+    "reason_batch2", "reason_fresh", "pyramid", "end_to_end", "end_to_end_batch2"]
 
 
 def test_gradient_suite_under_tolerance_and_time():
@@ -169,7 +168,7 @@ def test_invariant_suite(bench, attention_mats):
     from grapy.pyramid import masks_from_prediction
 
     for level in (1, 2, 3):
-        lm = masks_from_prediction(y, tax, level)[0]
+        lm = masks_from_prediction(argmax_channel(y), tax, level)[0]
         k = tax.k_at(level)
         masks = lm[None] == np.arange(k)[:, None, None]
         assert np.array_equal(masks.sum(axis=0), np.ones((8, 8), np.int64))
@@ -185,10 +184,10 @@ def test_invariant_suite(bench, attention_mats):
         for mat in attention_mats:
             assert np.abs(mat[0].sum(axis=1) - 1).max() < 1e-6
 
-    # softmax shift invariance within 1e-9
+    # shift invariance within 1e-9 of the row softmax reason calls
     x = rng.normal(size=(6, 9))
-    a = softmax_rows(Tensor(x[None])).data[0]
-    b = softmax_rows(Tensor(x[None] + 11.25)).data[0]
+    a = row_softmax(x[None])[0]
+    b = row_softmax(x[None] + 11.25)[0]
     assert np.abs(a - b).max() < 1e-9
 
     # coarsening composition: L3 -> L2 -> L1 equals L3 -> L1

@@ -22,9 +22,11 @@ class TestBuiltins:
             assert validate(tax) == []
 
     def test_shared_coarse_levels(self, taxonomies):
+        # every taxonomy maps into the same fixed Level-1 and Level-2 categories
         for tax in taxonomies:
-            assert tax.labels_at(1) == LEVEL1_LABELS
-            assert tax.labels_at(2) == LEVEL2_LABELS
+            assert (tax.k_at(1), tax.k_at(2)) == (len(LEVEL1_LABELS), len(LEVEL2_LABELS))
+            assert set(tax.table_to(2)) == set(range(K2))
+            assert set(tax.table_to(1)) == set(range(K1))
 
     def test_pairwise_fine_disagreement(self, taxonomies):
         for i, t1 in enumerate(taxonomies):
@@ -40,7 +42,7 @@ class TestBuiltins:
 class TestCoarsen:
     def test_upper_arm_chain(self, taxonomies):
         a = taxonomies[0]
-        idx = a.fine_index("UpperArm")
+        idx = a.fine_labels.index("UpperArm")
         m = np.full((2, 2), idx)
         l2 = coarsen(m, a, 2)
         assert LEVEL2_LABELS[l2[0, 0]] == "Arm"

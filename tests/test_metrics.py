@@ -75,11 +75,6 @@ class TestMeanAccuracy:
         b = ConfusionMatrix(2, counts=2 * counts).mean_accuracy()
         assert np.isclose(a, b)
 
-    def test_exclude_background_flag(self):
-        cm = ConfusionMatrix(2, counts=np.array([[1, 1], [0, 2]], np.int64))
-        assert np.isclose(cm.mean_accuracy(), (0.5 + 1.0) / 2)
-        assert np.isclose(cm.mean_accuracy(include_background=False), 1.0)
-
 
 class TestInvariances:
     def test_permutation_equivariance(self):

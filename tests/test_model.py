@@ -6,7 +6,8 @@ from grapy.model import (ForwardOut, ModelParams, TrainConfig, TrainLog, batch_l
                          clip_gradients, forward, loss_tensor, pretrain_then_train,
                          train_step)
 from grapy.synthdata import Dataset, SampleBatch, SceneSpec, generate
-from grapy.tensor import SGD, NumericsError, Tape, Tensor, add, precision, scale
+from grapy.tensor import (SGD, NumericsError, Tape, Tensor, add, argmax_channel, precision,
+                          scale)
 from oracles import fd_gradient, rel_err
 
 
@@ -203,7 +204,7 @@ class TestPhases:
         hit = 0
         for s in ds.samples:
             out = forward(s.image[None], params, tax, main_only=True)
-            lm = masks_from_prediction(out.y, tax, 1)[0]
+            lm = masks_from_prediction(argmax_channel(out.y), tax, 1)[0]
             if (s.labels > 0).any() and (lm == 1).any():
                 hit += 1
         assert hit >= len(ds.samples) // 2

@@ -5,7 +5,9 @@ from grapy.hierarchy import coarsen, taxonomy_by_name
 from grapy.pyramid import (GpmLevelParams, GpmParams, aggregate, distribute,
                            gt_label_maps, masks_from_prediction, pyramid_forward,
                            reason)
-from grapy.tensor import Tape, Tensor, cross_entropy_mean
+import grapy.tensor as T
+from grapy.tensor import (NumericsError, Tape, Tensor, add, argmax_channel, cross_entropy_mean,
+                          mul, precision, tsum)
 from oracles import (fd_gradient, gcr_oracle, gsa_oracle, gsd_oracle,
                      masks_oracle, pyramid_oracle, rel_err)
 
@@ -25,7 +27,7 @@ def random_partition(rng, h, w, k):
 class TestMasksFromPrediction:
     def test_all_class0_prediction(self, tax):
         y = Tensor(np.eye(tax.k3)[np.zeros((4, 4), np.int64)][None])
-        lm = masks_from_prediction(y, tax, 1)
+        lm = masks_from_prediction(argmax_channel(y), tax, 1)
         assert np.all(lm == 0)
 
     def test_known_fine_map(self, tax):
@@ -33,7 +35,7 @@ class TestMasksFromPrediction:
         m = rng.integers(0, tax.k3, size=(5, 5))
         y = Tensor((np.eye(tax.k3)[m] + rng.uniform(0, 0.4, (5, 5, tax.k3)))[None])
         for level in (1, 2, 3):
-            assert np.array_equal(masks_from_prediction(y, tax, level)[0],
+            assert np.array_equal(masks_from_prediction(argmax_channel(y), tax, level)[0],
                                   coarsen(m, tax, level))
 
     def test_against_pixel_oracle(self, tax):
@@ -41,12 +43,12 @@ class TestMasksFromPrediction:
         y = Tensor(rng.uniform(0, 1, (1, 6, 6, tax.k3)))
         for level in (1, 2, 3):
             expect = masks_oracle(y.data[0], tax.table_to(level))
-            assert np.array_equal(masks_from_prediction(y, tax, level)[0], expect)
+            assert np.array_equal(masks_from_prediction(argmax_channel(y), tax, level)[0], expect)
 
     def test_never_on_tape(self, tax):
         y = Tensor(np.random.rand(1, 4, 4, tax.k3), requires_grad=True)
         with Tape() as tape:
-            masks_from_prediction(y, tax, 2)
+            masks_from_prediction(argmax_channel(y), tax, 2)
         assert len(tape) == 0
 
 
@@ -93,6 +95,29 @@ class TestAggregate:
         mx = aggregate(Tensor(f[None]), lm[None], 2, level=1, pooling="max")
         assert rel_err(ave.features.data[0], gsa_oracle(f, lm, 2, "ave")) < 1e-6
         assert rel_err(mx.features.data[0], gsa_oracle(f, lm, 2, "max")) < 1e-6
+
+
+def _reason_op_by_op(v, pairs):
+    """The attention rounds as separate tape ops (per-image matmul, transpose,
+    row softmax, add): the graph ``tensor.attention_rounds`` fuses."""
+    def bmm(a, b):
+        ad, bd = a.data, b.data
+        return T._apply("bmm", ad @ bd, (a, b), lambda g: (
+            g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g))
+
+    def transpose(a):
+        return T._apply("transpose", np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,),
+                        lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
+
+    def softmax(a):
+        s = T.row_softmax(a.data)
+        return T._apply("softmax", s, (a,),
+                        lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))
+
+    for q1, q2 in pairs:
+        scores = bmm(T.matmul(v, q1), transpose(T.matmul(v, q2)))
+        v = add(v, bmm(softmax(scores), v))
+    return v
 
 
 class TestReason:
@@ -159,6 +184,47 @@ class TestReason:
         gm = tape.backward(loss)
         fd = fd_gradient(lambda: float(build().data), v.data)
         assert rel_err(gm[v], fd) < 1e-4
+
+    def test_every_round_is_one_tape_entry(self):
+        rng = np.random.default_rng(24)
+        v = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+        with Tape() as tape:
+            reason(v, GpmLevelParams.init(rng, 8, 4, fresh_iterations=3))
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("fresh", [0, 3])
+    def test_bitwise_the_op_by_op_graph(self, fresh):
+        # two calls on one tape, as a summed multi-dataset step makes them
+        rng = np.random.default_rng(26)
+        params = GpmLevelParams.init(rng, 8, 4, fresh_iterations=fresh)
+        vs = [Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True) for _ in range(2)]
+        ws = [Tensor(rng.normal(size=(2, 4, 8))) for _ in range(2)]
+        pairs = [params.projections(it) for it in range(3)]
+
+        def run(rounds):
+            with Tape() as tape:
+                loss = add(*(tsum(mul(rounds(v, pairs), w)) for v, w in zip(vs, ws)))
+            return loss, tape.backward(loss)
+
+        fused, got = run(lambda v, pairs: reason(v, params))
+        split, expect = run(_reason_op_by_op)
+        assert fused.data.tobytes() == split.data.tobytes()
+        assert set(got) == set(expect)
+        for leaf in expect:
+            assert got[leaf].tobytes() == expect[leaf].tobytes()
+
+    def test_overflow_names_the_round_and_stage(self):
+        # round 1 attends with zero projections; round 2's huge ones overflow f32
+        rng = np.random.default_rng(25)
+        with precision("f32"):
+            params = GpmLevelParams.init(rng, 8, 4, fresh_iterations=3)
+            params.q1.data[:], params.q2.data[:] = 0.0, 0.0
+            for q in params.extra[0]:
+                q.data[:] = 1e30
+            v = Tensor(rng.normal(size=(1, 4, 8)))
+            with pytest.raises(NumericsError,
+                               match="^reason round 2: scores produced non-finite values$"):
+                reason(v, params)
 
 
 class TestDistribute:
@@ -291,7 +357,7 @@ class TestPyramidForward:
         y = Tensor(rng.uniform(0, 1, (1, 8, 8, tax.k3)))
         gpm = GpmParams.init(rng, 4, tax.k3)
         q = rng.integers(0, tax.k3, (1, 8, 8))
-        maps = {l: masks_from_prediction(y, tax, l) for l in (1, 2, 3)}
+        maps = {l: masks_from_prediction(argmax_channel(y), tax, l) for l in (1, 2, 3)}
 
         def build():
             _, y_hat = pyramid_forward(f, y, tax, gpm, label_maps=maps)

@@ -4,8 +4,7 @@ import pytest
 from grapy.hierarchy import builtin_taxonomies, coarsen, taxonomy_by_name
 from grapy.imageio import ParseError, read_pgm, read_ppm, write_pgm, write_ppm
 from grapy.synthdata import (Dataset, DatasetError, GenerationError, SceneSpec, generate,
-                             generate_sample, generate_sample_with_parts,
-                             load_dataset, make_benchmark, read_sample,
+                             generate_sample, load_dataset, make_benchmark, read_sample,
                              save_dataset, write_sample)
 
 
@@ -39,17 +38,11 @@ class TestGenerate:
             parts = set(np.unique(coarsen(s.labels, tax_a, 2)))
             assert {1, 2, 3, 4} <= parts, f"sample {i} misses a body part"
 
-    def test_internal_level2_map_matches_coarsen(self):
-        for tax in builtin_taxonomies():
-            spec = SceneSpec(seed=9)
-            for i in range(20):
-                s, lvl2 = generate_sample_with_parts(spec, tax, i)
-                assert np.array_equal(coarsen(s.labels, tax, 2), lvl2)
-
     def test_zero_noise_zero_jitter_regions_color_constant(self, tax_a):
         spec = SceneSpec(seed=4, noise_sigma=0.0, palette_jitter=0.0,
                          figures_per_image=(1, 1))
-        s, lvl2 = generate_sample_with_parts(spec, tax_a, 0)
+        s = generate_sample(spec, tax_a, 0)
+        lvl2 = coarsen(s.labels, tax_a, 2)
         for region in np.unique(lvl2):
             px = s.image[lvl2 == region]
             assert np.allclose(px, px[0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import grapy.kernels as K
 import grapy.tensor as T
 from grapy.tensor import (SGD, NumericsError, ShapeError, Tape, Tensor,
                           argmax_channel, precision, sgd_step)
@@ -83,33 +84,46 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_equal_values_uniform(self):
-        out = T.softmax_rows(Tensor([[[2.0, 2.0, 2.0, 2.0]]]))
+        out = T.softmax_channels(Tensor([[[[2.0, 2.0, 2.0, 2.0]]]]))
         assert np.allclose(out.data, 0.25)
 
     def test_closed_form(self):
-        out = T.softmax_rows(Tensor([[[0.0, np.log(3.0)]]]))
-        assert np.allclose(out.data[0], [[0.25, 0.75]], atol=1e-12)
+        out = T.softmax_channels(Tensor([[[[0.0, np.log(3.0)]]]]))
+        assert np.allclose(out.data[0, 0], [[0.25, 0.75]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
-        out = T.softmax_rows(Tensor(rng.normal(0, 10, (1, 6, 5))))
-        assert np.all(out.data[0] >= 0)
-        assert np.abs(out.data[0].sum(axis=1) - 1).max() < 1e-6
+        out = T.softmax_channels(Tensor(rng.normal(0, 10, (1, 1, 6, 5))))
+        assert np.all(out.data[0, 0] >= 0)
+        assert np.abs(out.data[0, 0].sum(axis=1) - 1).max() < 1e-6
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 6))
-        a = T.softmax_rows(Tensor(x[None])).data[0]
-        b = T.softmax_rows(Tensor(x[None] + 7.3)).data[0]
+        a = T.softmax_channels(Tensor(x[None, None])).data[0, 0]
+        b = T.softmax_channels(Tensor(x[None, None] + 7.3)).data[0, 0]
         assert np.abs(a - b).max() < 1e-9
+
+    def test_channel_loop_max_is_bitwise_the_row_max(self):
+        # ties, signed zeros and a dominant channel: the column-loop max must
+        # shift exactly as numpy's reduction does
+        rng = np.random.default_rng(16)
+        x = np.round(rng.normal(0, 3, (2, 5, 5, 12)), 1)
+        x[0, 0, 0] = 0.0
+        x[0, 0, 0, ::2] = -0.0
+        x[1, 2, 3, 7] = 40.0
+        for dtype in (np.float64, np.float32):
+            xd = x.astype(dtype)
+            assert T.softmax_channels(Tensor(xd, dtype=dtype)).data.tobytes() == \
+                T.row_softmax(xd).tobytes()
 
     def test_gradcheck(self):
         rng = np.random.default_rng(6)
-        x = leaf(rng, 1, 5, 5)
-        w = rng.normal(size=(1, 5, 5))
+        x = leaf(rng, 1, 1, 5, 5)
+        w = rng.normal(size=(1, 1, 5, 5))
 
         def build():
-            return T.tsum(T.mul(T.softmax_rows(x), Tensor(w)))
+            return T.tsum(T.mul(T.softmax_channels(x), Tensor(w)))
 
         _, (gx,) = tape_grad(build, [x])
         assert rel_err(gx, fd_gradient(lambda: float(build().data), x.data)) < 1e-6
@@ -149,6 +163,27 @@ class TestConv2d:
     def test_non_square_kernel_rejected(self):
         with pytest.raises(ShapeError, match="equal and odd"):
             T.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 1, 2, 1))))
+
+    def test_bias_is_the_separate_broadcast_add(self):
+        # bitwise: the fused bias equals adding the (1, 1, 1, Cout) row after the conv
+        rng = np.random.default_rng(17)
+        x, k, b = leaf(rng, 2, 5, 5, 2), leaf(rng, 3, 3, 2, 3), leaf(rng, 3)
+        w = rng.normal(size=(2, 5, 5, 3))
+        fused, (gx, gk, gb) = tape_grad(
+            lambda: T.tsum(T.mul(T.conv2d(x, k, b), Tensor(w))), [x, k, b])
+        bias_row = Tensor(b.data.reshape(1, 1, 1, 3), requires_grad=True)
+        split, (sx, sk, sb) = tape_grad(
+            lambda: T.tsum(T.mul(T.add(T.conv2d(x, k), bias_row), Tensor(w))), [x, k, bias_row])
+        assert fused.data.tobytes() == split.data.tobytes()
+        assert gx.tobytes() == sx.tobytes() and gk.tobytes() == sk.tobytes()
+        assert gb.tobytes() == sb.reshape(3).tobytes()
+        assert rel_err(gb, fd_gradient(lambda: float(T.tsum(T.mul(
+            T.conv2d(x, k, b), Tensor(w))).data), b.data)) < 1e-6
+
+    def test_bias_shape_rejected(self):
+        with pytest.raises(ShapeError, match="bias"):
+            T.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 3, 2, 3))),
+                     Tensor(np.zeros(2)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(9)
@@ -296,7 +331,7 @@ class TestDeterminismAndPrecision:
 
         def run():
             out = T.conv2d(Tensor(x[None]), Tensor(k))
-            return T.softmax_rows(T.reshape(out, (1, 25, 3))).data[0].tobytes()
+            return T.softmax_channels(out).data[0].tobytes()
 
         assert run() == run()
 
@@ -339,6 +374,51 @@ class TestCrossEntropy:
         assert rel_err(g, fd_gradient(lambda: float(build().data), logits.data)) < 1e-6
 
 
+class TestMaskedPoolTapeFree:
+    """Without a recording tape or branch record, pooling skips the max
+    selections; with either, they are computed."""
+
+    def _problem(self):
+        rng = np.random.default_rng(18)
+        f = rng.normal(size=(2, 5, 6, 3))
+        labels = rng.integers(0, 4, size=(2, 5, 6))
+        return f, labels
+
+    def test_same_features_and_counts_as_the_recorded_path(self):
+        f, labels = self._problem()
+        for mode in ("both", "ave", "max"):
+            free, free_counts = T.masked_pool(Tensor(f), labels, 4, mode)
+            with Tape():
+                rec, rec_counts = T.masked_pool(Tensor(f, requires_grad=True), labels, 4, mode)
+            assert free.data.tobytes() == rec.data.tobytes()
+            assert np.array_equal(free_counts, rec_counts)
+
+    def test_argmax_skipped_only_when_nothing_needs_it(self, monkeypatch):
+        f, labels = self._problem()
+        asked, kernel = [], K.masked_pool_forward
+
+        def spy(*args):
+            asked.append(args[3])
+            return kernel(*args)
+
+        monkeypatch.setattr(K, "masked_pool_forward", spy)
+        T.masked_pool(Tensor(f), labels, 4)
+        with Tape():
+            T.masked_pool(Tensor(f), labels, 4)  # nothing to record
+            T.masked_pool(Tensor(f, requires_grad=True), labels, 4)
+        with T.branch_record():
+            T.masked_pool(Tensor(f), labels, 4)
+        assert asked == [False, False, True, True]
+
+    def test_argmax_recorded_under_branch_record(self):
+        # the finite-difference kink re-probe runs tape-free and compares these
+        f, labels = self._problem()
+        with T.branch_record() as record:
+            T.masked_pool(Tensor(f), labels, 4)
+        assert len(record) == 1
+        assert np.array_equal(record[0], K.masked_pool_forward(f, labels, 4)[3])
+
+
 def _single_image_calls():
     """Each image op, and ``forward``, called on one image without the batch axis."""
     from grapy.hierarchy import taxonomy_by_name
@@ -356,8 +436,8 @@ def _single_image_calls():
         "softmax_channels": lambda: T.softmax_channels(f),
         "argmax_channel": lambda: argmax_channel(f),
         "matmul": lambda: T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
-        "transpose": lambda: T.transpose(Tensor(np.ones((2, 3)))),
-        "softmax_rows": lambda: T.softmax_rows(Tensor(np.ones((2, 3)))),
+        "attention_rounds": lambda: T.attention_rounds(
+            Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 1))), Tensor(np.ones((3, 1))))]),
         "forward": lambda: forward(np.ones((4, 4, 3)), params, tax),
     }
 

@@ -250,8 +250,10 @@ def cmd_predict(args) -> int:
         count = len(dataset) if lim.limit is None else min(lim.limit, len(dataset))
         for i in range(count):
             out = forward(dataset.samples[i].image[None], params, dataset.taxonomy)
-            pred = argmax_channel(out.y_hat if args.branch == "gpm" and out.y_hat is not None
-                                  else out.y)[0]
+            if args.branch == "gpm" and out.y_hat is not None:
+                pred = argmax_channel(out.y_hat)[0]
+            else:
+                pred = out.main_prediction()[0]
             path = os.path.join(args.out, f"{i:05d}_pred.ppm")
             write_ppm(path, colorize_labels(pred, dataset.taxonomy.k3))
         print(f"wrote {count} predictions to {args.out}")

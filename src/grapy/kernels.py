@@ -9,9 +9,12 @@ Python loop over images, pixels or categories:
   Networks for Document Processing"): the forward as one GEMM per kernel tap,
   both backward passes as one im2col GEMM each, the input gradient as a
   correlation with the flipped kernel;
-- masked pooling sorts the pixels by segment id ``n * K + k`` and reduces
-  each run with ``ufunc.reduceat``; the max's argmax, computed only on
-  request, breaks ties toward the first pixel in row-major order;
+- masked pooling stable-sorts the pixels by segment id ``n * K + k`` and
+  reduces each run with ``ufunc.reduceat``; the max's argmax, computed only
+  on request, breaks ties toward the first pixel in row-major order. The
+  segment ids and sorted positions take the narrowest unsigned dtype that
+  holds ``N * K`` and ``N * H * W``: numpy radix-sorts 8- and 16-bit keys,
+  and a stable sort's order is the same at any key width;
 - the node scatter is a one-hot GEMM per image.
 """
 
@@ -88,11 +91,14 @@ def conv2d_backward_kernel(x, g, kh, kw):
 # Masked category pooling: per-image, per-category mean and max
 # ---------------------------------------------------------------------------
 
-def _segments(labels, k):
-    """Segment id ``n * k + label`` of every pixel, flattened to (N*H*W,)."""
+def _segments(labels, k, dtype=np.int64):
+    """Segment id ``n * k + label`` of every pixel, flattened to (N*H*W,).
+
+    ``dtype`` must hold ``n * k``; the sums stay below it, so none wraps.
+    """
     n = labels.shape[0]
-    lab = labels.reshape(n, -1).astype(np.int64, copy=False)
-    return (lab + (np.arange(n, dtype=np.int64) * k)[:, None]).reshape(-1)
+    lab = labels.reshape(n, -1).astype(dtype, copy=False)
+    return (lab + (np.arange(n, dtype=dtype) * dtype(k))[:, None]).reshape(-1)
 
 
 def masked_pool_forward(f, labels, k, argmax=True):
@@ -105,7 +111,7 @@ def masked_pool_forward(f, labels, k, argmax=True):
     """
     n, c = f.shape[0], f.shape[-1]
     f2 = f.reshape(-1, c)
-    seg = _segments(labels, k)
+    seg = _segments(labels, k, np.min_scalar_type(n * k).type)  # narrow keys sort faster
     counts = np.bincount(seg, minlength=n * k)
     order = np.argsort(seg, kind="stable")  # row-major order within each segment
     fs = np.take(f2, order, axis=0)
@@ -119,7 +125,9 @@ def masked_pool_forward(f, labels, k, argmax=True):
     if argmax:
         # the first sorted row attaining its segment's max, per channel
         hit = fs == np.repeat(maxv[nz], counts[nz], axis=0)
-        pos = np.where(hit, np.arange(seg.size)[:, None], seg.size)
+        # sorted positions, and the sentinel seg.size for rows off the max
+        pos = np.where(hit, np.arange(seg.size, dtype=np.min_scalar_type(seg.size))[:, None],
+                       seg.size)
         argi = np.zeros((n * k, c), np.int64)
         argi[nz] = order[np.minimum.reduceat(pos, starts, axis=0)]
         argi = argi.reshape(n, k, c)

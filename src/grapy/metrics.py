@@ -20,13 +20,24 @@ class ConfusionMatrix:
     def add(self, pred: np.ndarray, gt: np.ndarray) -> "ConfusionMatrix":
         if pred.shape != gt.shape:
             raise ValueError(f"prediction shape {pred.shape} != ground truth shape {gt.shape}")
-        p, g = pred.reshape(-1), gt.reshape(-1)
+        # combined in int64, as g * k + p would wrap in a narrow label dtype;
+        # "safe" still rejects float labels with a TypeError
+        p = pred.reshape(-1).astype(np.int64, casting="safe", copy=False)
+        g = gt.reshape(-1).astype(np.int64, casting="safe", copy=False)
         for name, arr in (("prediction", p), ("ground truth", g)):
             if arr.size and (arr.min() < 0 or arr.max() >= self.k):
                 raise ValueError(f"{name} labels out of range [0, {self.k})")
         flat = np.bincount(g * self.k + p, minlength=self.k * self.k)
         self.counts += flat.reshape(self.k, self.k)
         return self
+
+    def merged(self, table: np.ndarray, k: int) -> "ConfusionMatrix":
+        """The k x k matrix of both label axes mapped through ``table`` (old
+        index -> new index in [0, k)): cell (i, j) sums the cells whose ground
+        truth maps to i and prediction to j. Integer sums, so it holds exactly
+        the counts of the mapped label maps."""
+        onehot = (table[:, None] == np.arange(k)).astype(np.int64)
+        return ConfusionMatrix(k, onehot.T @ self.counts @ onehot)
 
     def per_class_iou(self) -> np.ndarray:
         """IoU per class; NaN for classes absent from both pred and gt."""
@@ -68,21 +79,26 @@ def _branches_of(params: ModelParams) -> list[str]:
 
 
 def confusions(params: ModelParams, dataset: Dataset) -> dict[str, dict[int, ConfusionMatrix]]:
-    """One forward per sample (a batch of one), confusion matrices for every
-    branch and level."""
+    """Confusion matrices for every branch and level, one forward per sample
+    (a batch of one).
+
+    Each image is counted once per branch, at the fine level 3; the forward's
+    own argmax is the main prediction. Every level-1 or level-2 label is a
+    many-to-one map of the fine ones, so those matrices are block sums of the
+    fine one (``ConfusionMatrix.merged``): integer sums, equal to counting
+    the coarsened maps image by image.
+    """
     tax = dataset.taxonomy
-    total = {b: {level: ConfusionMatrix(tax.k_at(level)) for level in (1, 2, 3)}
-             for b in _branches_of(params)}
+    fine = {b: ConfusionMatrix(tax.k3) for b in _branches_of(params)}
     for sample in dataset.samples:
         out = forward(sample.image[None], params, tax)
-        preds = {"main": argmax_channel(out.y)[0]}
+        fine["main"].add(out.main_prediction()[0], sample.labels)
         if out.y_hat is not None:
-            preds["gpm"] = argmax_channel(out.y_hat)[0]
-        for b, pred in preds.items():
-            for level in (1, 2, 3):
-                total[b][level].add(coarsen(pred, tax, level),
-                                    coarsen(sample.labels, tax, level))
-    return total
+            fine["gpm"].add(argmax_channel(out.y_hat)[0], sample.labels)
+    # (the level-l label of every fine index, the level's class count)
+    tables = {level: (coarsen(np.arange(tax.k3), tax, level), tax.k_at(level)) for level in (1, 2)}
+    return {b: {1: cm.merged(*tables[1]), 2: cm.merged(*tables[2]), 3: cm}
+            for b, cm in fine.items()}
 
 
 def evaluate_at_level(params: ModelParams, dataset: Dataset, level: int,

@@ -20,8 +20,8 @@ import numpy as np
 from .hierarchy import Taxonomy
 from .pyramid import GCR_ITERATIONS, GpmParams, gt_label_maps, pyramid_forward
 from .synthdata import Dataset, SampleBatch
-from .tensor import (SGD, Tape, Tensor, conv2d, cross_entropy_mean, relu, scale,
-                     softmax_channels, uniform_init)
+from .tensor import (SGD, Tape, Tensor, argmax_channel, conv2d, cross_entropy_mean, relu,
+                     scale, softmax_channels, uniform_init)
 
 
 @dataclass
@@ -107,6 +107,11 @@ class ForwardOut(NamedTuple):
     y: Tensor                 # main-branch per-pixel distribution (N, H, W, K3)
     y_hat: Tensor | None      # pyramid-branch distribution, None in main-only mode
     f_hat: Tensor | None      # fused feature map feeding the pyramid head
+    fine: np.ndarray | None = None  # argmax of y (N, H, W) when the pyramid's masks came from it
+
+    def main_prediction(self) -> np.ndarray:
+        """The (N, H, W) argmax of ``y``: ``fine`` when the forward took it."""
+        return argmax_channel(self.y) if self.fine is None else self.fine
 
 
 def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
@@ -115,17 +120,20 @@ def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
     pyramid prediction, each (N, H, W, .).
 
     ``gt_labels`` ((N, H, W)) switches category masks to coarsened ground
-    truth (debug mode); default masks derive from the main prediction's argmax.
+    truth (debug mode); default masks derive from the main prediction's argmax,
+    which is returned as ``fine`` for callers that need the prediction too.
     """
     # images arrive in [0, 1]; centering keeps the first conv well conditioned
     f = params.backbone.apply(Tensor(np.asarray(images) - 0.5))
     y = softmax_channels(params.main_head.apply(f))
     if main_only or params.gpm is None:
         return ForwardOut(y=y, y_hat=None, f_hat=None)
-    maps = None if gt_labels is None else gt_label_maps(gt_labels, taxonomy,
-                                                        sorted(params.gpm.levels))
-    f_hat, y_hat = pyramid_forward(f, y, taxonomy, params.gpm, label_maps=maps)
-    return ForwardOut(y=y, y_hat=y_hat, f_hat=f_hat)
+    if gt_labels is None:
+        maps, fine = None, argmax_channel(y)
+    else:
+        maps, fine = gt_label_maps(gt_labels, taxonomy, sorted(params.gpm.levels)), None
+    f_hat, y_hat = pyramid_forward(f, y, taxonomy, params.gpm, label_maps=maps, fine=fine)
+    return ForwardOut(y=y, y_hat=y_hat, f_hat=f_hat, fine=fine)
 
 
 def loss_tensor(out: ForwardOut, q: np.ndarray, loss_weight: float) -> Tensor:

@@ -169,16 +169,19 @@ def level_forward(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,
 
 
 def pyramid_forward(f: Tensor, y: Tensor, taxonomy: Taxonomy, params: GpmParams,
-                    label_maps: dict[int, np.ndarray] | None = None):
+                    label_maps: dict[int, np.ndarray] | None = None,
+                    fine: np.ndarray | None = None):
     """Run the pyramid coarse to fine; returns (f_hat, y_hat).
 
     ``label_maps`` overrides the prediction-derived masks (used by the
     ground-truth-mask debug mode and by gradient checks, where masks must
-    stay fixed).
+    stay fixed). The other masks coarsen ``fine``, the (N, H, W) argmax of
+    ``y``, taken here unless the caller passes it.
     """
     maps = label_maps or {}
     levels = sorted(params.levels)
-    fine = None if all(l in maps for l in levels) else argmax_channel(y)
+    if fine is None and not all(l in maps for l in levels):
+        fine = argmax_channel(y)
     f_l = f
     pyramid = [f]
     for level in levels:

@@ -32,6 +32,8 @@ class NumericsError(ArithmeticError):
 
 
 _DTYPE = np.float64  # 64-bit is the test/gradcheck mode; training may use 32-bit
+# smallest positive normal of each float width, looked up once (softmax floors)
+_TINY = {np.dtype(t): np.finfo(t).tiny for t in (np.float32, np.float64)}
 
 
 def set_default_dtype(dtype) -> None:
@@ -162,7 +164,7 @@ def _record_branch(choice: np.ndarray) -> None:
 
 
 def _check_finite(arr: np.ndarray, opname: str) -> None:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericsError(f"{opname} produced non-finite values")
 
 
@@ -301,8 +303,8 @@ def _softmax(x: np.ndarray, xmax: np.ndarray) -> np.ndarray:
     unrecoverable in 32-bit training.
     """
     e = np.exp(x - xmax)
-    s = e / e.sum(axis=-1, keepdims=True)
-    return np.maximum(s, np.finfo(s.dtype).tiny)
+    s = e / np.add.reduce(e, axis=-1, keepdims=True)
+    return np.maximum(s, _TINY[s.dtype])
 
 
 def _softmax_back(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -312,7 +314,7 @@ def _softmax_back(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 def row_softmax(x: np.ndarray) -> np.ndarray:
     """The floored softmax over the last axis of a short-rowed array (the
     attention rows)."""
-    return _softmax(x, x.max(axis=-1, keepdims=True))
+    return _softmax(x, np.maximum.reduce(x, axis=-1, keepdims=True))
 
 
 def softmax_channels(a: Tensor) -> Tensor:
@@ -488,7 +490,7 @@ def cross_entropy_mean(probs: Tensor, labels: np.ndarray) -> Tensor:
     rows = np.arange(p2.shape[0])
     lab = labels.reshape(-1)
     p = p2[rows, lab]
-    tiny = np.finfo(probs.data.dtype).tiny
+    tiny = _TINY[probs.data.dtype]
     pc = np.maximum(p, tiny)
     out = np.asarray(-np.log(pc).mean(), dtype=probs.data.dtype)
     n = p.size
@@ -505,7 +507,7 @@ def argmax_channel(a: Tensor) -> np.ndarray:
     """Per-pixel argmax over channels of an (N, H, W, K) tensor. Not on the tape."""
     if a.data.ndim != 4:
         raise ShapeError(f"argmax_channel needs (N,H,W,K), got {a.shape}")
-    return np.argmax(a.data, axis=-1).astype(np.int64)
+    return np.argmax(a.data, axis=-1).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -122,3 +122,49 @@ def test_scatter_matches_oracle_and_is_adjoint_of_gather():
     assert not scattered[0, 3].any()
     lhs, rhs = float((gathered * g).sum()), float((w * scattered).sum())
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+
+def _pool_int64_keys(f, labels, k):
+    """The pooling forward with int64 segment keys and positions throughout."""
+    n, c = f.shape[0], f.shape[-1]
+    f2 = f.reshape(-1, c)
+    seg = (labels.reshape(n, -1).astype(np.int64) + (np.arange(n) * k)[:, None]).reshape(-1)
+    counts = np.bincount(seg, minlength=n * k)
+    order = np.argsort(seg, kind="stable")
+    fs = f2[order]
+    nz = counts > 0
+    starts = (np.cumsum(counts) - counts)[nz]
+    sums, maxv = np.zeros((n * k, c), f.dtype), np.zeros((n * k, c), f.dtype)
+    sums[nz] = np.add.reduceat(fs, starts, axis=0)
+    maxv[nz] = np.maximum.reduceat(fs, starts, axis=0)
+    hit = fs == np.repeat(maxv[nz], counts[nz], axis=0)
+    pos = np.where(hit, np.arange(seg.size, dtype=np.int64)[:, None], seg.size)
+    argi = np.zeros((n * k, c), np.int64)
+    argi[nz] = order[np.minimum.reduceat(pos, starts, axis=0)]
+    return (sums.reshape(n, k, c), counts.reshape(n, k), maxv.reshape(n, k, c),
+            argi.reshape(n, k, c))
+
+
+@pytest.mark.parametrize("n, h, w, k", [
+    (15, 3, 4, 17),    # n * k = 255: uint8 keys
+    (16, 3, 4, 16),    # n * k = 256: uint16 keys
+    (1, 255, 257, 3),  # N * H * W = 65535: uint16 positions
+    (1, 256, 256, 3),  # N * H * W = 65536: uint32 positions
+    (2, 9, 7, 300),    # n * k = 600, most categories empty
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_narrow_keys_equal_int64_keys_bitwise(n, h, w, k, dtype):
+    rng = np.random.default_rng(n * k + h)
+    # integer-valued features tie often, so the first-pixel argmax is exercised
+    f = rng.integers(-3, 4, size=(n, h, w, 2)).astype(dtype)
+    labels = rng.integers(0, k, size=(n, h, w))
+    labels[labels == k // 2] = 0  # one category empty in every image
+    got = K.masked_pool_forward(f, labels, k)
+    ref = _pool_int64_keys(f, labels, k)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert not got[1][:, k // 2].any()
+    sums, counts, maxv, argi = K.masked_pool_forward(f, labels, k, argmax=False)
+    assert argi is None
+    assert sums.tobytes() == ref[0].tobytes() and maxv.tobytes() == ref[2].tobytes()
+    assert counts.tobytes() == ref[1].tobytes()

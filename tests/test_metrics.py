@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from grapy.hierarchy import taxonomy_by_name
-from grapy.metrics import ConfusionMatrix, evaluate_at_level
-from grapy.model import ModelParams
-from grapy.synthdata import Dataset, Sample
+from grapy.hierarchy import coarsen, taxonomy_by_name
+from grapy.metrics import ConfusionMatrix, confusions, evaluate_at_level, evaluate_report
+from grapy.model import ModelParams, forward
+from grapy.synthdata import Dataset, Sample, SceneSpec, generate
+from grapy.tensor import argmax_channel
 from oracles import confusion_oracle
 
 
@@ -39,6 +40,20 @@ class TestAccumulate:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             ConfusionMatrix(2).add(np.array([2]), np.array([0]))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+    def test_narrow_label_dtypes_do_not_wrap(self, dtype):
+        # 19 * 20 + 0 = 380 wraps to 124 = cell (6, 4) in 8 bits
+        cm = ConfusionMatrix(20).add(np.array([0], dtype), np.array([19], dtype))
+        assert cm.counts[19, 0] == 1 and cm.counts.sum() == 1
+        rng = np.random.default_rng(7)
+        pred, gt = rng.integers(0, 20, (9, 9)), rng.integers(0, 20, (9, 9))
+        cm = ConfusionMatrix(20).add(pred.astype(dtype), gt.astype(dtype))
+        assert np.array_equal(cm.counts, confusion_oracle(pred, gt, 20))
+
+    def test_float_labels_rejected(self):
+        with pytest.raises(TypeError):
+            ConfusionMatrix(3).add(np.array([0.5]), np.array([1.0]))
 
 
 class TestMiou:
@@ -130,3 +145,63 @@ class TestEvaluateAtLevel:
                                        labels=rng.integers(0, 7, (16, 16)))])
         with pytest.raises(ValueError):
             evaluate_at_level(params, ds, 0)
+
+
+def _coarsen_then_count(pairs, tax):
+    """The per-level loop: coarsen every prediction and ground-truth map to
+    each level and count it there."""
+    cms = {level: ConfusionMatrix(tax.k_at(level)) for level in (1, 2, 3)}
+    for pred, gt in pairs:
+        for level in (1, 2, 3):
+            cms[level].add(coarsen(pred, tax, level), coarsen(gt, tax, level))
+    return cms
+
+
+class TestDerivedLevels:
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_block_sums_equal_coarsen_then_count(self, name):
+        tax = taxonomy_by_name(name)
+        rng = np.random.default_rng(ord(name))
+        # labels drawn from a subset, so some classes are absent at every level
+        present = np.array([0] + [i for i in range(1, tax.k3) if tax.to_level2[i] != 3])
+        pairs = [(present[rng.integers(0, len(present), (6, 5))],
+                  present[rng.integers(0, len(present), (6, 5))]) for _ in range(3)]
+        fine = ConfusionMatrix(tax.k3)
+        for pred, gt in pairs:
+            fine.add(pred, gt)
+        ref = _coarsen_then_count(pairs, tax)
+        assert not ref[2].counts[3].any()  # level-2 Arm absent
+        for level in (1, 2):
+            merged = fine.merged(tax.table_to(level), tax.k_at(level))
+            assert merged.k == tax.k_at(level)
+            assert merged.counts.dtype == np.int64
+            assert np.array_equal(merged.counts, ref[level].counts)
+        assert np.array_equal(fine.counts, ref[3].counts)
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_evaluate_report_equals_per_level_loop(self, name):
+        tax = taxonomy_by_name(name)
+        params = ModelParams.init(np.random.default_rng(8), tax, width=4, channels=4)
+        ds = Dataset(name, tax, generate(SceneSpec(seed=4, image_size=(16, 16)), tax, 3))
+        report, cms = evaluate_report(params, ds)
+        preds = {"main": [], "gpm": []}
+        for sample in ds.samples:
+            out = forward(sample.image[None], params, tax)
+            preds["main"].append(argmax_channel(out.y)[0])
+            preds["gpm"].append(argmax_channel(out.y_hat)[0])
+        for b in ("main", "gpm"):
+            ref = _coarsen_then_count(zip(preds[b], [s.labels for s in ds.samples]), tax)
+            for level in (1, 2, 3):
+                assert np.array_equal(cms[b][level].counts, ref[level].counts)
+                assert report[b][level] == (ref[level].miou(), ref[level].mean_accuracy())
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_ground_truth_out_of_range_raises(self, bad):
+        tax = taxonomy_by_name("A")
+        rng = np.random.default_rng(9)
+        params = ModelParams.init(rng, tax, width=4, channels=4)
+        labels = rng.integers(0, tax.k3, (16, 16))
+        labels[3, 4] = bad
+        ds = Dataset("A", tax, [Sample(image=rng.uniform(0, 1, (16, 16, 3)), labels=labels)])
+        with pytest.raises(ValueError):
+            confusions(params, ds)

@@ -60,6 +60,25 @@ class TestForward:
         assert out.y_hat is None
         assert not any(n.startswith("gpm") for n in params.named())
 
+    def test_fine_is_the_argmax_the_masks_came_from(self, tax, tiny):
+        params, image, q = tiny
+        images = np.stack([image, image[::-1]])
+        out = forward(images, params, tax)
+        assert out.fine.dtype == np.int64
+        assert np.array_equal(out.fine, argmax_channel(out.y))
+        assert out.main_prediction() is out.fine
+        assert forward(images, params, tax, gt_labels=np.stack([q, q])).fine is None
+        main_only = forward(images, params, tax, main_only=True)
+        assert main_only.fine is None
+        assert np.array_equal(main_only.main_prediction(), out.fine)
+
+    def test_three_field_construction_has_no_fine(self, tax, tiny):
+        params, image, _ = tiny
+        out = forward(image[None], params, tax)
+        three = ForwardOut(out.y, out.y_hat, out.f_hat)
+        assert three.fine is None
+        assert np.array_equal(three.main_prediction(), out.fine)
+
 
 class TestLoss:
     def test_one_hot_both_branches_zero(self, tax):

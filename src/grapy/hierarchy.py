@@ -8,6 +8,7 @@ one category index per pixel; ``coarsen`` maps it elementwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,15 +39,20 @@ class Taxonomy:
         return {1: K1, 2: K2, 3: self.k3}[level]
 
     def table_to(self, level: int) -> np.ndarray:
-        """Fine-index -> level-index lookup table (identity at level 3)."""
+        """Fine-index -> level-index lookup table (identity at level 3), read-only."""
+        if level not in (1, 2, 3):
+            raise TaxonomyError(f"level must be 1, 2 or 3, got {level}")
+        return self._tables[level - 1]
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """The level 1, 2 and 3 tables, built on first use."""
         t2 = np.asarray(self.to_level2, dtype=np.int64)
-        if level == 3:
-            return np.arange(self.k3, dtype=np.int64)
-        if level == 2:
-            return t2
-        if level == 1:
-            return np.asarray(LEVEL2_TO_LEVEL1, dtype=np.int64)[t2]
-        raise TaxonomyError(f"level must be 1, 2 or 3, got {level}")
+        tables = (np.asarray(LEVEL2_TO_LEVEL1, dtype=np.int64)[t2], t2,
+                  np.arange(self.k3, dtype=np.int64))
+        for t in tables:
+            t.flags.writeable = False
+        return tables
 
 
 def validate(tax: Taxonomy) -> list[str]:

@@ -101,19 +101,6 @@ def confusions(params: ModelParams, dataset: Dataset) -> dict[str, dict[int, Con
             for b, cm in fine.items()}
 
 
-def evaluate_at_level(params: ModelParams, dataset: Dataset, level: int,
-                      branch: str = "gpm") -> tuple[float, float]:
-    """(mIoU, mean accuracy) with predictions and ground truth coarsened to ``level``."""
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    if branch not in ("main", "gpm"):
-        raise ValueError(f"branch must be 'main' or 'gpm', got {branch!r}")
-    if branch == "gpm" and params.gpm is None:
-        raise ValueError("model has no pyramid branch; evaluate branch='main'")
-    cm = confusions(params, dataset)[branch][level]
-    return cm.miou(), cm.mean_accuracy()
-
-
 def evaluate_report(params: ModelParams, dataset: Dataset):
     """Metrics for both branches at all three levels plus the raw matrices."""
     cms = confusions(params, dataset)

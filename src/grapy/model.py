@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .hierarchy import Taxonomy
-from .pyramid import GCR_ITERATIONS, GpmParams, gt_label_maps, pyramid_forward
+from .pyramid import GCR_ITERATIONS, GpmParams, check_levels, gt_label_maps, pyramid_forward
 from .synthdata import Dataset, SampleBatch
 from .tensor import (SGD, Tape, Tensor, argmax_channel, conv2d, cross_entropy_mean, relu,
                      scale, softmax_channels, uniform_init)
@@ -81,14 +81,16 @@ class ModelParams:
              pooling: str = "both", levels=(1, 2, 3), iterations: int = GCR_ITERATIONS,
              fresh_weights: bool = False) -> "ModelParams":
         rng = np.random.default_rng(seed_or_rng)  # a Generator passes through
-        if loss_weight < 0:
-            raise ValueError(f"loss weight must be >= 0, got {loss_weight}")
         backbone = BackboneParams.init(rng, c_in, width, channels)
         main_head = ConvLayer.init(rng, 1, 1, channels, taxonomy.k3)
         gpm = (GpmParams.init(rng, channels, taxonomy.k3, pooling=pooling, levels=levels,
                               iterations=iterations, fresh_weights=fresh_weights)
                if with_gpm else None)
         return cls(backbone, main_head, gpm, loss_weight)
+
+    def __post_init__(self):
+        if self.loss_weight < 0:
+            raise ValueError(f"loss weight must be >= 0, got {self.loss_weight}")
 
     def named(self) -> dict[str, Tensor]:
         out = self.main_named()
@@ -224,10 +226,7 @@ def setting(default, help: str, **kw):
 
 
 def parse_levels(raw: str) -> tuple:
-    levels = tuple(sorted(int(x) for x in raw.split(",") if x.strip()))
-    if not levels or any(l not in (1, 2, 3) for l in levels):
-        raise ValueError(f"levels must be a subset of 1,2,3, got {raw!r}")
-    return levels
+    return check_levels([int(x) for x in raw.split(",") if x.strip()])
 
 
 @dataclass

@@ -1,12 +1,12 @@
-"""Cross-dataset mutual learning: shared coarse levels, per-dataset fine branches.
+"""Cross-dataset mutual learning: one parser per dataset, sharing the coarse levels.
 
-One shared core (backbone plus pyramid Levels 1 and 2) is referenced, not
-copied, by every dataset branch; each branch owns its main head, Level-3
-pyramid weights and fused prediction head sized to its own fine label count.
-A step on one dataset therefore updates the shared core and that branch
-only. The multi-dataset objective is the sum of per-dataset two-branch
-losses, realized either across round-robin steps or in a single accumulated
-step.
+An ``MlModel`` is its per-dataset ``ModelParams``, built once. Every branch
+holds the same tensors for pyramid Levels 1 and 2 and, by default, the same
+backbone; its main head, Level-3 weights and fused prediction head are its
+own, sized to its fine label count. A step on one dataset therefore updates
+the shared tensors and that branch only. The multi-dataset objective is the
+sum of per-dataset two-branch losses, realized either across round-robin
+steps or in a single accumulated step.
 """
 
 from __future__ import annotations
@@ -18,131 +18,90 @@ import numpy as np
 
 from .hierarchy import Taxonomy
 from .model import (CLIP_NORM, SGD, BackboneParams, ConvLayer, ModelParams, Phase,
-                    TrainConfig, TrainLog, apply_update, batch_loss, batch_stream, forward,
+                    TrainConfig, TrainLog, apply_update, batch_loss, batch_stream,
                     init_model, run_phases, seeded_rng, setting, train_step)
 # the benchmark's tracer wraps ``clip_gradients`` and ``train_step`` here too
 from .model import clip_gradients  # noqa: F401
-from .pyramid import GpmLevelParams, GpmParams
+from .pyramid import GpmParams, init_levels
 from .synthdata import Dataset, SampleBatch
 from .tensor import Tape, Tensor, uniform_init
 
 
 @dataclass
-class SharedCore:
-    """Parameters every branch references: backbone (optional) and Levels 1-2."""
-
-    backbone: BackboneParams | None
-    gpm_l1: GpmLevelParams
-    gpm_l2: GpmLevelParams
-
-    def named(self) -> dict[str, Tensor]:
-        out = {} if self.backbone is None else self.backbone.named("shared.backbone")
-        return {**out, **self.gpm_l1.named("shared.gpm.level1"),
-                **self.gpm_l2.named("shared.gpm.level2")}
-
-
-@dataclass
-class DatasetBranch:
-    index: int                      # 1-based dataset index
-    taxonomy: Taxonomy
-    backbone: BackboneParams | None  # only set when the backbone is not shared
-    main_head: ConvLayer
-    gpm_l3: GpmLevelParams
-    head: Tensor
-
-    def named(self) -> dict[str, Tensor]:
-        prefix = f"branch{self.index}"
-        out = {} if self.backbone is None else self.backbone.named(f"{prefix}.backbone")
-        return {**out, **self.main_head.named(f"{prefix}.main_head"),
-                **self.gpm_l3.named(f"{prefix}.gpm.level3"), f"{prefix}.gpm.head": self.head}
-
-
-@dataclass
 class MlModel:
-    shared: SharedCore
-    branches: list[DatasetBranch]
-    loss_weight: float = 1.0
-    pooling: str = "both"
-    iterations: int = 3
+    branches: list[ModelParams]  # branch d - 1 parses dataset d
+    taxonomies: list[Taxonomy]
 
     @classmethod
     def init(cls, seed_or_rng, taxonomies: list[Taxonomy], c_in: int = 3,
              width: int = 16, channels: int = 8, loss_weight: float = 1.0,
              pooling: str = "both", iterations: int = 3,
              share_backbone: bool = True, fresh_weights: bool = False) -> "MlModel":
+        """Draws the shared backbone, Levels 1-2, then per branch its own
+        backbone (unless shared), main head, Level 3 and head."""
         if len(taxonomies) < 2:
             raise ValueError("mutual learning needs at least 2 datasets")
-        if pooling not in ("both", "ave", "max"):
-            raise ValueError(f"pooling must be both|ave|max, got {pooling!r}")
         rng = np.random.default_rng(seed_or_rng)  # a Generator passes through
-        c_l = 2 * channels if pooling == "both" else channels
-        fresh = iterations if fresh_weights else 0
-        shared = SharedCore(
-            backbone=BackboneParams.init(rng, c_in, width, channels) if share_backbone else None,
-            gpm_l1=GpmLevelParams.init(rng, c_l, channels, fresh),
-            gpm_l2=GpmLevelParams.init(rng, c_l, channels, fresh),
-        )
+        levels = partial(init_levels, rng, channels, pooling=pooling, iterations=iterations,
+                         fresh_weights=fresh_weights)
+        backbone = BackboneParams.init(rng, c_in, width, channels) if share_backbone else None
+        coarse = levels((1, 2))
         branches = []
-        for d, tax in enumerate(taxonomies, start=1):
-            bb = None if share_backbone else BackboneParams.init(rng, c_in, width, channels)
+        for tax in taxonomies:
+            bb = backbone if share_backbone else BackboneParams.init(rng, c_in, width, channels)
             main_head = ConvLayer.init(rng, 1, 1, channels, tax.k3)
-            gpm_l3 = GpmLevelParams.init(rng, c_l, channels, fresh)
+            fine = levels((3,))
             head = uniform_init(rng, (1, 1, 4 * channels, tax.k3), 4 * channels)
-            branches.append(DatasetBranch(d, tax, bb, main_head, gpm_l3, head))
-        return cls(shared, branches, loss_weight, pooling, iterations)
+            gpm = GpmParams({**coarse, **fine}, head, pooling, iterations)
+            branches.append(ModelParams(bb, main_head, gpm, loss_weight))
+        return cls(branches, list(taxonomies))
 
     @property
     def share_backbone(self) -> bool:
-        return self.shared.backbone is not None
+        return self.branches[0].backbone is self.branches[1].backbone
 
-    def branch(self, d: int) -> DatasetBranch:
+    def branch_params(self, d: int) -> ModelParams:
+        """The parser of dataset ``d`` (1-based), holding the shared tensors."""
         if not 1 <= d <= len(self.branches):
             raise ValueError(f"dataset index must be in [1, {len(self.branches)}], got {d}")
         return self.branches[d - 1]
 
-    def branch_params(self, d: int) -> ModelParams:
-        """A single-dataset view onto branch ``d``; shares storage, copies nothing."""
-        br = self.branch(d)
-        gpm = GpmParams(levels={1: self.shared.gpm_l1, 2: self.shared.gpm_l2,
-                                3: br.gpm_l3},
-                        head=br.head, pooling=self.pooling, iterations=self.iterations)
-        backbone = self.shared.backbone if self.share_backbone else br.backbone
-        return ModelParams(backbone=backbone, main_head=br.main_head, gpm=gpm,
-                           loss_weight=self.loss_weight)
+    def _shared_ids(self) -> set[int]:
+        return set.intersection(*({id(t) for t in p.named().values()} for p in self.branches))
+
+    def shared_named(self) -> dict[str, Tensor]:
+        """The tensors every branch holds, as ``shared.<name>``."""
+        shared = self._shared_ids()
+        return {f"shared.{n}": t for n, t in self.branches[0].named().items() if id(t) in shared}
+
+    def branch_named(self, d: int) -> dict[str, Tensor]:
+        """The tensors branch ``d`` holds alone, as ``branch<d>.<name>``."""
+        shared = self._shared_ids()
+        return {f"branch{d}.{n}": t for n, t in self.branch_params(d).named().items()
+                if id(t) not in shared}
 
     def named(self) -> dict[str, Tensor]:
-        out = self.shared.named()
-        for br in self.branches:
-            out.update(br.named())
+        out = self.shared_named()
+        for d in range(1, len(self.branches) + 1):
+            out.update(self.branch_named(d))
         return out
 
     def step_params(self, d: int) -> dict[str, Tensor]:
         """Parameters an update on dataset ``d`` may touch: shared + branch d."""
-        return {**self.shared.named(), **self.branch(d).named()}
+        return {**self.shared_named(), **self.branch_named(d)}
 
     def log_label(self, batch) -> str:
         """The log's dataset column: the batch's dataset, or "all" for a group."""
         if isinstance(batch, list):
             return "all"
-        return self.branch(batch.dataset_index).taxonomy.dataset_name
-
-    def taxonomy_names(self) -> str:
-        return ",".join(br.taxonomy.dataset_name for br in self.branches)
-
-
-def ml_forward(images, d: int, model: MlModel, gt_labels: np.ndarray | None = None,
-               main_only: bool = False):
-    """Forward of an (N, H, W, C) batch through branch ``d``: shared Levels 1-2,
-    branch-specific Level 3."""
-    return forward(images, model.branch_params(d), model.branch(d).taxonomy,
-                   gt_labels=gt_labels, main_only=main_only)
+        return self.taxonomies[batch.dataset_index - 1].dataset_name
 
 
 def ml_step(batch: SampleBatch, model: MlModel, opt: SGD, gt_masks: bool = False,
             main_only: bool = False, clip_norm: float = CLIP_NORM) -> float:
     """One update from a single-dataset batch; gradients reach shared + branch d."""
     d = batch.dataset_index
-    return train_step(batch, model.branch_params(d), model.branch(d).taxonomy, opt,
+    return train_step(batch, model.branch_params(d), model.taxonomies[d - 1], opt,
                       gt_masks=gt_masks, main_only=main_only, clip_norm=clip_norm)
 
 
@@ -155,7 +114,7 @@ def ml_step_accumulated(batches: list[SampleBatch], model: MlModel, opt: SGD,
     with Tape() as tape:
         for batch in batches:
             d = batch.dataset_index
-            term = batch_loss(batch, model.branch_params(d), model.branch(d).taxonomy,
+            term = batch_loss(batch, model.branch_params(d), model.taxonomies[d - 1],
                               gt_masks=gt_masks, main_only=main_only)
             per_dataset.append(float(term.data))
             total = term if total is None else total + term
@@ -239,14 +198,15 @@ def audit_sharing(model: MlModel, datasets: list[Dataset], lr: float = 0.05,
     at least one shared parameter moves. Returns (ok, report lines)."""
     report, ok = [], True
     rng = np.random.default_rng(seed)
-    for d in range(1, len(model.branches) + 1):
-        before = [snapshot(br.named()) for br in model.branches]
-        shared_before = snapshot(model.shared.named())
+    indices = range(1, len(model.branches) + 1)
+    for d in indices:
+        before = [snapshot(model.branch_named(dd)) for dd in indices]
+        shared_before = snapshot(model.shared_named())
         batch = next(datasets[d - 1].batches(rng, batch_size, dataset_index=d))
         ml_step(batch, model, SGD(model.step_params(d), lr, momentum=0.0))
-        shared_changed = snapshot(model.shared.named()) != shared_before
-        moved = [dd for dd, br in enumerate(model.branches, start=1)
-                 if dd != d and snapshot(br.named()) != before[dd - 1]]
+        shared_changed = snapshot(model.shared_named()) != shared_before
+        moved = [dd for dd in indices
+                 if dd != d and snapshot(model.branch_named(dd)) != before[dd - 1]]
         ok = ok and shared_changed and not moved
         report += [f"step on dataset {d}: branch {dd} parameters changed" for dd in moved]
         report.append(f"step on dataset {d}: shared changed={shared_changed}, "

@@ -90,6 +90,27 @@ class GpmLevelParams:
         return out
 
 
+def check_levels(levels) -> tuple:
+    """``levels`` sorted, or ValueError unless they are a non-empty subset of
+    1, 2, 3 without repeats (each level is one slot of the head's input)."""
+    out = tuple(sorted(levels))
+    if not out or any(l not in (1, 2, 3) for l in out) or len(set(out)) < len(out):
+        raise ValueError(f"levels must be a non-empty subset of 1,2,3 without repeats, "
+                         f"got {','.join(map(str, out))}")
+    return out
+
+
+def init_levels(rng: np.random.Generator, channels: int, levels, pooling: str,
+                iterations: int, fresh_weights: bool) -> dict[int, GpmLevelParams]:
+    """The weights of pyramid ``levels``, drawn coarse to fine. Nodes are
+    ``2 * channels`` wide when pooling concatenates mean and max."""
+    if pooling not in ("both", "ave", "max"):
+        raise ValueError(f"pooling must be both|ave|max, got {pooling!r}")
+    c_l = 2 * channels if pooling == "both" else channels
+    fresh = iterations if fresh_weights else 0
+    return {l: GpmLevelParams.init(rng, c_l, channels, fresh) for l in check_levels(levels)}
+
+
 @dataclass
 class GpmParams:
     """The whole pyramid: per-level weights plus the fused prediction head."""
@@ -103,15 +124,8 @@ class GpmParams:
     def init(cls, rng: np.random.Generator, channels: int, k3: int,
              pooling: str = "both", levels=(1, 2, 3), iterations: int = GCR_ITERATIONS,
              fresh_weights: bool = False) -> "GpmParams":
-        if pooling not in ("both", "ave", "max"):
-            raise ValueError(f"pooling must be both|ave|max, got {pooling!r}")
-        levels = tuple(sorted(levels))
-        if not levels or any(l not in (1, 2, 3) for l in levels):
-            raise ValueError(f"levels must be a non-empty subset of (1, 2, 3), got {levels}")
-        c_l = 2 * channels if pooling == "both" else channels
-        fresh = iterations if fresh_weights else 0
-        lv = {l: GpmLevelParams.init(rng, c_l, channels, fresh) for l in levels}
-        head_in = (1 + len(levels)) * channels
+        lv = init_levels(rng, channels, levels, pooling, iterations, fresh_weights)
+        head_in = (1 + len(lv)) * channels
         # zero-init: the head joins training after the backbone has grown large
         # activations; a random head starts saturated and destabilizes phase 2
         head = Tensor(np.zeros((1, 1, head_in, k3)), requires_grad=True)
@@ -129,9 +143,11 @@ def masks_from_prediction(fine: np.ndarray, taxonomy: Taxonomy, level: int) -> n
     """Category label map at ``level`` from the fine (N, H, W) argmax map of
     the main prediction.
 
-    Never recorded on the tape: downstream ops treat the map as a constant.
+    The argmax lies in [0, K_3) by construction, so it indexes the level's
+    table directly, with none of ``coarsen``'s range scan. Never recorded on
+    the tape: downstream ops treat the map as a constant.
     """
-    return coarsen(fine, taxonomy, level)
+    return taxonomy.table_to(level)[fine]
 
 
 def aggregate(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,

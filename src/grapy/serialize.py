@@ -73,15 +73,18 @@ def _filled(init, arrays: dict[str, np.ndarray], *args, **kw):
     return model
 
 
-def save_model(path, params: ModelParams, taxonomy: Taxonomy) -> None:
-    meta = {
-        "kind": "single",
-        "taxonomies": taxonomy.dataset_name,
-        "loss_weight": repr(params.loss_weight),
-    }
+def _layout_meta(kind: str, taxonomies: list[Taxonomy], params: ModelParams) -> dict[str, str]:
+    meta = {"kind": kind, "taxonomies": ",".join(t.dataset_name for t in taxonomies),
+            "loss_weight": repr(params.loss_weight)}
     if params.gpm is not None:
         meta["pooling"] = params.gpm.pooling
         meta["iterations"] = str(params.gpm.iterations)
+    return meta
+
+
+def save_model(path, params: ModelParams, taxonomy: Taxonomy) -> None:
+    meta = _layout_meta("single", [taxonomy], params)
+    if params.gpm is not None:
         meta["levels"] = ",".join(str(l) for l in sorted(params.gpm.levels))
     arrays = {name: t.data for name, t in params.named().items()}
     save_checkpoint(path, arrays, meta)
@@ -102,14 +105,8 @@ def model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> Mo
 
 
 def save_ml_model(path, model: MlModel) -> None:
-    meta = {
-        "kind": "mutual",
-        "taxonomies": model.taxonomy_names(),
-        "loss_weight": repr(model.loss_weight),
-        "pooling": model.pooling,
-        "iterations": str(model.iterations),
-        "share_backbone": "1" if model.share_backbone else "0",
-    }
+    meta = _layout_meta("mutual", model.taxonomies, model.branches[0])
+    meta["share_backbone"] = "1" if model.share_backbone else "0"
     arrays = {name: t.data for name, t in model.named().items()}
     save_checkpoint(path, arrays, meta)
 

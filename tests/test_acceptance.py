@@ -15,7 +15,7 @@ import pytest
 
 from grapy.gradcheck import TOLERANCE, run_all
 from grapy.hierarchy import builtin_taxonomies, coarsen, taxonomy_by_name
-from grapy.metrics import ConfusionMatrix, evaluate_at_level
+from grapy.metrics import ConfusionMatrix, evaluate_report
 from grapy.model import (ModelParams, TrainConfig, forward, loss_tensor,
                          overfit_train, pretrain_then_train)
 from grapy.mutual import (MlModel, MlTrainConfig, ml_step, ml_step_accumulated,
@@ -29,6 +29,11 @@ from grapy.tensor import (SGD, Tensor, argmax_channel, cross_entropy_mean, preci
 from oracles import gcr_oracle, gsa_oracle, gsd_oracle, pyramid_oracle, rel_err
 
 PASS = "PASS: {}"
+
+
+def level3_miou(params, dataset, branch="gpm"):
+    """Level-3 mIoU of one branch, as ``grapy eval`` reports it."""
+    return evaluate_report(params, dataset)[0][branch][3][0]
 
 
 @pytest.fixture(scope="module")
@@ -58,21 +63,20 @@ def ablation_runs(bench):
                           clip_norm=1.0, epochs_pretrain=8, epochs_main=16)
             base = timed(lambda: pretrain_then_train(
                 train_a, TrainConfig(**single, with_gpm=False)))
-            scores["base"].append(evaluate_at_level(base, test_a, 3, branch="main")[0])
+            scores["base"].append(level3_miou(base, test_a, "main"))
 
             l3 = timed(lambda: pretrain_then_train(
                 train_a, TrainConfig(**single, levels=(3,))))
-            scores["l3only"].append(evaluate_at_level(l3, test_a, 3, branch="gpm")[0])
+            scores["l3only"].append(level3_miou(l3, test_a))
 
             full = timed(lambda: pretrain_then_train(train_a, TrainConfig(**single)))
-            scores["full"].append(evaluate_at_level(full, test_a, 3, branch="gpm")[0])
+            scores["full"].append(level3_miou(full, test_a))
 
             mcfg = MlTrainConfig(seed=seed, lr=0.1, lr_decay=0.3, batch_size=4,
                                  clip_norm=1.0, epochs_pretrain=4, epochs_main=10,
                                  epochs_finetune=6)
             ml = timed(lambda: train_mutual(datasets, mcfg, finetune_on=1))
-            scores["mutual"].append(
-                evaluate_at_level(ml.branch_params(1), test_a, 3, branch="gpm")[0])
+            scores["mutual"].append(level3_miou(ml.branch_params(1), test_a))
     return scores, slowest
 
 
@@ -243,9 +247,9 @@ def test_invariant_suite(bench, attention_mats):
                                    dataset_index=d))
     per = []
     for batch in batches:
-        o = forward(batch.images[0][None], model.branch_params(batch.dataset_index),
-                    model.branch(batch.dataset_index).taxonomy)
-        per.append(float(loss_tensor(o, batch.labels[0][None], model.loss_weight).data))
+        params = model.branch_params(batch.dataset_index)
+        o = forward(batch.images[0][None], params, model.taxonomies[batch.dataset_index - 1])
+        per.append(float(loss_tensor(o, batch.labels[0][None], params.loss_weight).data))
     total, _ = ml_step_accumulated(batches, model, SGD(model.named(), lr=0.0))
     assert abs(total - sum(per)) < 1e-9
     print(PASS.format("invariant suite: partition, attention rows, softmax shift, "
@@ -261,14 +265,14 @@ def test_sharing_audit():
                         generate(SceneSpec(seed=70 + d, image_size=(16, 16)), t, 2))
                 for d, t in enumerate(taxes, start=1)]
 
-    before = {d: snapshot(model.branch(d).named()) for d in (2, 3)}
-    shared_before = snapshot(model.shared.named())
+    before = {d: snapshot(model.branch_named(d)) for d in (2, 3)}
+    shared_before = snapshot(model.shared_named())
     batch = SampleBatch([datasets[0].samples[0].image],
                         [datasets[0].samples[0].labels], dataset_index=1)
     ml_step(batch, model, SGD(model.named(), lr=0.05, momentum=0.0))
-    assert snapshot(model.branch(2).named()) == before[2]
-    assert snapshot(model.branch(3).named()) == before[3]
-    assert snapshot(model.shared.named()) != shared_before
+    assert snapshot(model.branch_named(2)) == before[2]
+    assert snapshot(model.branch_named(3)) == before[3]
+    assert snapshot(model.shared_named()) != shared_before
 
     # identical masks -> identical Level-1/2 node features across branches
     image = rng.uniform(0, 1, (16, 16, 3))
@@ -297,7 +301,7 @@ def test_overfit_reaches_095_within_500_steps():
     with precision("f32"):
         cfg = TrainConfig(seed=1, lr=0.1, lr_decay=1.0, batch_size=8, clip_norm=1.0)
         params = overfit_train(subset, cfg, steps=500)
-        miou, _ = evaluate_at_level(params, subset, 3, branch="gpm")
+        miou = level3_miou(params, subset)
     elapsed = time.time() - t0
     assert miou >= 0.95, f"train mIoU {miou:.4f} < 0.95"
     assert elapsed < 600.0

@@ -250,11 +250,13 @@ def _config(tmp_path, text):
 
 
 @pytest.mark.parametrize("case", ["width", "steps", "overfit", "channels", "pooling",
-                                  "precision"])
+                                  "precision", "repeated_levels", "gpm_levels"])
 def test_bad_setting_exits_2_naming_flag_or_key(case, tmp_path):
     flags = {"width": ["--width", "0"], "steps": ["--steps", "-3"],
-             "overfit": ["--overfit", "-1"], "channels": ["--channels", "0"]}
-    lines = {"pooling": "# comment\npooling = bogus\n", "precision": "precision = f16\n"}
+             "overfit": ["--overfit", "-1"], "channels": ["--channels", "0"],
+             "repeated_levels": ["--gpm-levels", "1,1,2"]}
+    lines = {"pooling": "# comment\npooling = bogus\n", "precision": "precision = f16\n",
+             "gpm_levels": "gpm_levels = 2,2\n"}
     if case in flags:
         argv, where = flags[case], f"argument {flags[case][0]}"
     else:
@@ -384,4 +386,24 @@ def test_unusable_checkpoint_exits_4_naming_the_key(case, bench_dir, tmp_path):
                   "--ckpt", str(ckpt))
     assert res.returncode == 4, res.stderr
     assert "edited.ckpt" in res.stderr and named in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_checkpoint_with_repeated_levels_exits_4(bench_dir, tmp_path):
+    from grapy.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+    from grapy.hierarchy import taxonomy_by_name
+    from grapy.model import ModelParams
+    from grapy.serialize import load_model, save_model
+
+    tax, ckpt = taxonomy_by_name("A"), tmp_path / "edited.ckpt"
+    save_model(ckpt, ModelParams.init(0, tax, width=4, channels=4), tax)
+    arrays, meta = load_checkpoint(ckpt)
+    meta["levels"] = "1,2,2"
+    save_checkpoint(ckpt, arrays, meta)
+    with pytest.raises(CheckpointError, match="meta.levels"):
+        load_model(ckpt)
+    res = run_cli("eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),
+                  "--ckpt", str(ckpt))
+    assert res.returncode == 4, res.stderr
+    assert "edited.ckpt" in res.stderr and "meta.levels" in res.stderr
     assert "Traceback" not in res.stderr

@@ -28,6 +28,14 @@ class TestBuiltins:
             assert set(tax.table_to(2)) == set(range(K2))
             assert set(tax.table_to(1)) == set(range(K1))
 
+    def test_level_tables_built_once_and_read_only(self, taxonomies):
+        for tax in taxonomies:
+            for level in (1, 2, 3):
+                table = tax.table_to(level)
+                assert table is tax.table_to(level)
+                with pytest.raises(ValueError):
+                    table[0] = 1
+
     def test_pairwise_fine_disagreement(self, taxonomies):
         for i, t1 in enumerate(taxonomies):
             for t2 in taxonomies[i + 1:]:

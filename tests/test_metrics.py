@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grapy.hierarchy import coarsen, taxonomy_by_name
-from grapy.metrics import ConfusionMatrix, confusions, evaluate_at_level, evaluate_report
+from grapy.metrics import ConfusionMatrix, confusions, evaluate_report
 from grapy.model import ModelParams, forward
 from grapy.synthdata import Dataset, Sample, SceneSpec, generate
 from grapy.tensor import argmax_channel
@@ -132,19 +132,12 @@ class TestEvaluateAtLevel:
                           labels=rng.integers(0, tax.k3, (16, 16)))
                    for _ in range(2)]
         ds = Dataset("A", tax, samples)
+        report, _ = evaluate_report(params, ds)
+        assert sorted(report) == ["gpm", "main"]
         for branch in ("main", "gpm"):
-            for level in (1, 2, 3):
-                miou, macc = evaluate_at_level(params, ds, level, branch=branch)
+            assert sorted(report[branch]) == [1, 2, 3]
+            for miou, macc in report[branch].values():
                 assert 0.0 <= miou <= 1.0 and 0.0 <= macc <= 1.0
-
-    def test_bad_level(self):
-        rng = np.random.default_rng(6)
-        tax = taxonomy_by_name("A")
-        params = ModelParams.init(rng, tax, width=4, channels=4)
-        ds = Dataset("A", tax, [Sample(image=rng.uniform(0, 1, (16, 16, 3)),
-                                       labels=rng.integers(0, 7, (16, 16)))])
-        with pytest.raises(ValueError):
-            evaluate_at_level(params, ds, 0)
 
 
 def _coarsen_then_count(pairs, tax):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from grapy.hierarchy import builtin_taxonomies
-from grapy.model import forward, loss_tensor
+from grapy.model import ModelParams, forward, loss_tensor
 from grapy.mutual import (MlModel, MlTrainConfig, RoundRobinSampler, audit_sharing,
-                          ml_forward, ml_step, ml_step_accumulated, snapshot,
+                          ml_step, ml_step_accumulated, snapshot,
                           train_mutual)
+from grapy.pyramid import GpmParams
 from grapy.synthdata import Dataset, SampleBatch, SceneSpec, generate
 from grapy.tensor import SGD, Tensor, precision
 
@@ -34,21 +35,21 @@ class TestStructure:
         rng = np.random.default_rng(1)
         image = rng.uniform(0, 1, (16, 16, 3))
         for d, k3 in ((1, 7), (2, 12), (3, 10)):
-            out = ml_forward(image[None], d, model)
+            out = forward(image[None], model.branch_params(d), taxonomies[d - 1])
             assert out.y.data[0].shape == (16, 16, k3)
             assert out.y_hat.data[0].shape == (16, 16, k3)
 
     def test_invalid_dataset_index(self, taxonomies):
         model = small_model(taxonomies)
         with pytest.raises(ValueError):
-            model.branch(0)
+            model.branch_params(0)
         with pytest.raises(ValueError):
-            model.branch(4)
+            model.branch_params(4)
 
     def test_name_sets_disjoint_and_partition(self, taxonomies):
         model = small_model(taxonomies)
-        shared = set(model.shared.named())
-        branch_sets = [set(b.named()) for b in model.branches]
+        shared = set(model.shared_named())
+        branch_sets = [set(model.branch_named(d)) for d in (1, 2, 3)]
         all_names = set(model.named())
         pieces = [shared] + branch_sets
         assert sum(len(p) for p in pieces) == len(all_names)
@@ -68,9 +69,13 @@ class TestStructure:
         with pytest.raises(ValueError):
             MlModel.init(0, taxonomies[:1])
 
+    def test_negative_loss_weight_rejected(self, taxonomies):
+        with pytest.raises(ValueError, match="loss weight"):
+            small_model(taxonomies, loss_weight=-1.0)
+
     def test_separate_backbones_mode(self, taxonomies):
         model = small_model(taxonomies, share_backbone=False)
-        assert model.shared.backbone is None
+        assert not model.share_backbone
         names = set(model.named())
         assert "branch1.backbone.conv1.kernel" in names
         assert "shared.backbone.conv1.kernel" not in names
@@ -108,8 +113,10 @@ class TestWeightSharing:
         rng = np.random.default_rng(3)
         image = rng.uniform(0, 1, (16, 16, 3))
         q = rng.integers(0, 7, (16, 16))
-        a = ml_forward(image[None], 1, model, gt_labels=q[None])
-        b = forward(image[None], params, taxonomies[0], gt_labels=q[None])
+        single = ModelParams(params.backbone, params.main_head,
+                             GpmParams(dict(params.gpm.levels), params.gpm.head), 1.0)
+        a = forward(image[None], params, taxonomies[0], gt_labels=q[None])
+        b = forward(image[None], single, taxonomies[0], gt_labels=q[None])
         assert a.y.data[0].tobytes() == b.y.data[0].tobytes()
         assert a.y_hat.data[0].tobytes() == b.y_hat.data[0].tobytes()
 
@@ -118,16 +125,16 @@ class TestSteps:
     def test_gradient_locality(self, taxonomies):
         model = small_model(taxonomies)
         datasets = small_datasets()
-        before = {d: snapshot(model.branch(d).named()) for d in (1, 2, 3)}
-        shared_before = snapshot(model.shared.named())
+        before = {d: snapshot(model.branch_named(d)) for d in (1, 2, 3)}
+        shared_before = snapshot(model.shared_named())
         batch = SampleBatch([datasets[0].samples[0].image],
                             [datasets[0].samples[0].labels], dataset_index=1)
         opt = SGD(model.named(), lr=0.05, momentum=0.0)
         ml_step(batch, model, opt)
-        assert snapshot(model.branch(2).named()) == before[2]
-        assert snapshot(model.branch(3).named()) == before[3]
-        assert snapshot(model.shared.named()) != shared_before
-        assert snapshot(model.branch(1).named()) != before[1]
+        assert snapshot(model.branch_named(2)) == before[2]
+        assert snapshot(model.branch_named(3)) == before[3]
+        assert snapshot(model.shared_named()) != shared_before
+        assert snapshot(model.branch_named(1)) != before[1]
 
     def test_accumulated_loss_is_exact_sum(self, taxonomies):
         model = small_model(taxonomies)
@@ -140,8 +147,8 @@ class TestSteps:
         for batch in batches:
             params = model.branch_params(batch.dataset_index)
             out = forward(batch.images[0][None], params,
-                          model.branch(batch.dataset_index).taxonomy)
-            per.append(float(loss_tensor(out, batch.labels[0][None], model.loss_weight).data))
+                          model.taxonomies[batch.dataset_index - 1])
+            per.append(float(loss_tensor(out, batch.labels[0][None], params.loss_weight).data))
         opt = SGD(model.named(), lr=0.0, momentum=0.0)
         total, reported = ml_step_accumulated(batches, model, opt)
         assert np.isclose(total, sum(per), rtol=0, atol=1e-9)
@@ -161,12 +168,12 @@ class TestTrainMutual:
             cfg = MlTrainConfig(seed=0, lr=0.05, batch_size=2, epochs_pretrain=1,
                                 epochs_main=1, epochs_finetune=0, width=4, channels=4)
             model = train_mutual(datasets, cfg)
-            before = {d: snapshot(model.branch(d).named()) for d in (2, 3)}
+            before = {d: snapshot(model.branch_named(d)) for d in (2, 3)}
             cfg_ft = MlTrainConfig(seed=0, lr=0.05, batch_size=2, epochs_pretrain=0,
                                    epochs_main=0, epochs_finetune=2, width=4, channels=4)
             model = train_mutual(datasets, cfg_ft, finetune_on=1, model=model)
-            assert snapshot(model.branch(2).named()) == before[2]
-            assert snapshot(model.branch(3).named()) == before[3]
+            assert snapshot(model.branch_named(2)) == before[2]
+            assert snapshot(model.branch_named(3)) == before[3]
 
     def test_log_has_dataset_column(self, taxonomies, tmp_path):
         from grapy.model import TrainLog

@@ -255,6 +255,12 @@ class TestDistribute:
 
 
 class TestPyramidForward:
+    @pytest.mark.parametrize("levels", [(1, 1, 2), (2, 2), (), (0, 1), (4,)])
+    def test_bad_levels_rejected(self, tax, levels):
+        # a repeat would make fewer levels than the head is sized for
+        with pytest.raises(ValueError, match="without repeats"):
+            GpmParams.init(np.random.default_rng(0), 4, tax.k3, levels=levels)
+
     def _inputs(self, rng, tax, h=6, w=6, c=4):
         f = rng.normal(size=(h, w, c))
         y = rng.uniform(0, 1, (h, w, tax.k3))

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -88,8 +91,9 @@ def test_separate_backbone_ml_round_trip(tmp_path):
     save_ml_model(path, model)
     loaded, meta = load_ml_model(path)
     assert meta["share_backbone"] == "0"
-    assert loaded.shared.backbone is None
-    assert loaded.branch(1).backbone is not None
+    assert not loaded.share_backbone
+    assert not any(n.startswith("shared.backbone.") for n in loaded.shared_named())
+    assert "branch1.backbone.conv1.kernel" in loaded.branch_named(1)
 
 
 def test_kind_mismatch_rejected(tmp_path):
@@ -102,3 +106,49 @@ def test_kind_mismatch_rejected(tmp_path):
 
     with pytest.raises(CheckpointError):
         load_ml_model(path)
+
+
+def _level(prefix, fresh):
+    extra = [f"{prefix}.q{j}_iter{i}" for i in (2, 3) for j in (1, 2)] if fresh else []
+    return [f"{prefix}.q1", f"{prefix}.q2", f"{prefix}.out_proj", *extra]
+
+
+def _layout(share_backbone, fresh):
+    """The record names of a mutual checkpoint of A, B, C, in file order."""
+    backbone = [f"conv{i}.{p}" for i in (1, 2, 3) for p in ("kernel", "bias")]
+    names = [f"shared.backbone.{n}" for n in backbone] if share_backbone else []
+    names += _level("shared.gpm.level1", fresh) + _level("shared.gpm.level2", fresh)
+    for d in (1, 2, 3):
+        if not share_backbone:
+            names += [f"branch{d}.backbone.{n}" for n in backbone]
+        names += [f"branch{d}.main_head.kernel", f"branch{d}.main_head.bias",
+                  *_level(f"branch{d}.gpm.level3", fresh), f"branch{d}.gpm.head"]
+    return names
+
+
+@pytest.mark.parametrize("kw, digest", [
+    (dict(), "db2edbc03e57f0e575d2c3ca2f3da4121e17c16bed83751e32561b1cf26c1052"),
+    (dict(share_backbone=False), "9154767796f286a6ee1e6e3f689b8b9bd51e9784d85aa9c9c6db516bbc72ceb2"),
+    (dict(fresh_weights=True), "377e06f231a3e8a8eaa182a14bbc7cab1f527428f0c2f6d2c0df0a6e0c4b6933"),
+], ids=["shared", "separate", "fresh"])
+def test_ml_checkpoint_layout_pinned(tmp_path, kw, digest):
+    # the names, their order and the bytes at a fixed seed: the bytes pin the
+    # init's draw order (shared backbone, Levels 1-2, then per branch its
+    # backbone, main head, Level 3, head)
+    model = MlModel.init(np.random.default_rng(11), list(builtin_taxonomies()),
+                         width=4, channels=4, **kw)
+    path = tmp_path / "ml.ckpt"
+    save_ml_model(path, model)
+    arrays, _ = load_checkpoint(path)
+    assert list(arrays) == list(model.named()) == _layout(kw.get("share_backbone", True),
+                                                          kw.get("fresh_weights", False))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_eval_checkpoint_round_trip_is_byte_identical(tmp_path):
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "eval_abc.ckpt")
+    model, _ = load_ml_model(path)
+    copy = tmp_path / "eval_abc.ckpt"
+    save_ml_model(copy, model)
+    with open(path, "rb") as fh:
+        assert copy.read_bytes() == fh.read()

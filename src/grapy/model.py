@@ -244,7 +244,9 @@ class SeedConfig:
 
 
 @dataclass
-class TrainConfig(SeedConfig):
+class BaseTrainConfig(SeedConfig):
+    """The settings of single-model and mutual training."""
+
     lr: float = setting(0.1, "learning rate of the pretrain phase", bounds="(0, inf)")
     momentum: float = setting(0.9, "SGD momentum", bounds="[0, 1)")
     batch_size: int = setting(4, "images per step", bounds="[1, inf)")
@@ -255,15 +257,21 @@ class TrainConfig(SeedConfig):
     loss_weight: float = setting(1.0, "pyramid-branch loss weight", key="lambda",
                                  aliases=("loss_weight",), bounds="[0, inf)")
     gt_masks: bool = setting(False, "debug: category masks from ground truth")
-    with_gpm: bool = setting(True, "train the pyramid branch (off: main only)", key="gpm")
     pooling: str = setting("both", "category pooling", choices=("both", "ave", "max"))
-    levels: tuple = setting((1, 2, 3), "pyramid levels", key="gpm_levels", parse=parse_levels)
     iterations: int = setting(GCR_ITERATIONS, "reasoning iterations", bounds="[1, inf)")
     fresh_weights: bool = setting(False, "fresh attention projections per iteration",
                                   key="gcr_fresh_weights")
     c_in: int = 3  # image channels; the datasets are RGB
     width: int = setting(16, "backbone conv width", bounds="[1, inf)")
     channels: int = setting(8, "feature channels", bounds="[1, inf)")
+
+
+@dataclass
+class TrainConfig(BaseTrainConfig):
+    """Single-model training: the shared settings, and which pyramid to train."""
+
+    with_gpm: bool = setting(True, "train the pyramid branch (off: main only)", key="gpm")
+    levels: tuple = setting((1, 2, 3), "pyramid levels", key="gpm_levels", parse=parse_levels)
 
 
 def seeded_rng(seed: int, stream: int) -> np.random.Generator:

@@ -17,8 +17,8 @@ from functools import partial
 import numpy as np
 
 from .hierarchy import Taxonomy
-from .model import (CLIP_NORM, SGD, BackboneParams, ConvLayer, ModelParams, Phase,
-                    TrainConfig, TrainLog, apply_update, batch_loss, batch_stream,
+from .model import (CLIP_NORM, SGD, BackboneParams, BaseTrainConfig, ConvLayer, ModelParams,
+                    Phase, TrainLog, apply_update, batch_loss, batch_stream,
                     init_model, run_phases, seeded_rng, setting, train_step)
 # the benchmark's tracer wraps ``clip_gradients`` and ``train_step`` here too
 from .model import clip_gradients  # noqa: F401
@@ -137,7 +137,7 @@ class RoundRobinSampler:
 
 
 @dataclass
-class MlTrainConfig(TrainConfig):
+class MlTrainConfig(BaseTrainConfig):
     epochs_finetune: int = setting(10, "epochs on the --finetune dataset", bounds="[0, inf)")
     share_backbone: bool = setting(True, "one backbone for every dataset branch")
     accumulate: bool = setting(False, "one update per dataset group (summed losses)")

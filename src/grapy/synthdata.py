@@ -1,11 +1,23 @@
 """Deterministic procedural generator of articulated stick-figure scenes.
 
 Each figure is a head disc, a torso rectangle, two 2-segment arms and two
-2-segment legs, posed with seeded random angles and sizes. Pixels get a
-Level-2 body-part family from the drawn geometry and are refined to the
-taxonomy's fine labels by their position inside the part (upper vs lower
-segment halves, head bands, torso sub-rectangles). Later figures overwrite
-earlier ones per pixel, so overlapping figures occlude like painted layers.
+2-segment legs, posed with seeded random angles and sizes. A sample is
+painted in one stacked pass: every primitive's inside test and position
+fraction t (0 at the top of head and torso, at the near end of a limb
+segment) are computed once over the parts' common bounding box. The last
+part drawn over a pixel owns it (per figure arms, legs, torso, head; later
+figures over earlier ones), so overlapping figures occlude like painted layers.
+
+The owner's (taxonomy, part, segment) rule labels the pixel: thresholds on t
+split a part into fine labels, and t exactly at a threshold takes the later one.
+
+    part   segment  A         B                             C
+    head            Head      Hat <0.30 Hair <0.55 Face     Hair <0.45 Face
+    torso           Torso     TorsoSkin <0.20 UpperClothes  Torso <0.86 Belt
+    arm    upper    UpperArm  UpperArm                      Arm
+    arm    lower    LowerArm  LowerArm                      Arm <0.55 Hand
+    leg    upper    UpperLeg  Pants <0.65 UpperLeg          UpperLeg
+    leg    lower    LowerLeg  LowerLeg <0.65 Shoe           LowerLeg <0.65 Shoe
 
 Colors carry the part family: all fine labels inside one family share the
 family base color, shifted per figure (and slightly per fine label) by
@@ -15,7 +27,9 @@ so fine labels are distinguishable only by geometry.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -86,103 +100,105 @@ class Dataset:
                               dataset_index=dataset_index)
 
 
-_FAMILY_BASE = {
-    "head": np.array([0.87, 0.70, 0.56]),
-    "torso": np.array([0.24, 0.42, 0.78]),
-    "arm": np.array([0.82, 0.57, 0.24]),
-    "leg": np.array([0.33, 0.62, 0.30]),
-}
+# Families in the order of their base colors and of each figure's jitter draws.
+_FAMILIES = ("arm", "leg", "torso", "head")
+_FAMILY_BASE = np.array([[0.82, 0.57, 0.24], [0.33, 0.62, 0.30],
+                         [0.24, 0.42, 0.78], [0.87, 0.70, 0.56]])
 _BG_BASE = np.array([0.91, 0.91, 0.88])
-_DRAW_ORDER = ("arm", "leg", "torso", "head")  # torso covers shoulder/hip joints
+
+# (taxonomy, part, segment) -> (thresholds, names): the fine label at
+# position fraction t is names[searchsorted(thresholds, t, side="right")].
+_RULES = {
+    "A": {("arm", 0): ((), ("UpperArm",)), ("arm", 1): ((), ("LowerArm",)),
+          ("leg", 0): ((), ("UpperLeg",)), ("leg", 1): ((), ("LowerLeg",)),
+          ("torso", 0): ((), ("Torso",)), ("head", 0): ((), ("Head",))},
+    "B": {("arm", 0): ((), ("UpperArm",)), ("arm", 1): ((), ("LowerArm",)),
+          ("leg", 0): ((0.65,), ("Pants", "UpperLeg")),
+          ("leg", 1): ((0.65,), ("LowerLeg", "Shoe")),
+          ("torso", 0): ((0.20,), ("TorsoSkin", "UpperClothes")),
+          ("head", 0): ((0.30, 0.55), ("Hat", "Hair", "Face"))},
+    "C": {("arm", 0): ((), ("Arm",)), ("arm", 1): ((0.55,), ("Arm", "Hand")),
+          ("leg", 0): ((), ("UpperLeg",)), ("leg", 1): ((0.65,), ("LowerLeg", "Shoe")),
+          ("torso", 0): ((0.86,), ("Torso", "Belt")),
+          ("head", 0): ((0.45,), ("Hair", "Face"))},
+}
 
 
+@functools.cache
 def _fine_offsets(tax: Taxonomy) -> np.ndarray:
     """Stable per-fine-label color nudges in [-1, 1], hashed from the name."""
     out = np.zeros((tax.k3, 3))
-    for i, name in enumerate(tax.fine_labels):
-        if i == 0:
-            continue
+    for i, name in enumerate(tax.fine_labels[1:], 1):
         digest = hashlib.md5(name.encode("utf-8")).digest()
         out[i] = [digest[j] / 127.5 - 1.0 for j in range(3)]
     return out
 
 
-def _refine(tax_name: str, part: str, seg: int, t: np.ndarray, name_to_idx: dict) -> np.ndarray:
-    """Fine label per pixel from part kind, segment index and position fraction."""
-
-    def lab(name):
-        return np.full(t.shape, name_to_idx[name], np.int64)
-
-    if tax_name == "A":
-        if part == "head":
-            return lab("Head")
-        if part == "torso":
-            return lab("Torso")
-        if part == "arm":
-            return lab("UpperArm") if seg == 0 else lab("LowerArm")
-        return lab("UpperLeg") if seg == 0 else lab("LowerLeg")
-    if tax_name == "B":
-        if part == "head":
-            return np.where(t < 0.30, lab("Hat"), np.where(t < 0.55, lab("Hair"), lab("Face")))
-        if part == "torso":
-            return np.where(t < 0.20, lab("TorsoSkin"), lab("UpperClothes"))
-        if part == "arm":
-            return lab("UpperArm") if seg == 0 else lab("LowerArm")
-        if seg == 0:
-            return np.where(t < 0.65, lab("Pants"), lab("UpperLeg"))
-        return np.where(t < 0.65, lab("LowerLeg"), lab("Shoe"))
-    if tax_name == "C":
-        if part == "head":
-            return np.where(t < 0.45, lab("Hair"), lab("Face"))
-        if part == "torso":
-            return np.where(t >= 0.86, lab("Belt"), lab("Torso"))
-        if part == "arm":
-            return lab("Arm") if seg == 0 else np.where(t < 0.55, lab("Arm"), lab("Hand"))
-        if seg == 0:
-            return lab("UpperLeg")
-        return np.where(t < 0.65, lab("LowerLeg"), lab("Shoe"))
-    raise GenerationError(f"no figure refinement rules for taxonomy {tax_name!r}; "
-                          "generation supports the built-in taxonomies A, B, C")
+@functools.cache
+def _label_table(tax: Taxonomy) -> tuple[np.ndarray, dict, np.ndarray]:
+    """``_RULES`` of ``tax`` as ``(cuts, rule, lut)``: the sorted thresholds of
+    all its rules, the row of each (part, segment), and the fine label of each
+    row for each band ``searchsorted(cuts, t, side="right")`` of t."""
+    rules = _RULES.get(tax.dataset_name)
+    if rules is None:
+        raise GenerationError(f"no figure refinement rules for taxonomy {tax.dataset_name!r}; "
+                              "generation supports the built-in taxonomies A, B, C")
+    index = {n: i for i, n in enumerate(tax.fine_labels)}
+    cuts = np.array(sorted({c for thresholds, _ in rules.values() for c in thresholds}))
+    lut = np.empty((len(rules), len(cuts) + 1), np.int64)
+    for row, (thresholds, names) in enumerate(rules.values()):
+        for name in names:
+            if name not in index:
+                raise GenerationError(f"taxonomy {tax.dataset_name!r} has no fine label "
+                                      f"{name!r}, which its figure rules paint")
+        lut[row] = [index[names[k]] for k in
+                    np.searchsorted(thresholds, [-np.inf, *cuts], side="right")]
+    return cuts, {key: row for row, key in enumerate(rules)}, lut
 
 
-def _raster_disc(h, w, cx, cy, r):
-    ys, xs = _bbox_grid(h, w, cx - r, cy - r, cx + r, cy + r)
-    inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
-    t = np.clip((ys - (cy - r)) / (2.0 * r), 0.0, 1.0)
-    return ys[inside], xs[inside], t[inside]
+def _bounds(prims) -> tuple[float, float, float, float]:
+    """(x0, y0, x1, y1): the smallest box holding every primitive."""
+    boxes = []
+    for kind, *p in prims:
+        if kind == "disc":
+            cx, cy, r = p
+            boxes.append((cx - r, cy - r, cx + r, cy + r))
+        elif kind == "rect":
+            boxes.append(p)
+        else:
+            ax, ay, bx, by, r = p
+            boxes.append((min(ax, bx) - r, min(ay, by) - r, max(ax, bx) + r, max(ay, by) + r))
+    x0, y0, x1, y1 = zip(*boxes)
+    return min(x0), min(y0), max(x1), max(y1)
 
 
-def _raster_rect(h, w, x0, y0, x1, y1):
-    ys, xs = _bbox_grid(h, w, x0, y0, x1, y1)
-    inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
-    t = np.clip((ys - y0) / max(y1 - y0, 1e-9), 0.0, 1.0)
-    return ys[inside], xs[inside], t[inside]
-
-
-def _raster_capsule(h, w, x0, y0, x1, y1, r):
-    ys, xs = _bbox_grid(h, w, min(x0, x1) - r, min(y0, y1) - r,
-                        max(x0, x1) + r, max(y0, y1) + r)
+# Inside test and position fraction t of stacked primitives (one per leading
+# index of the parameters) at pixel rows ys and columns xs.
+def _capsules(ys, xs, x0, y0, x1, y1, r):
     dx, dy = x1 - x0, y1 - y0
-    l2 = max(dx * dx + dy * dy, 1e-9)
+    l2 = np.maximum(dx * dx + dy * dy, 1e-9)
     t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / l2, 0.0, 1.0)
-    px, py = x0 + t * dx, y0 + t * dy
-    inside = (xs - px) ** 2 + (ys - py) ** 2 <= r * r
-    return ys[inside], xs[inside], t[inside]
+    return (xs - (x0 + t * dx)) ** 2 + (ys - (y0 + t * dy)) ** 2 <= r * r, t
 
 
-def _bbox_grid(h, w, x0, y0, x1, y1):
-    iy0, iy1 = max(0, int(np.floor(y0))), min(h - 1, int(np.ceil(y1)))
-    ix0, ix1 = max(0, int(np.floor(x0))), min(w - 1, int(np.ceil(x1)))
-    if iy0 > iy1 or ix0 > ix1:
-        return np.zeros((0,), np.int64), np.zeros((0,), np.int64)
-    ys, xs = np.mgrid[iy0 : iy1 + 1, ix0 : ix1 + 1]
-    return ys, xs
+def _rects(ys, xs, x0, y0, x1, y1):
+    inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+    return inside, np.clip((ys - y0) / np.maximum(y1 - y0, 1e-9), 0.0, 1.0)
+
+
+def _discs(ys, xs, cx, cy, r):
+    inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+    return inside, np.clip((ys - (cy - r)) / (2.0 * r), 0.0, 1.0)
+
+
+_RASTERS = {"capsule": _capsules, "rect": _rects, "disc": _discs}
 
 
 def _figure_geometry(rng: np.random.Generator, h_px: int, w_px: int):
     """Sample one articulated figure that fits the frame; 100 attempts max.
 
-    Returns draw-ordered (part, segment, primitive) triples.
+    Returns (part, segment, primitive) triples in draw order: arms, legs,
+    torso (covering the shoulder and hip joints), head.
     """
     for _ in range(100):
         fh = rng.uniform(0.60, 0.82) * h_px
@@ -230,62 +246,49 @@ def _figure_geometry(rng: np.random.Generator, h_px: int, w_px: int):
 
 
 def _fits(parts, h_px, w_px) -> bool:
-    lo, hi = 0.5, -0.5
-    xmin = ymin = np.inf
-    xmax = ymax = -np.inf
-    for _, _, prim in parts:
-        kind = prim[0]
-        if kind == "disc":
-            _, cx, cy, r = prim
-            x0, y0, x1, y1 = cx - r, cy - r, cx + r, cy + r
-        elif kind == "rect":
-            _, x0, y0, x1, y1 = prim
-        else:
-            _, ax, ay, bx, by, r = prim
-            x0, y0 = min(ax, bx) - r, min(ay, by) - r
-            x1, y1 = max(ax, bx) + r, max(ay, by) + r
-        xmin, ymin = min(xmin, x0), min(ymin, y0)
-        xmax, ymax = max(xmax, x1), max(ymax, y1)
-    return xmin >= lo and ymin >= lo and xmax <= w_px + hi - 1 and ymax <= h_px + hi - 1
-
-
-def _raster(prim, h, w):
-    kind = prim[0]
-    if kind == "disc":
-        return _raster_disc(h, w, *prim[1:])
-    if kind == "rect":
-        return _raster_rect(h, w, *prim[1:])
-    return _raster_capsule(h, w, *prim[1:])
+    x0, y0, x1, y1 = _bounds(prim for _, _, prim in parts)
+    return x0 >= 0.5 and y0 >= 0.5 and x1 <= w_px - 1.5 and y1 <= h_px - 1.5
 
 
 def generate_sample(spec: SceneSpec, taxonomy: Taxonomy, index: int) -> Sample:
     """Generate sample ``index`` of ``spec`` labelled in ``taxonomy``."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
     h, w = spec.image_size
-    name_to_idx = {n: i for i, n in enumerate(taxonomy.fine_labels)}
-    offsets = _fine_offsets(taxonomy)
-
-    fine = np.zeros((h, w), np.int64)
-    img = np.empty((h, w, 3))
-    img[:] = np.clip(_BG_BASE + spec.palette_jitter * rng.normal(0.0, 1.0, 3), 0.0, 1.0)
-
+    cuts, rule, lut = _label_table(taxonomy)
+    bg = np.clip(_BG_BASE + spec.palette_jitter * rng.normal(0.0, 1.0, 3), 0.0, 1.0)
     lo, hi = spec.figures_per_image
-    nfig = int(rng.integers(lo, hi, endpoint=True))
-    for _ in range(nfig):
-        parts = _figure_geometry(rng, h, w)
-        jitter = {fam: rng.normal(0.0, 1.0, 3) for fam in _DRAW_ORDER}
-        for fam in _DRAW_ORDER:
-            for part, seg, prim in parts:
-                if part != fam:
-                    continue
-                ys, xs, t = _raster(prim, h, w)
-                if ys.size == 0:
-                    continue
-                fids = _refine(taxonomy.dataset_name, part, seg, t, name_to_idx)
-                fine[ys, xs] = fids
-                color = _FAMILY_BASE[part] + spec.palette_jitter * (
-                    0.8 * offsets[fids] + jitter[part])
-                img[ys, xs] = np.clip(color, 0.0, 1.0)
+    parts, jitter = [], []
+    for _ in range(int(rng.integers(lo, hi, endpoint=True))):
+        figure = _figure_geometry(rng, h, w)
+        draws = rng.normal(0.0, 1.0, (len(_FAMILIES), 3))
+        parts += figure
+        jitter += [draws[_FAMILIES.index(part)] for part, _, _ in figure]
+
+    # Inside test and position fraction of every primitive over the parts'
+    # common box; a pixel outside a primitive's own box is never inside it.
+    x0, y0, x1, y1 = _bounds(prim for _, _, prim in parts)
+    iy0, iy1 = max(0, math.floor(y0)), min(h - 1, math.ceil(y1))
+    ix0, ix1 = max(0, math.floor(x0)), min(w - 1, math.ceil(x1))
+    ys, xs = np.arange(iy0, iy1 + 1)[:, None], np.arange(ix0, ix1 + 1)
+    inside = np.empty((len(parts), len(ys), len(xs)), bool)
+    t = np.empty(inside.shape)
+    for kind, raster in _RASTERS.items():
+        sel = [i for i, (_, _, prim) in enumerate(parts) if prim[0] == kind]
+        params = np.array([parts[i][2][1:] for i in sel]).T[:, :, None, None]
+        inside[sel], t[sel] = raster(ys, xs, *params)
+
+    # The last part drawn over a pixel owns it, and labels and colors it.
+    yy, xx = inside.any(axis=0).nonzero()
+    owner = len(parts) - 1 - inside[::-1].argmax(axis=0)[yy, xx]
+    rows = np.array([rule[part, seg] for part, seg, _ in parts])
+    fam = np.array([_FAMILIES.index(part) for part, _, _ in parts])
+    fids = lut[rows[owner], np.searchsorted(cuts, t[owner, yy, xx], side="right")]
+    color = _FAMILY_BASE[fam[owner]] + spec.palette_jitter * (
+        0.8 * _fine_offsets(taxonomy)[fids] + np.array(jitter)[owner])
+
+    fine, img = np.zeros((h, w), np.int64), np.tile(bg, (h, w, 1))
+    fine[iy0 + yy, ix0 + xx] = fids
+    img[iy0 + yy, ix0 + xx] = np.clip(color, 0.0, 1.0)
     if spec.noise_sigma > 0:
         img = np.clip(img + rng.normal(0.0, spec.noise_sigma, img.shape), 0.0, 1.0)
     return Sample(image=img, labels=fine)

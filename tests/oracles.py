@@ -6,7 +6,11 @@ from the implementation (boolean masking instead of label-map kernels,
 einsum instead of blocked matmuls, per-pixel loops for convolution).
 """
 
+import hashlib
+
 import numpy as np
+
+from grapy import synthdata
 
 
 def fd_gradient(func, arr, h=1e-5):
@@ -163,3 +167,110 @@ def scatter_oracle(g, label_map, k):
         for j in range(w):
             out[label_map[i, j]] += g[i, j]
     return out
+
+
+def _refine_oracle(tax_name, part, seg, t, name_to_idx):
+    """Fine label per pixel from part kind, segment index and position fraction."""
+
+    def lab(name):
+        return np.full(t.shape, name_to_idx[name], np.int64)
+
+    if tax_name == "A":
+        if part == "head":
+            return lab("Head")
+        if part == "torso":
+            return lab("Torso")
+        if part == "arm":
+            return lab("UpperArm") if seg == 0 else lab("LowerArm")
+        return lab("UpperLeg") if seg == 0 else lab("LowerLeg")
+    if tax_name == "B":
+        if part == "head":
+            return np.where(t < 0.30, lab("Hat"), np.where(t < 0.55, lab("Hair"), lab("Face")))
+        if part == "torso":
+            return np.where(t < 0.20, lab("TorsoSkin"), lab("UpperClothes"))
+        if part == "arm":
+            return lab("UpperArm") if seg == 0 else lab("LowerArm")
+        if seg == 0:
+            return np.where(t < 0.65, lab("Pants"), lab("UpperLeg"))
+        return np.where(t < 0.65, lab("LowerLeg"), lab("Shoe"))
+    if part == "head":
+        return np.where(t < 0.45, lab("Hair"), lab("Face"))
+    if part == "torso":
+        return np.where(t >= 0.86, lab("Belt"), lab("Torso"))
+    if part == "arm":
+        return lab("Arm") if seg == 0 else np.where(t < 0.55, lab("Arm"), lab("Hand"))
+    if seg == 0:
+        return lab("UpperLeg")
+    return np.where(t < 0.65, lab("LowerLeg"), lab("Shoe"))
+
+
+def _bbox_grid(h, w, x0, y0, x1, y1):
+    iy0, iy1 = max(0, int(np.floor(y0))), min(h - 1, int(np.ceil(y1)))
+    ix0, ix1 = max(0, int(np.floor(x0))), min(w - 1, int(np.ceil(x1)))
+    if iy0 > iy1 or ix0 > ix1:
+        return np.zeros((0,), np.int64), np.zeros((0,), np.int64)
+    ys, xs = np.mgrid[iy0 : iy1 + 1, ix0 : ix1 + 1]
+    return ys, xs
+
+
+def _raster_oracle(prim, h, w):
+    """Pixels (ys, xs) inside one primitive and their position fraction t,
+    tested over the primitive's own clipped floor/ceil box."""
+    kind = prim[0]
+    if kind == "disc":
+        _, cx, cy, r = prim
+        ys, xs = _bbox_grid(h, w, cx - r, cy - r, cx + r, cy + r)
+        inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+        t = np.clip((ys - (cy - r)) / (2.0 * r), 0.0, 1.0)
+    elif kind == "rect":
+        _, x0, y0, x1, y1 = prim
+        ys, xs = _bbox_grid(h, w, x0, y0, x1, y1)
+        inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+        t = np.clip((ys - y0) / max(y1 - y0, 1e-9), 0.0, 1.0)
+    else:
+        _, x0, y0, x1, y1, r = prim
+        ys, xs = _bbox_grid(h, w, min(x0, x1) - r, min(y0, y1) - r,
+                            max(x0, x1) + r, max(y0, y1) + r)
+        dx, dy = x1 - x0, y1 - y0
+        l2 = max(dx * dx + dy * dy, 1e-9)
+        t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / l2, 0.0, 1.0)
+        px, py = x0 + t * dx, y0 + t * dy
+        inside = (xs - px) ** 2 + (ys - py) ** 2 <= r * r
+    return ys[inside], xs[inside], t[inside]
+
+
+def scene_oracle(spec, taxonomy, index):
+    """(image, labels) of sample ``index``, painting one primitive at a time in
+    draw order (arms, legs, torso, head; figure by figure), each over the
+    pixels it covers, with the generator's random draws and geometry."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
+    h, w = spec.image_size
+    name_to_idx = {n: i for i, n in enumerate(taxonomy.fine_labels)}
+    offsets = np.zeros((taxonomy.k3, 3))
+    for i, name in enumerate(taxonomy.fine_labels[1:], 1):
+        digest = hashlib.md5(name.encode("utf-8")).digest()
+        offsets[i] = [digest[j] / 127.5 - 1.0 for j in range(3)]
+
+    fine = np.zeros((h, w), np.int64)
+    img = np.empty((h, w, 3))
+    bg = synthdata._BG_BASE + spec.palette_jitter * rng.normal(0.0, 1.0, 3)
+    img[:] = np.clip(bg, 0.0, 1.0)
+    lo, hi = spec.figures_per_image
+    for _ in range(int(rng.integers(lo, hi, endpoint=True))):
+        parts = synthdata._figure_geometry(rng, h, w)
+        jitter = {fam: rng.normal(0.0, 1.0, 3) for fam in ("arm", "leg", "torso", "head")}
+        for fam in ("arm", "leg", "torso", "head"):
+            for part, seg, prim in parts:
+                if part != fam:
+                    continue
+                ys, xs, t = _raster_oracle(prim, h, w)
+                if ys.size == 0:
+                    continue
+                fids = _refine_oracle(taxonomy.dataset_name, part, seg, t, name_to_idx)
+                fine[ys, xs] = fids
+                base = synthdata._FAMILY_BASE[synthdata._FAMILIES.index(part)]
+                color = base + spec.palette_jitter * (0.8 * offsets[fids] + jitter[part])
+                img[ys, xs] = np.clip(color, 0.0, 1.0)
+    if spec.noise_sigma > 0:
+        img = np.clip(img + rng.normal(0.0, spec.noise_sigma, img.shape), 0.0, 1.0)
+    return img, fine

@@ -270,6 +270,21 @@ def test_bad_setting_exits_2_naming_flag_or_key(case, tmp_path):
     assert not (tmp_path / "o" / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("argv", [["--no-gpm"], ["--gpm-levels", "3"],
+                                  ["--config", "gpm = 0\n"], ["--config", "gpm_levels = 3\n"]],
+                         ids=["no-gpm", "gpm-levels", "gpm-key", "gpm_levels-key"])
+def test_train_ml_rejects_the_single_model_pyramid_settings(argv, tmp_path):
+    if argv[0] == "--config":
+        argv = ["--config", _config(tmp_path, argv[1])]
+    res = run_cli("train-ml", "--data-root", str(tmp_path), "--datasets", "A,B",
+                  "--out", str(tmp_path / "o"), *argv)
+    assert res.returncode == 2, res.stderr
+    assert ("run.cfg:1: unknown config key" if argv[0] == "--config"
+            else f"unrecognized arguments: {argv[0]}") in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 class TestInputFiles:
     def test_missing_ckpt_exits_2(self, bench_dir, tmp_path):
         res = run_cli("eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),

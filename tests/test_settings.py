@@ -117,12 +117,12 @@ def test_out_of_range_value_is_rejected_by_validate():
 
 
 TRAIN_KEYS = {"seed", "precision", "lr", "momentum", "batch_size", "epochs_pretrain",
-              "epochs_main", "lr_decay", "loss_weight", "lambda", "clip_norm", "gt_masks", "gpm",
-              "gpm_levels", "pooling", "iterations", "gcr_fresh_weights", "width", "channels"}
+              "epochs_main", "lr_decay", "loss_weight", "lambda", "clip_norm", "gt_masks",
+              "pooling", "iterations", "gcr_fresh_weights", "width", "channels"}
 
 
 @pytest.mark.parametrize("command,keys", [
-    ("train", TRAIN_KEYS | {"overfit", "steps"}),
+    ("train", TRAIN_KEYS | {"gpm", "gpm_levels", "overfit", "steps"}),
     ("train-ml", TRAIN_KEYS | {"epochs_finetune", "share_backbone", "accumulate"}),
 ])
 def test_config_keys_and_flags_keep_their_spellings(command, keys):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from grapy import synthdata
 from grapy.hierarchy import builtin_taxonomies, coarsen, taxonomy_by_name
 from grapy.imageio import ParseError, read_pgm, read_ppm, write_pgm, write_ppm
 from grapy.synthdata import (Dataset, DatasetError, GenerationError, SceneSpec, generate,
                              generate_sample, load_dataset, make_benchmark, read_sample,
                              save_dataset, write_sample)
+from oracles import scene_oracle
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,62 @@ class TestGenerate:
 
         with pytest.raises(GenerationError, match="100"):
             _figure_geometry(MaxRng(), 16, 16)
+
+
+ORACLE_SPECS = {
+    "default": SceneSpec(seed=11),
+    "16x16": SceneSpec(seed=12, image_size=(16, 16)),
+    "20x16": SceneSpec(seed=13, image_size=(20, 16)),
+    "figures1-3": SceneSpec(seed=14, figures_per_image=(1, 3)),
+    "no-noise-no-jitter": SceneSpec(seed=15, noise_sigma=0.0, palette_jitter=0.0),
+    "48x40-figures2-4": SceneSpec(seed=16, image_size=(48, 40), figures_per_image=(2, 4)),
+}
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("tax_name", ["A", "B", "C"])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+    def test_samples_equal_per_primitive_painter_byte_for_byte(self, spec, tax_name):
+        tax = taxonomy_by_name(tax_name)
+        for i in range(60):
+            s = generate_sample(spec, tax, i)
+            img, labels = scene_oracle(spec, tax, i)
+            assert s.image.tobytes() == img.tobytes(), f"sample {i}: image differs"
+            assert s.labels.tobytes() == labels.tobytes(), f"sample {i}: labels differ"
+
+    @pytest.mark.parametrize("tax_name", ["A", "B", "C"])
+    def test_position_fraction_exactly_at_each_threshold(self, monkeypatch, tax_name):
+        # Vertical capsules of length 20 (t = 20*dy / 400), a torso 50 rows
+        # tall (t = dy / 50) and a head of diameter 20 (t = dy / 20) put the
+        # pixel rows at t = 0.20, 0.30, 0.45, 0.55, 0.65 and 0.86 exactly.
+        def crafted(rng, h, w):
+            caps = [("arm", s, ("capsule", x, 2.0, x, 22.0, 1.5)) for x, s in
+                    ((4.0, 0), (8.0, 1), (12.0, 0), (16.0, 1))]
+            caps += [("leg", s, ("capsule", x, 2.0, x, 22.0, 1.5)) for x, s in
+                     ((20.0, 0), (24.0, 1), (28.0, 0), (32.0, 1))]
+            return caps + [("torso", 0, ("rect", 34.0, 2.0, 42.0, 52.0)),
+                           ("head", 0, ("disc", 53.0, 12.0, 10.0))]
+
+        fractions = {(13 - 2) * 20 / 400, (15 - 2) * 20 / 400, (12 - 2) / 50, (45 - 2) / 50,
+                     (8 - 2) / 20, (11 - 2) / 20, (13 - 2) / 20}
+        assert fractions == {0.20, 0.30, 0.45, 0.55, 0.65, 0.86}
+        monkeypatch.setattr(synthdata, "_figure_geometry", crafted)
+        spec = SceneSpec(seed=0, image_size=(64, 64), figures_per_image=(1, 1))
+        tax = taxonomy_by_name(tax_name)
+        s = generate_sample(spec, tax, 0)
+        img, labels = scene_oracle(spec, tax, 0)
+        assert s.labels.tobytes() == labels.tobytes()
+        assert s.image.tobytes() == img.tobytes()
+
+    def test_builtin_name_without_a_rule_label_names_the_label(self):
+        from grapy.hierarchy import Taxonomy
+
+        tax_b = taxonomy_by_name("B")
+        keep = [i for i, n in enumerate(tax_b.fine_labels) if n != "Shoe"]
+        custom = Taxonomy("B", tuple(tax_b.fine_labels[i] for i in keep),
+                          tuple(tax_b.to_level2[i] for i in keep))
+        with pytest.raises(GenerationError, match="Shoe"):
+            generate(SceneSpec(seed=0), custom, 1)
 
 
 class TestNetpbm:

@@ -1,7 +1,8 @@
 """Command-line entry point: gen-data, train, train-ml, eval, predict, gradcheck.
 
-Exit codes: 0 success; 2 usage, setting, config, dataset or file error;
-3 numerical failure; 4 checkpoint unusable or bound to another taxonomy.
+Exit codes: 0 success; 1 failed sharing audit (train-ml --audit-sharing);
+2 usage, setting, config, dataset or file error; 3 numerical failure;
+4 checkpoint unusable or bound to another taxonomy.
 Settings are the dataclass fields that declare a ``model.Setting``; flags
 and `key = value` config files (--config) are derived from and checked
 against it. Flags win over the file, the file over defaults.
@@ -26,6 +27,7 @@ from .synthdata import DatasetError, load_dataset, make_benchmark
 from .tensor import NumericsError, argmax_channel, precision
 
 EXIT_OK = 0
+EXIT_AUDIT = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_CHECKPOINT = 4
@@ -111,6 +113,7 @@ def _default(f):
 def _read_config_file(path, settings: list) -> dict[str, object]:
     by_key = {k: f for f in settings for k in (_key(f), *f.metadata["setting"].aliases)}
     out: dict[str, object] = {}
+    first_set: dict[str, int] = {}  # setting name -> line; a key and its alias are one setting
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8", "replace")  # stray bytes fail as key or value
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -123,8 +126,13 @@ def _read_config_file(path, settings: list) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         if key not in by_key:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        name = by_key[key].name
+        if name in first_set:
+            raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r} "
+                              f"(first set on line {first_set[name]})")
+        first_set[name] = lineno
         try:
-            out[by_key[key].name] = _value(by_key[key], raw)
+            out[name] = _value(by_key[key], raw)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
@@ -171,6 +179,8 @@ def cmd_train_ml(args) -> int:
     names = [n.strip() for n in args.datasets.split(",") if n.strip()]
     if len(names) < 2:
         raise ConfigError("mutual learning needs at least 2 datasets")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"--datasets names a dataset twice: {','.join(names)}")
     if args.finetune is not None and args.finetune not in names:
         raise ConfigError(f"--finetune {args.finetune!r} is not among --datasets")
     finetune_d = None if args.finetune is None else names.index(args.finetune) + 1
@@ -199,7 +209,7 @@ def cmd_train_ml(args) -> int:
                 print(f"audit: {line}")
             if not ok:
                 print("audit: FAILED", file=sys.stderr)
-                return 1
+                return EXIT_AUDIT
             print("audit: ok")
     print(f"log: {log_path}")
     return EXIT_OK

@@ -93,12 +93,8 @@ def check_tensor_grads(build, leaves: list[Tensor], h: float = FD_STEP) -> float
     return fd_error(build, leaves, tape_grads(build, leaves), h)
 
 
-def _weighted(t: Tensor, w: np.ndarray) -> Tensor:
-    return T.tsum(T.mul(t, Tensor(w)))
-
-
 def op_suites(seed: int = 0) -> dict[str, float]:
-    """Finite-difference checks for every differentiable op."""
+    """Finite-difference checks of every tape op, each through a weighted_sum of its output."""
     rng = np.random.default_rng(seed)
 
     def leaf(*shape):
@@ -108,54 +104,47 @@ def op_suites(seed: int = 0) -> dict[str, float]:
 
     a, b = leaf(3, 4), leaf(3, 4)
     w = rng.normal(size=(3, 4))
-    results["add"] = check_tensor_grads(lambda: _weighted(T.add(a, b), w), [a, b])
-    results["mul"] = check_tensor_grads(lambda: _weighted(T.mul(a, b), w), [a, b])
-
-    ab, bb = leaf(3, 1), leaf(1, 4)
-    results["broadcast"] = check_tensor_grads(lambda: _weighted(T.mul(ab, bb), w), [ab, bb])
+    results["add"] = check_tensor_grads(lambda: T.weighted_sum(T.add(a, b), w), [a, b])
 
     m, n = leaf(1, 4, 5), leaf(5, 3)
     wmn = rng.normal(size=(1, 4, 3))
-    results["matmul"] = check_tensor_grads(lambda: _weighted(T.matmul(m, n), wmn), [m, n])
+    results["matmul"] = check_tensor_grads(lambda: T.weighted_sum(T.matmul(m, n), wmn), [m, n])
 
     r = Tensor(rng.normal(0.0, 1.0, (4, 6)) + 0.2, requires_grad=True)  # keep off the kink
     wr = rng.normal(size=(4, 6))
-    results["relu"] = check_tensor_grads(lambda: _weighted(T.relu(r), wr), [r])
+    results["relu"] = check_tensor_grads(lambda: T.weighted_sum(T.relu(r), wr), [r])
 
     x, k = leaf(1, 6, 6, 2), leaf(3, 3, 2, 3)
     wc = rng.normal(size=(1, 6, 6, 3))
-    results["conv2d"] = check_tensor_grads(lambda: _weighted(T.conv2d(x, k), wc), [x, k])
+    results["conv2d"] = check_tensor_grads(lambda: T.weighted_sum(T.conv2d(x, k), wc), [x, k])
     kb = leaf(3)
     results["conv2d_bias"] = check_tensor_grads(
-        lambda: _weighted(T.conv2d(x, k, kb), wc), [x, k, kb])
+        lambda: T.weighted_sum(T.conv2d(x, k, kb), wc), [x, k, kb])
 
-    c1, c2 = leaf(3, 2), leaf(3, 3)
-    wcc = rng.normal(size=(3, 5))
+    c1, c2 = leaf(1, 3, 3, 2), leaf(1, 3, 3, 3)
+    wcc = rng.normal(size=(1, 3, 3, 5))
     results["concat"] = check_tensor_grads(
-        lambda: _weighted(T.concat([c1, c2], axis=1), wcc), [c1, c2])
+        lambda: T.weighted_sum(T.concat_channels([c1, c2]), wcc), [c1, c2])
 
     u = leaf(3, 4)
-    results["sum"] = check_tensor_grads(lambda: T.tsum(u), [u])
-    wsum = rng.normal(size=(4,))
-    results["sum_axis"] = check_tensor_grads(lambda: _weighted(T.tsum(u, axes=0), wsum), [u])
-    results["scale"] = check_tensor_grads(lambda: T.scale(T.tsum(u), 2.5), [u])
+    results["scale"] = check_tensor_grads(lambda: T.scale(T.weighted_sum(u, w), 2.5), [u])
 
     f = leaf(1, 5, 6, 3)
     labels = rng.integers(0, 3, size=(1, 5, 6))
     labels.reshape(-1)[:3] = [0, 1, 2]  # every category occupied
     wp = rng.normal(size=(1, 3, 6))
     results["masked_pool"] = check_tensor_grads(
-        lambda: _weighted(T.masked_pool(f, labels, 3)[0], wp), [f])
+        lambda: T.weighted_sum(T.masked_pool(f, labels, 3)[0], wp), [f])
     wp_ave = rng.normal(size=(1, 3, 3))
     results["masked_pool_ave"] = check_tensor_grads(
-        lambda: _weighted(T.masked_pool(f, labels, 3, mode="ave")[0], wp_ave), [f])
+        lambda: T.weighted_sum(T.masked_pool(f, labels, 3, mode="ave")[0], wp_ave), [f])
     results["masked_pool_max"] = check_tensor_grads(
-        lambda: _weighted(T.masked_pool(f, labels, 3, mode="max")[0], wp_ave), [f])
+        lambda: T.weighted_sum(T.masked_pool(f, labels, 3, mode="max")[0], wp_ave), [f])
 
     nodes = leaf(1, 3, 4)
     wb = rng.normal(size=(1, 5, 6, 4))
     results["broadcast_nodes"] = check_tensor_grads(
-        lambda: _weighted(T.broadcast_nodes(nodes, labels), wb), [nodes])
+        lambda: T.weighted_sum(T.broadcast_nodes(nodes, labels), wb), [nodes])
 
     logits = leaf(1, 4, 4, 3)
     q = rng.integers(0, 3, size=(1, 4, 4))
@@ -166,21 +155,21 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     ma, mw = leaf(2, 4, 5), leaf(5, 3)
     wm = rng.normal(size=(2, 4, 3))
     results["matmul_shared_batch2"] = check_tensor_grads(
-        lambda: _weighted(T.matmul(ma, mw), wm), [ma, mw])
+        lambda: T.weighted_sum(T.matmul(ma, mw), wm), [ma, mw])
     xb = leaf(2, 6, 6, 2)
     wcb = rng.normal(size=(2, 6, 6, 3))
     results["conv2d_batch2"] = check_tensor_grads(
-        lambda: _weighted(T.conv2d(xb, k), wcb), [xb, k])
+        lambda: T.weighted_sum(T.conv2d(xb, k), wcb), [xb, k])
     fb = leaf(2, 5, 6, 3)
     lb = rng.integers(0, 3, size=(2, 5, 6))
     lb.reshape(2, -1)[:, :3] = [0, 1, 2]
     wpb = rng.normal(size=(2, 3, 6))
     results["masked_pool_batch2"] = check_tensor_grads(
-        lambda: _weighted(T.masked_pool(fb, lb, 3)[0], wpb), [fb])
+        lambda: T.weighted_sum(T.masked_pool(fb, lb, 3)[0], wpb), [fb])
     nb = leaf(2, 3, 4)
     wbb = rng.normal(size=(2, 5, 6, 4))
     results["broadcast_nodes_batch2"] = check_tensor_grads(
-        lambda: _weighted(T.broadcast_nodes(nb, lb), wbb), [nb])
+        lambda: T.weighted_sum(T.broadcast_nodes(nb, lb), wbb), [nb])
     logits_b = leaf(2, 4, 4, 3)
     qb = rng.integers(0, 3, size=(2, 4, 4))
     results["cross_entropy_batch2"] = check_tensor_grads(
@@ -198,7 +187,7 @@ def reason_suite(seed: int = 0, batch: int = 1, fresh_weights: bool = False) -> 
                                  fresh_iterations=GCR_ITERATIONS if fresh_weights else 0)
     w = rng.normal(size=(batch, 4, 8))
     extra = [q for pair in params.extra for q in pair]
-    return check_tensor_grads(lambda: _weighted(reason(v, params), w),
+    return check_tensor_grads(lambda: T.weighted_sum(reason(v, params), w),
                               [v, params.q1, params.q2, *extra])
 
 

@@ -54,10 +54,6 @@ class BackboneParams:
         layers = [ConvLayer.init(rng, 3, 3, dims[i], dims[i + 1]) for i in range(3)]
         return cls(layers)
 
-    @property
-    def out_channels(self) -> int:
-        return self.layers[-1].kernel.shape[3]
-
     def named(self, prefix: str = "backbone") -> dict[str, Tensor]:
         return {name: t for i, layer in enumerate(self.layers, start=1)
                 for name, t in layer.named(f"{prefix}.conv{i}").items()}

@@ -41,6 +41,9 @@ class MlModel:
         backbone (unless shared), main head, Level 3 and head."""
         if len(taxonomies) < 2:
             raise ValueError("mutual learning needs at least 2 datasets")
+        names = [t.dataset_name for t in taxonomies]
+        if len(set(names)) < len(names):
+            raise ValueError(f"each dataset needs its own branch, got taxonomies {','.join(names)}")
         rng = np.random.default_rng(seed_or_rng)  # a Generator passes through
         levels = partial(init_levels, rng, channels, pooling=pooling, iterations=iterations,
                          fresh_weights=fresh_weights)

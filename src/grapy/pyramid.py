@@ -25,30 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hierarchy import Taxonomy, coarsen
-from .tensor import (Tensor, argmax_channel, attention_rounds, broadcast_nodes, concat,
-                     conv2d, masked_pool, matmul, softmax_channels, uniform_init)
+from .tensor import (Tensor, argmax_channel, attention_rounds, broadcast_nodes,
+                     concat_channels, conv2d, masked_pool, matmul, softmax_channels,
+                     uniform_init)
 
 GCR_ITERATIONS = 3
 
 
 @dataclass
 class NodeSet:
-    """Per-level graph nodes: pooled features plus the masks that made them."""
+    """Per-level graph nodes: pooled features and the pixel count behind each."""
 
     level: int
     features: Tensor          # (N, K_l, C_l)
-    label_map: np.ndarray     # (N, H, W) category index per pixel at this level
     counts: np.ndarray        # (N, K_l) pixels per category
-
-    @property
-    def occupancy(self) -> np.ndarray:
-        return self.counts > 0
-
-    @property
-    def masks(self) -> np.ndarray:
-        """Boolean (N, K_l, H, W) masks; exactly one is true per pixel."""
-        k = self.features.shape[-2]
-        return self.label_map[:, None] == np.arange(k)[:, None, None]
 
 
 @dataclass
@@ -154,7 +144,7 @@ def aggregate(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,
               pooling: str = "both") -> NodeSet:
     """Pool the feature map into one node per category (masked mean + max)."""
     feats, counts = masked_pool(f_prev, label_map, k, mode=pooling)
-    return NodeSet(level=level, features=feats, label_map=label_map, counts=counts)
+    return NodeSet(level=level, features=feats, counts=counts)
 
 
 def reason(features: Tensor, params: GpmLevelParams, iterations: int = GCR_ITERATIONS) -> Tensor:
@@ -207,7 +197,7 @@ def pyramid_forward(f: Tensor, y: Tensor, taxonomy: Taxonomy, params: GpmParams,
         f_l = level_forward(f_l, label_map, taxonomy.k_at(level), level,
                             params.levels[level], params.pooling, params.iterations)
         pyramid.append(f_l)
-    f_hat = concat(pyramid, axis=-1)
+    f_hat = concat_channels(pyramid)
     y_hat = softmax_channels(conv2d(f_hat, params.head))
     return f_hat, y_hat
 

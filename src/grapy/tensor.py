@@ -1,9 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation on an explicit tape.
 
-Ops compute with numpy; the hot kernels live in kernels.py. The batch is the
-leading axis of every image-shaped operand, and each image op accepts that
-one layout only: (N, H, W, C) feature maps, (N, H, W) label maps and
-(N, K, C) node tables. When a Tape is active and an input requires
+The ops are those the model's forward pass and loss run, plus
+``weighted_sum``, the scalar probe the gradient checks take of an op's
+output. They compute with numpy; the hot kernels live in kernels.py. The
+batch is the leading axis of every image-shaped operand, and each image op
+accepts that one layout only: (N, H, W, C) feature maps, (N, H, W) label
+maps and (N, K, C) node tables. When a Tape is active and an input requires
 gradients, the op appends a backward rule to the tape. With no active tape
 the identical arithmetic runs tape-free, bitwise equal to the recorded path;
 finite-difference checks rely on that.
@@ -179,45 +181,27 @@ def _apply(opname: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], back) 
 
 
 # ---------------------------------------------------------------------------
-# Elementwise ops with size-1 broadcasting (equal ranks only)
+# Elementwise and weighting ops
 # ---------------------------------------------------------------------------
 
-def _broadcast_check(sa: tuple, sb: tuple, opname: str) -> None:
-    if len(sa) != len(sb) or any(a != b and a != 1 and b != 1 for a, b in zip(sa, sb)):
-        raise ShapeError(f"{opname}: shapes {sa} and {sb} are not broadcastable "
-                         "(equal rank, dims equal or 1)")
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _elementwise(opname, a, b, fwd, back_a, back_b):
-    _broadcast_check(a.shape, b.shape, opname)
-    ad, bd = a.data, b.data
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = fwd(ad, bd)  # non-finite results raise NumericsError in _apply
-    sa, sb = ad.shape, bd.shape
-
-    def back(g):
-        ga = _unbroadcast(back_a(g, ad, bd), sa) if a.requires_grad else None
-        gb = _unbroadcast(back_b(g, ad, bd), sb) if b.requires_grad else None
-        return ga, gb
-
-    return _apply(opname, out, (a, b), back)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("add", a, b, lambda x, y: x + y,
-                        lambda g, x, y: g, lambda g, x, y: g)
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs equal shapes, got {a.shape} and {b.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a.data + b.data  # non-finite results raise NumericsError in _apply
+    return _apply("add", out, (a, b), lambda g: (g, g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("mul", a, b, lambda x, y: x * y,
-                        lambda g, x, y: g * y, lambda g, x, y: g * x)
+def weighted_sum(a: Tensor, w: np.ndarray) -> Tensor:
+    """The scalar sum(a * w) for a constant ``w`` of ``a``'s shape: a random
+    linear functional that the gradient checks take of an op's output."""
+    w = np.asarray(w, a.data.dtype)
+    if w.shape != a.shape:
+        raise ShapeError(f"weighted_sum needs weights of shape {a.shape}, got {w.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (a.data * w).sum()
+    return _apply("weighted_sum", out, (a,), lambda g: (g * w,))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -252,46 +236,22 @@ def _shared_grad(ad: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def concat(tensors, axis: int) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat of empty list")
-    rank = tensors[0].data.ndim
-    if axis < -rank or axis >= rank:
-        raise ShapeError(f"concat axis {axis} out of range for rank {rank}")
-    axis = axis % rank
-    for t in tensors[1:]:
-        if t.data.ndim != rank:
-            raise ShapeError(f"concat rank mismatch: {tensors[0].shape} vs {t.shape}")
-        for d in range(rank):
-            if d != axis and t.shape[d] != tensors[0].shape[d]:
-                raise ShapeError(f"concat non-axis extents differ: {tensors[0].shape} vs {t.shape}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        parts = np.split(g, splits, axis=axis)
-        return tuple(p if t.requires_grad else None for p, t in zip(parts, tensors))
-
-    return _apply("concat", out, tuple(tensors), back)
+def concat_channels(tensors) -> Tensor:
+    """Concatenation of (N, H, W, C_i) maps along the channel axis."""
+    if not tensors or any(t.data.ndim != 4 or t.shape[:-1] != tensors[0].shape[:-1]
+                          for t in tensors):
+        raise ShapeError(f"concat_channels needs (N,H,W,C) maps of one (N,H,W), "
+                         f"got {[t.shape for t in tensors]}")
+    out = np.concatenate([t.data for t in tensors], axis=-1)
+    splits = np.cumsum([t.shape[-1] for t in tensors])[:-1]
+    return _apply("concat_channels", out, tuple(tensors),
+                  lambda g: tuple(np.split(g, splits, axis=-1)))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     _record_branch(mask)
     return _apply("relu", a.data * mask, (a,), lambda g: (g * mask,))
-
-
-def tsum(a: Tensor, axes=None) -> Tensor:
-    """Sum over ``axes`` (an int, a tuple, or None for all)."""
-    shape = a.data.shape
-
-    def back(g):
-        if axes is not None:
-            g = np.expand_dims(g, axes)
-        return (np.ascontiguousarray(np.broadcast_to(g, shape)),)
-
-    return _apply("sum", a.data.sum(axis=axes), (a,), back)
 
 
 def _softmax(x: np.ndarray, xmax: np.ndarray) -> np.ndarray:
@@ -444,25 +404,18 @@ def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
     inv = np.zeros(counts.shape, f.data.dtype)
     nz = counts > 0
     inv[nz] = 1.0 / counts[nz]
-    ave = sums * inv[..., None]
-    zeros = np.zeros(sums.shape, f.data.dtype)
-
-    if mode == "both":
-        feats = np.concatenate([ave, maxv], axis=-1)
-    elif mode == "ave":
-        feats = ave
-    else:
-        feats = maxv
+    both = np.concatenate([sums * inv[..., None], maxv], axis=-1)  # [mean | max]
+    cols = {"both": slice(None), "ave": slice(None, c), "max": slice(c, None)}[mode]
+    # a contiguous copy: downstream BLAS calls on a strided view of one half
+    # round differently, which changes the --pooling ave/max checkpoints
+    feats =np.ascontiguousarray(both[..., cols])
 
     def back(g):
         # the kernel spreads the mean gradient evenly over each mask (1/count)
-        if mode == "both":
-            gave, gmax = g[..., :c], g[..., c:]
-        elif mode == "ave":
-            gave, gmax = g, zeros
-        else:
-            gave, gmax = zeros, g
-        return (kernels.masked_pool_backward(gave, gmax, label_map, counts, argi, f.shape),)
+        gboth = np.zeros(both.shape, g.dtype)
+        gboth[..., cols] = g
+        return (kernels.masked_pool_backward(gboth[..., :c], gboth[..., c:], label_map, counts,
+                                             argi, f.shape),)
 
     return _apply("masked_pool", feats, (f,), back), counts
 

@@ -99,9 +99,8 @@ def test_full_scale_results_out_of_scope():
 
 
 GRADCHECK_SUITES = [
-    "add", "mul", "broadcast", "matmul", "relu", "conv2d", "conv2d_bias", "concat", "sum",
-    "sum_axis", "scale", "masked_pool", "masked_pool_ave", "masked_pool_max",
-    "broadcast_nodes", "cross_entropy", "matmul_shared_batch2", "conv2d_batch2",
+    "add", "matmul", "relu", "conv2d", "conv2d_bias", "concat", "scale", "masked_pool",
+    "masked_pool_ave", "masked_pool_max", "broadcast_nodes", "cross_entropy", "matmul_shared_batch2", "conv2d_batch2",
     "masked_pool_batch2", "broadcast_nodes_batch2", "cross_entropy_batch2", "reason",
     "reason_batch2", "reason_fresh", "pyramid", "end_to_end", "end_to_end_batch2"]
 

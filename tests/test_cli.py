@@ -422,3 +422,64 @@ def test_checkpoint_with_repeated_levels_exits_4(bench_dir, tmp_path):
     assert res.returncode == 4, res.stderr
     assert "edited.ckpt" in res.stderr and "meta.levels" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("text,where", [
+    ("lambda = 0.5\nloss_weight = 2.0\nlr = 0.1\nlr = 0.05\n",
+     "run.cfg:2: duplicate config key 'loss_weight' (first set on line 1)"),
+    ("# comment\nepochs_main = 1\nlr = 0.1\nlr = 0.05\n",
+     "run.cfg:4: duplicate config key 'lr' (first set on line 3)"),
+    ("batch_size = 2\n\nbatch-size = 4\n",
+     "run.cfg:3: duplicate config key 'batch_size' (first set on line 1)"),
+], ids=["alias", "same_key", "dashed_spelling"])
+def test_config_file_setting_one_setting_twice_exits_2(text, where, tmp_path):
+    res = run_cli("train", "--data", str(tmp_path / "never-read.txt"),
+                  "--out", str(tmp_path / "o"), "--config", _config(tmp_path, text))
+    assert res.returncode == 2, res.stderr
+    assert where in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_ml_rejects_a_repeated_dataset(tmp_path):
+    res = run_cli("train-ml", "--data-root", str(tmp_path), "--datasets", "A,A",
+                  "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert "--datasets names a dataset twice: A,A" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_checkpoint_with_repeated_taxonomy_exits_4(bench_dir, tmp_path):
+    # branch 2 reshaped as a second A branch: every shape fits an A,A,C layout
+    from grapy.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+    from grapy.serialize import load_ml_model
+
+    arrays, meta = load_checkpoint(EVAL_CKPT)
+    for name in [n for n in arrays if n.startswith("branch2.")]:
+        del arrays[name]
+    arrays.update({"branch2." + n[len("branch1."):]: a.copy()
+                   for n, a in arrays.items() if n.startswith("branch1.")})
+    meta["taxonomies"] = "A,A,C"
+    ckpt = tmp_path / "edited.ckpt"
+    save_checkpoint(ckpt, arrays, meta)
+    with pytest.raises(CheckpointError, match="own branch"):
+        load_ml_model(ckpt)
+    res = run_cli("eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),
+                  "--ckpt", str(ckpt))
+    assert res.returncode == 4, res.stderr
+    assert "edited.ckpt" in res.stderr and "A,A,C" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_failed_sharing_audit_exits_1(bench_dir, tmp_path, monkeypatch, capsys):
+    from grapy import cli
+
+    monkeypatch.setattr(cli, "audit_sharing",
+                        lambda model, datasets: (False, ["step on dataset 1: injected"]))
+    code = cli.main(["train-ml", "--data-root", str(bench_dir), "--datasets", "A,B",
+                     "--out", str(tmp_path / "o"), "--epochs-pretrain", "0",
+                     "--epochs-main", "0", "--audit-sharing"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_AUDIT == 1
+    assert "audit: step on dataset 1: injected" in out
+    assert "audit: FAILED" in err and "audit: ok" not in out

@@ -69,6 +69,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             MlModel.init(0, taxonomies[:1])
 
+    def test_repeated_taxonomy_rejected(self, taxonomies):
+        # two branches for one dataset: eval could only ever bind the first
+        with pytest.raises(ValueError, match="own branch.*A,B,A"):
+            small_model([taxonomies[0], taxonomies[1], taxonomies[0]])
+
     def test_negative_loss_weight_rejected(self, taxonomies):
         with pytest.raises(ValueError, match="loss weight"):
             small_model(taxonomies, loss_weight=-1.0)

@@ -7,7 +7,7 @@ from grapy.pyramid import (GpmLevelParams, GpmParams, aggregate, distribute,
                            reason)
 import grapy.tensor as T
 from grapy.tensor import (NumericsError, Tape, Tensor, add, argmax_channel, cross_entropy_mean,
-                          mul, precision, tsum)
+                          precision, weighted_sum)
 from oracles import (fd_gradient, gcr_oracle, gsa_oracle, gsd_oracle,
                      masks_oracle, pyramid_oracle, rel_err)
 
@@ -78,14 +78,15 @@ class TestAggregate:
         lm = np.zeros((1, 4, 4), np.int64)  # category 1 empty
         nodes = aggregate(f, lm, 2, level=2)
         assert np.all(nodes.features.data[0, 1] == 0)
-        assert nodes.occupancy[0].tolist() == [True, False]
+        assert nodes.counts[0].tolist() == [16, 0]
 
-    def test_masks_property_partitions(self):
+    def test_counts_partition_the_pixels(self):
         rng = np.random.default_rng(5)
         f = Tensor(rng.normal(size=(1, 5, 5, 2)))
         lm = random_partition(rng, 5, 5, 3)
         nodes = aggregate(f, lm[None], 3, level=2)
-        assert np.array_equal(nodes.masks[0].sum(axis=0), np.ones((5, 5), np.int64))
+        assert nodes.counts[0].tolist() == np.bincount(lm.reshape(-1), minlength=3).tolist()
+        assert nodes.counts.sum() == 25
 
     def test_pooling_modes(self):
         rng = np.random.default_rng(6)
@@ -175,9 +176,7 @@ class TestReason:
         w = rng.normal(size=(1, 4, 8))
 
         def build():
-            from grapy.tensor import tsum, mul
-
-            return tsum(mul(reason(v, params), Tensor(w)))
+            return weighted_sum(reason(v, params), w)
 
         with Tape() as tape:
             loss = build()
@@ -198,12 +197,12 @@ class TestReason:
         rng = np.random.default_rng(26)
         params = GpmLevelParams.init(rng, 8, 4, fresh_iterations=fresh)
         vs = [Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True) for _ in range(2)]
-        ws = [Tensor(rng.normal(size=(2, 4, 8))) for _ in range(2)]
+        ws = [rng.normal(size=(2, 4, 8)) for _ in range(2)]
         pairs = [params.projections(it) for it in range(3)]
 
         def run(rounds):
             with Tape() as tape:
-                loss = add(*(tsum(mul(rounds(v, pairs), w)) for v, w in zip(vs, ws)))
+                loss = add(*(weighted_sum(rounds(v, pairs), w) for v, w in zip(vs, ws)))
             return loss, tape.backward(loss)
 
         fused, got = run(lambda v, pairs: reason(v, params))
@@ -394,8 +393,9 @@ class TestBatchAxis:
         refined = reason(nodes.features, params)
         out = distribute(Tensor(f), refined, params.out_proj, lm)
         assert nodes.features.shape == (2, 4, 6) and nodes.counts.shape == (2, 4)
-        assert nodes.occupancy.tolist() == [[True] * 4, [True, True, False, True]]
-        assert np.array_equal(nodes.masks.sum(axis=1), np.ones((2, 5, 6), np.int64))
+        assert [(c > 0).tolist() for c in nodes.counts] == [[True] * 4, [True, True, False, True]]
+        assert nodes.counts.tolist() == [np.bincount(m.reshape(-1), minlength=4).tolist()
+                                         for m in lm]
         for n in range(2):
             pooled = gsa_oracle(f[n], lm[n], 4)
             assert rel_err(nodes.features.data[n], pooled) < 1e-6

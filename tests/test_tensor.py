@@ -24,11 +24,15 @@ class TestElementwise:
         out = T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         assert np.array_equal(out.data, [4.0, 6.0])
 
-    def test_mul_ones_identity(self):
+    def test_weighted_sum_value(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(3, 4)))
-        out = T.mul(x, Tensor(np.ones((3, 4))))
-        assert np.array_equal(out.data, x.data)
+        x, w = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        out = T.weighted_sum(Tensor(x), w)
+        assert out.shape == () and out.data.tobytes() == (x * w).sum().tobytes()
+
+    def test_weighted_sum_shape_mismatch(self):
+        with pytest.raises(ShapeError, match=r"\(3, 4\).*\(4,\)"):
+            T.weighted_sum(Tensor(np.zeros((3, 4))), np.ones(4))
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 3\)"):
@@ -38,21 +42,23 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
-    def test_grad_sum_ab_wrt_a_equals_b(self):
+    def test_grad_weighted_sum_wrt_a_equals_w(self):
         rng = np.random.default_rng(1)
-        a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
-        _, (ga, gb) = tape_grad(lambda: T.tsum(T.mul(a, b)), [a, b])
-        assert np.allclose(ga, b.data)
-        fd = fd_gradient(lambda: float(T.tsum(T.mul(a, b)).data), a.data)
+        a, w = leaf(rng, 3, 4), rng.normal(size=(3, 4))
+        _, (ga,) = tape_grad(lambda: T.weighted_sum(a, w), [a])
+        assert np.array_equal(ga, w)
+        fd = fd_gradient(lambda: float(T.weighted_sum(a, w).data), a.data)
         assert rel_err(ga, fd) < 1e-6
 
-    def test_broadcast_size_one_axes(self):
+    def test_add_passes_the_gradient_to_both_operands(self):
         rng = np.random.default_rng(2)
-        a, b = leaf(rng, 3, 1), leaf(rng, 1, 4)
-        _, (ga, gb) = tape_grad(lambda: T.tsum(T.mul(a, b)), [a, b])
-        assert ga.shape == (3, 1) and gb.shape == (1, 4)
-        assert np.allclose(ga, np.full((3, 1), b.data.sum()))
-        assert np.allclose(gb, np.full((1, 4), a.data.sum()))
+        a, b, w = leaf(rng, 3, 4), leaf(rng, 3, 4), rng.normal(size=(3, 4))
+        _, (ga, gb) = tape_grad(lambda: T.weighted_sum(T.add(a, b), w), [a, b])
+        assert np.array_equal(ga, w) and np.array_equal(gb, w)
+
+    def test_add_does_not_broadcast_size_one_axes(self):
+        with pytest.raises(ShapeError, match="equal shapes"):
+            T.add(Tensor(np.zeros((3, 1))), Tensor(np.zeros((1, 4))))
 
 
 class TestMatmul:
@@ -75,7 +81,7 @@ class TestMatmul:
         w = rng.normal(size=(1, 4, 3))
 
         def build():
-            return T.tsum(T.mul(T.matmul(a, b), Tensor(w)))
+            return T.weighted_sum(T.matmul(a, b), w)
 
         _, (ga, gb) = tape_grad(build, [a, b])
         assert rel_err(ga, fd_gradient(lambda: float(build().data), a.data)) < 1e-6
@@ -123,7 +129,7 @@ class TestSoftmax:
         w = rng.normal(size=(1, 1, 5, 5))
 
         def build():
-            return T.tsum(T.mul(T.softmax_channels(x), Tensor(w)))
+            return T.weighted_sum(T.softmax_channels(x), w)
 
         _, (gx,) = tape_grad(build, [x])
         assert rel_err(gx, fd_gradient(lambda: float(build().data), x.data)) < 1e-6
@@ -164,21 +170,19 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="equal and odd"):
             T.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 1, 2, 1))))
 
-    def test_bias_is_the_separate_broadcast_add(self):
-        # bitwise: the fused bias equals adding the (1, 1, 1, Cout) row after the conv
+    def test_bias_is_the_numpy_broadcast_add(self):
+        # bitwise: the fused bias equals numpy adding the bias row after the conv,
+        # and its gradient is the output gradient summed over every pixel
         rng = np.random.default_rng(17)
         x, k, b = leaf(rng, 2, 5, 5, 2), leaf(rng, 3, 3, 2, 3), leaf(rng, 3)
         w = rng.normal(size=(2, 5, 5, 3))
-        fused, (gx, gk, gb) = tape_grad(
-            lambda: T.tsum(T.mul(T.conv2d(x, k, b), Tensor(w))), [x, k, b])
-        bias_row = Tensor(b.data.reshape(1, 1, 1, 3), requires_grad=True)
-        split, (sx, sk, sb) = tape_grad(
-            lambda: T.tsum(T.mul(T.add(T.conv2d(x, k), bias_row), Tensor(w))), [x, k, bias_row])
-        assert fused.data.tobytes() == split.data.tobytes()
+        assert T.conv2d(x, k, b).data.tobytes() == (T.conv2d(x, k).data + b.data).tobytes()
+        _, (gx, gk, gb) = tape_grad(lambda: T.weighted_sum(T.conv2d(x, k, b), w), [x, k, b])
+        _, (sx, sk) = tape_grad(lambda: T.weighted_sum(T.conv2d(x, k), w), [x, k])
         assert gx.tobytes() == sx.tobytes() and gk.tobytes() == sk.tobytes()
-        assert gb.tobytes() == sb.reshape(3).tobytes()
-        assert rel_err(gb, fd_gradient(lambda: float(T.tsum(T.mul(
-            T.conv2d(x, k, b), Tensor(w))).data), b.data)) < 1e-6
+        assert gb.tobytes() == w.sum(axis=(0, 1, 2)).tobytes()
+        assert rel_err(gb, fd_gradient(
+            lambda: float(T.weighted_sum(T.conv2d(x, k, b), w).data), b.data)) < 1e-6
 
     def test_bias_shape_rejected(self):
         with pytest.raises(ShapeError, match="bias"):
@@ -191,7 +195,7 @@ class TestConv2d:
         w = rng.normal(size=(1, 6, 6, 3))
 
         def build():
-            return T.tsum(T.mul(T.conv2d(x, k), Tensor(w)))
+            return T.weighted_sum(T.conv2d(x, k), w)
 
         _, (gx, gk) = tape_grad(build, [x, k])
         assert rel_err(gx, fd_gradient(lambda: float(build().data), x.data)) < 1e-4
@@ -200,34 +204,35 @@ class TestConv2d:
 
 class TestConcatReduceMisc:
     def test_concat_single_is_identity(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert np.array_equal(T.concat([x], axis=1).data, x.data)
+        x = Tensor(np.arange(12.0).reshape(1, 2, 2, 3))
+        assert np.array_equal(T.concat_channels([x]).data, x.data)
 
-    def test_concat_axis_out_of_range(self):
-        with pytest.raises(ShapeError, match="axis"):
-            T.concat([Tensor(np.zeros((2, 2)))], axis=2)
+    def test_concat_empty_rejected(self):
+        with pytest.raises(ShapeError, match="concat_channels"):
+            T.concat_channels([])
 
     def test_concat_extent_mismatch(self):
         with pytest.raises(ShapeError):
-            T.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))], axis=1)
+            T.concat_channels([Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((1, 3, 2, 1)))])
 
     def test_concat_backward_splits_exactly(self):
         rng = np.random.default_rng(10)
-        a, b = leaf(rng, 3, 2), leaf(rng, 3, 4)
-        w = rng.normal(size=(3, 6))
+        a, b = leaf(rng, 1, 3, 3, 2), leaf(rng, 1, 3, 3, 4)
+        w = rng.normal(size=(1, 3, 3, 6))
 
         def build():
-            return T.tsum(T.mul(T.concat([a, b], axis=1), Tensor(w)))
+            return T.weighted_sum(T.concat_channels([a, b]), w)
 
         _, (ga, gb) = tape_grad(build, [a, b])
-        assert np.array_equal(ga, w[:, :2])
-        assert np.array_equal(gb, w[:, 2:])
+        assert np.array_equal(ga, w[..., :2])
+        assert np.array_equal(gb, w[..., 2:])
         assert rel_err(ga, fd_gradient(lambda: float(build().data), a.data)) < 1e-6
 
     def test_relu_and_mean(self):
         rng = np.random.default_rng(11)
         x = leaf(rng, 4, 4)
-        _, (g,) = tape_grad(lambda: T.scale(T.tsum(T.relu(x)), 1 / 16), [x])
+        _, (g,) = tape_grad(lambda: T.scale(T.weighted_sum(T.relu(x), np.ones((4, 4))), 1 / 16),
+                            [x])
         assert np.allclose(g, (x.data > 0) / 16.0)
 
     def test_argmax_channel_recovers_one_hot(self):
@@ -247,7 +252,7 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         with Tape() as tape:
-            loss = T.tsum(x)
+            loss = T.weighted_sum(x, np.ones((3, 4)))
         gm = tape.backward(loss)
         assert np.array_equal(gm[x], np.ones((3, 4)))
 
@@ -255,7 +260,7 @@ class TestBackward:
         rng = np.random.default_rng(13)
         x = leaf(rng, 3, 4)
         with Tape() as tape:
-            loss = T.scale(T.tsum(T.mul(x, x)), 0.5)
+            loss = T.scale(T.weighted_sum(T.add(x, x), x.data), 0.5)
         gm = tape.backward(loss)
         assert np.allclose(gm[x], x.data)
 
@@ -269,7 +274,7 @@ class TestBackward:
     def test_repeated_backward_returns_the_same_map_and_keeps_no_state(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            loss = T.tsum(T.scale(x, 2.0))
+            loss = T.weighted_sum(T.scale(x, 2.0), np.ones(3))
         first, second = tape.backward(loss), tape.backward(loss)
         assert list(first) == list(second) == [x]
         assert np.array_equal(first[x], 2 * np.ones(3))
@@ -285,7 +290,7 @@ class TestBackward:
     def test_nan_raises(self):
         big = Tensor(np.array([1e308]))
         with pytest.raises(NumericsError):
-            T.mul(big, big)
+            T.add(big, big)
 
 
 class TestSGD:
@@ -428,6 +433,7 @@ def _single_image_calls():
     params = ModelParams.init(0, tax, width=4, channels=4)
     f, labels = Tensor(np.ones((4, 4, 3))), np.zeros((4, 4), np.int64)
     return {
+        "concat_channels": lambda: T.concat_channels([f, f]),
         "conv2d": lambda: T.conv2d(f, Tensor(np.ones((3, 3, 3, 2)))),
         "masked_pool": lambda: T.masked_pool(f, labels, 2),
         "broadcast_nodes": lambda: T.broadcast_nodes(Tensor(np.ones((2, 3))), labels),
@@ -447,3 +453,32 @@ def test_image_ops_take_the_batch_axis_only(op):
     # (N, H, W, C) maps, (N, H, W) labels and (N, K, C) tables are the one layout
     with pytest.raises(ShapeError):
         _single_image_calls()[op]()
+
+
+def test_every_tape_op_but_the_probe_serves_the_model(monkeypatch):
+    # the tape holds the model's arithmetic only: a two-branch forward and
+    # backward reach every op that records, except gradcheck's weighted_sum
+    import inspect
+    import re
+
+    from grapy.hierarchy import taxonomy_by_name
+    from grapy.model import ModelParams, batch_loss
+    from grapy.synthdata import SampleBatch
+
+    defined = set(re.findall(r'_apply\("(\w+)"', inspect.getsource(T)))
+    reached, apply = set(), T._apply
+
+    def spy(opname, *args):
+        reached.add(opname)
+        return apply(opname, *args)
+
+    monkeypatch.setattr(T, "_apply", spy)
+    tax = taxonomy_by_name("A")
+    params = ModelParams.init(0, tax, width=4, channels=4)
+    rng = np.random.default_rng(19)
+    batch = SampleBatch(list(rng.uniform(0, 1, (2, 8, 8, 3))),
+                        list(rng.integers(0, tax.k3, (2, 8, 8))))
+    with Tape() as tape:
+        loss = batch_loss(batch, params, tax)
+    tape.backward(loss)
+    assert reached == defined - {"weighted_sum"}

@@ -159,9 +159,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, prec, fit = resolve_settings(args, TrainConfig, Precision, Overfit)
-    os.makedirs(args.out, exist_ok=True)
     with precision(prec.precision):
         dataset = load_dataset(args.data)
+        os.makedirs(args.out, exist_ok=True)
         log_path = os.path.join(args.out, "train.log")
         with TrainLog(log_path) as log:
             if fit.overfit > 0:
@@ -177,18 +177,17 @@ def cmd_train(args) -> int:
 def cmd_train_ml(args) -> int:
     cfg, prec = resolve_settings(args, MlTrainConfig, Precision)
     names = [n.strip() for n in args.datasets.split(",") if n.strip()]
-    if len(names) < 2:
-        raise ConfigError("mutual learning needs at least 2 datasets")
-    if len(set(names)) < len(names):
-        raise ConfigError(f"--datasets names a dataset twice: {','.join(names)}")
     if args.finetune is not None and args.finetune not in names:
         raise ConfigError(f"--finetune {args.finetune!r} is not among --datasets")
     finetune_d = None if args.finetune is None else names.index(args.finetune) + 1
-    os.makedirs(args.out, exist_ok=True)
     with precision(prec.precision):
         datasets = [load_dataset(os.path.join(args.data_root, n, "train", "manifest.txt"))
                     for n in names]
-        model = init_model(MlModel.init, cfg, [ds.taxonomy for ds in datasets])
+        try:
+            model = init_model(MlModel.init, cfg, [ds.taxonomy for ds in datasets])
+        except ValueError as exc:  # fewer than 2 datasets, or a taxonomy named twice
+            raise ConfigError(str(exc)) from None
+        os.makedirs(args.out, exist_ok=True)
         joint, finetune = mutual_phases(datasets, cfg, model, finetune_d)
         log_path = os.path.join(args.out, "train_ml.log")
 

@@ -408,14 +408,15 @@ def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
     cols = {"both": slice(None), "ave": slice(None, c), "max": slice(c, None)}[mode]
     # a contiguous copy: downstream BLAS calls on a strided view of one half
     # round differently, which changes the --pooling ave/max checkpoints
-    feats =np.ascontiguousarray(both[..., cols])
+    feats = np.ascontiguousarray(both[..., cols])
 
     def back(g):
+        if mode != "both":  # the dropped half's gradient is zero
+            g, half = np.zeros(g.shape[:-1] + (2 * c,), g.dtype), g
+            g[..., cols] = half
         # the kernel spreads the mean gradient evenly over each mask (1/count)
-        gboth = np.zeros(both.shape, g.dtype)
-        gboth[..., cols] = g
-        return (kernels.masked_pool_backward(gboth[..., :c], gboth[..., c:], label_map, counts,
-                                             argi, f.shape),)
+        return (kernels.masked_pool_backward(g[..., :c], g[..., c:], label_map, counts, argi,
+                                             f.shape),)
 
     return _apply("masked_pool", feats, (f,), back), counts
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -440,12 +441,26 @@ def test_config_file_setting_one_setting_twice_exits_2(text, where, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_train_ml_rejects_a_repeated_dataset(tmp_path):
-    res = run_cli("train-ml", "--data-root", str(tmp_path), "--datasets", "A,A",
-                  "--out", str(tmp_path / "o"))
+def test_train_ml_rejects_a_repeated_dataset(bench_dir, tmp_path):
+    # A2 is a copy of A: another directory name, the same taxonomy in its manifest
+    shutil.copytree(bench_dir / "A", tmp_path / "A2")
+    for data_root, datasets in [(bench_dir, "A,A"), (bench_dir, "A,B,A"),
+                                (tmp_path, "A2,A2"), (bench_dir, "A," + str(tmp_path / "A2"))]:
+        res = run_cli("train-ml", "--data-root", str(data_root), "--datasets", datasets,
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, (datasets, res.stderr)
+        assert "each dataset needs its own branch, got taxonomies A," in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-ml"])
+def test_failed_load_leaves_no_output_directory(command, tmp_path):
+    where = (["--data", str(tmp_path / "missing.txt")] if command == "train"
+             else ["--data-root", str(tmp_path / "missing"), "--datasets", "A,B"])
+    res = run_cli(command, *where, "--out", str(tmp_path / "o"))
     assert res.returncode == 2, res.stderr
-    assert "--datasets names a dataset twice: A,A" in res.stderr
-    assert "Traceback" not in res.stderr
+    assert "missing" in res.stderr and "Traceback" not in res.stderr
     assert not (tmp_path / "o").exists()
 
 

@@ -2,13 +2,15 @@
 
 A line counts unless it is blank or its first non-space character is ``#``;
 docstrings count. Prints one ``<lines> <module>`` row per module, then the
-total. Run from anywhere: ``python tools/count_lines.py [package dir]``.
+total. Run from anywhere: ``python tools/count_lines.py``; to count another
+tree, run that checkout's copy.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "grapy"
 
 
 def counted_lines(path: Path) -> int:
@@ -16,14 +18,12 @@ def counted_lines(path: Path) -> int:
                if line.strip() and not line.lstrip().startswith("#"))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "grapy"
-    counts = {p.name: counted_lines(p) for p in sorted(package.glob("*.py"))}
+def main() -> None:
+    counts = {p.name: counted_lines(p) for p in sorted(PACKAGE.glob("*.py"))}
     for name, n in counts.items():
         print(f"{n:5d} {name}")
     print(f"{sum(counts.values()):5d} total")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()

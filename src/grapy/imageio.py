@@ -14,7 +14,7 @@ class ParseError(ValueError):
 
 
 def write_pgm(path, labels: np.ndarray) -> None:
-    """Write a 2-D uint8 array as binary PGM, pixel value = label index."""
+    """Write a 2-D integer array with values in [0, 255] as binary PGM, pixel value = label."""
     arr = np.asarray(labels)
     if arr.ndim != 2:
         raise ValueError(f"PGM needs a 2-D array, got shape {arr.shape}")
@@ -85,7 +85,7 @@ def read_ppm(path) -> np.ndarray:
 
 
 def quantize_image(img: np.ndarray) -> np.ndarray:
-    """Map floats in [0, 1] to uint8 with round-half-away behaviour of rint."""
+    """Map floats in [0, 1] to uint8; ``np.rint`` rounds a half to the even integer."""
     return np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 

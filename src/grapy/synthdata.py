@@ -1,12 +1,15 @@
 """Deterministic procedural generator of articulated stick-figure scenes.
 
 Each figure is a head disc, a torso rectangle, two 2-segment arms and two
-2-segment legs, posed with seeded random angles and sizes. A sample is
-painted in one stacked pass: every primitive's inside test and position
-fraction t (0 at the top of head and torso, at the near end of a limb
-segment) are computed once over the parts' common bounding box. The last
-part drawn over a pixel owns it (per figure arms, legs, torso, head; later
-figures over earlier ones), so overlapping figures occlude like painted layers.
+2-segment legs, posed with seeded random angles and sizes. A draw loop runs each
+sample's random stream (background, figure count, each figure's geometry and
+color jitter, noise), then one stacked pass paints the whole split: per kind, one
+raster call tests every primitive over a window the size of the kind's largest
+floor/ceil box, placed over the primitive's own box in the frame (a pixel
+outside that box is at least 1 px beyond the primitive), and gives each pixel
+its position fraction t (0 at the top of head and torso, at the near end of a
+limb segment). The last part drawn over a pixel owns it (per figure arms, legs,
+torso, head; later figures over earlier ones).
 
 The owner's (taxonomy, part, segment) rule labels the pixel: thresholds on t
 split a part into fine labels, and t exactly at a threshold takes the later one.
@@ -19,17 +22,15 @@ split a part into fine labels, and t exactly at a threshold takes the later one.
     leg    upper    UpperLeg  Pants <0.65 UpperLeg          UpperLeg
     leg    lower    LowerLeg  LowerLeg <0.65 Shoe           LowerLeg <0.65 Shoe
 
-Colors carry the part family: all fine labels inside one family share the
-family base color, shifted per figure (and slightly per fine label) by
-``palette_jitter``. With zero jitter every Level-2 region is color-constant,
-so fine labels are distinguishable only by geometry.
+Colors carry the part family: its fine labels share the family base color, shifted
+per figure (and slightly per fine label) by ``palette_jitter``. With zero jitter
+every Level-2 region is color-constant, so only geometry tells fine labels apart.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 
@@ -58,8 +59,7 @@ class SceneSpec:
     palette_jitter: float = 0.12
 
     def __post_init__(self):
-        h, w = self.image_size
-        if h < 16 or w < 16:
+        if min(self.image_size) < 16:
             raise ValueError(f"image size must be at least 16x16, got {self.image_size}")
         lo, hi = self.figures_per_image
         if not 1 <= lo <= hi:
@@ -94,10 +94,8 @@ class Dataset:
     def batches(self, rng: np.random.Generator, batch_size: int, dataset_index: int = 0):
         order = rng.permutation(len(self.samples))
         for start in range(0, len(order), batch_size):
-            idx = order[start : start + batch_size]
-            yield SampleBatch(images=[self.samples[i].image for i in idx],
-                              labels=[self.samples[i].labels for i in idx],
-                              dataset_index=dataset_index)
+            chunk = [self.samples[i] for i in order[start : start + batch_size]]
+            yield SampleBatch([s.image for s in chunk], [s.labels for s in chunk], dataset_index)
 
 
 # Families in the order of their base colors and of each figure's jitter draws.
@@ -129,16 +127,14 @@ def _fine_offsets(tax: Taxonomy) -> np.ndarray:
     """Stable per-fine-label color nudges in [-1, 1], hashed from the name."""
     out = np.zeros((tax.k3, 3))
     for i, name in enumerate(tax.fine_labels[1:], 1):
-        digest = hashlib.md5(name.encode("utf-8")).digest()
-        out[i] = [digest[j] / 127.5 - 1.0 for j in range(3)]
+        out[i] = [b / 127.5 - 1.0 for b in hashlib.md5(name.encode("utf-8")).digest()[:3]]
     return out
 
 
 @functools.cache
 def _label_table(tax: Taxonomy) -> tuple[np.ndarray, dict, np.ndarray]:
-    """``_RULES`` of ``tax`` as ``(cuts, rule, lut)``: the sorted thresholds of
-    all its rules, the row of each (part, segment), and the fine label of each
-    row for each band ``searchsorted(cuts, t, side="right")`` of t."""
+    """``_RULES`` of ``tax`` as ``(cuts, rule, lut)``: all its sorted thresholds, the row of each
+    (part, segment), and each row's fine label per band ``searchsorted(cuts, t, side="right")``."""
     rules = _RULES.get(tax.dataset_name)
     if rules is None:
         raise GenerationError(f"no figure refinement rules for taxonomy {tax.dataset_name!r}; "
@@ -156,20 +152,15 @@ def _label_table(tax: Taxonomy) -> tuple[np.ndarray, dict, np.ndarray]:
     return cuts, {key: row for row, key in enumerate(rules)}, lut
 
 
-def _bounds(prims) -> tuple[float, float, float, float]:
-    """(x0, y0, x1, y1): the smallest box holding every primitive."""
-    boxes = []
-    for kind, *p in prims:
-        if kind == "disc":
-            cx, cy, r = p
-            boxes.append((cx - r, cy - r, cx + r, cy + r))
-        elif kind == "rect":
-            boxes.append(p)
-        else:
-            ax, ay, bx, by, r = p
-            boxes.append((min(ax, bx) - r, min(ay, by) - r, max(ax, bx) + r, max(ay, by) + r))
-    x0, y0, x1, y1 = zip(*boxes)
-    return min(x0), min(y0), max(x1), max(y1)
+def _box(prim, lo=min, hi=max):
+    """(x0, y0, x1, y1) of a primitive, or of stacked ones with lo, hi = np.minimum, np.maximum."""
+    if prim[0] == "rect":
+        return prim[1:]
+    if prim[0] == "disc":
+        _, cx, cy, r = prim
+        return cx - r, cy - r, cx + r, cy + r
+    _, ax, ay, bx, by, r = prim
+    return lo(ax, bx) - r, lo(ay, by) - r, hi(ax, bx) + r, hi(ay, by) + r
 
 
 # Inside test and position fraction t of stacked primitives (one per leading
@@ -194,6 +185,10 @@ def _discs(ys, xs, cx, cy, r):
 _RASTERS = {"capsule": _capsules, "rect": _rects, "disc": _discs}
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    return lo + (hi - lo) * rng.random()  # the bits of rng.uniform(lo, hi), at a third of its cost
+
+
 def _figure_geometry(rng: np.random.Generator, h_px: int, w_px: int):
     """Sample one articulated figure that fits the frame; 100 attempts max.
 
@@ -201,12 +196,12 @@ def _figure_geometry(rng: np.random.Generator, h_px: int, w_px: int):
     torso (covering the shoulder and hip joints), head.
     """
     for _ in range(100):
-        fh = rng.uniform(0.60, 0.82) * h_px
-        cx = rng.uniform(0.34, 0.66) * w_px
-        top = rng.uniform(0.04, 0.14) * h_px
-        head_r = 0.105 * fh * rng.uniform(0.85, 1.15)
-        torso_w = 0.30 * fh * rng.uniform(0.85, 1.15)
-        torso_h = 0.33 * fh * rng.uniform(0.90, 1.10)
+        fh = _uniform(rng, 0.60, 0.82) * h_px
+        cx = _uniform(rng, 0.34, 0.66) * w_px
+        top = _uniform(rng, 0.04, 0.14) * h_px
+        head_r = 0.105 * fh * _uniform(rng, 0.85, 1.15)
+        torso_w = 0.30 * fh * _uniform(rng, 0.85, 1.15)
+        torso_h = 0.33 * fh * _uniform(rng, 0.90, 1.10)
         arm_seg = 0.17 * fh
         arm_r = max(1.35, 0.050 * fh)
         leg_seg = 0.185 * fh
@@ -218,20 +213,20 @@ def _figure_geometry(rng: np.random.Generator, h_px: int, w_px: int):
         parts = []
         for side in (-1.0, 1.0):
             sx = cx + side * torso_w / 2.0
-            a1 = np.deg2rad(rng.uniform(18.0, 58.0))
+            a1 = np.deg2rad(_uniform(rng, 18.0, 58.0))
             ex = sx + side * np.sin(a1) * arm_seg
             ey = shoulder_y + np.cos(a1) * arm_seg
-            a2 = a1 + np.deg2rad(rng.uniform(-55.0, 25.0))
+            a2 = a1 + np.deg2rad(_uniform(rng, -55.0, 25.0))
             wx = ex + side * np.sin(a2) * arm_seg
             wy = ey + np.cos(a2) * arm_seg
             parts.append(("arm", 0, ("capsule", sx, shoulder_y, ex, ey, arm_r)))
             parts.append(("arm", 1, ("capsule", ex, ey, wx, wy, arm_r)))
         for side in (-1.0, 1.0):
             hx = cx + side * torso_w * 0.28
-            g1 = np.deg2rad(rng.uniform(2.0, 15.0))
+            g1 = np.deg2rad(_uniform(rng, 2.0, 15.0))
             kx = hx + side * np.sin(g1) * leg_seg
             ky = y1t + np.cos(g1) * leg_seg
-            g2 = np.deg2rad(rng.uniform(-8.0, 10.0))
+            g2 = np.deg2rad(_uniform(rng, -8.0, 10.0))
             ax = kx + side * np.sin(g2) * leg_seg
             ay = ky + np.cos(g2) * leg_seg
             parts.append(("leg", 0, ("capsule", hx, y1t, kx, ky, leg_r)))
@@ -246,60 +241,79 @@ def _figure_geometry(rng: np.random.Generator, h_px: int, w_px: int):
 
 
 def _fits(parts, h_px, w_px) -> bool:
-    x0, y0, x1, y1 = _bounds(prim for _, _, prim in parts)
-    return x0 >= 0.5 and y0 >= 0.5 and x1 <= w_px - 1.5 and y1 <= h_px - 1.5
+    x0, y0, x1, y1 = zip(*(_box(prim) for _, _, prim in parts))
+    return min(x0) >= 0.5 and min(y0) >= 0.5 and max(x1) <= w_px - 1.5 and max(y1) <= h_px - 1.5
+
+
+def _window(lo, hi, size):
+    """(P, m) pixel coordinates along one axis: each window covers its own floor/ceil extent."""
+    start = np.maximum(np.floor(lo), 0)
+    m = int((np.minimum(np.ceil(hi), size - 1) - start).max()) + 1
+    return np.minimum(start, size - m).astype(np.int64)[:, None] + np.arange(m)
+
+
+def _paint(spec: SceneSpec, taxonomy: Taxonomy, indices) -> list[Sample]:
+    """Samples ``indices`` of ``spec``: each one's random draws in turn, then one stacked paint."""
+    (h, w), (lo, hi), n = spec.image_size, spec.figures_per_image, len(indices)
+    cuts, rule, lut = _label_table(taxonomy)
+    # meta: (sample, rule row, jitter row) per part
+    imgs, bg, prims, meta, draws = np.zeros((n, h, w, 3)), np.empty((n, 3)), [], [], []
+    for k, index in enumerate(indices):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
+        bg[k] = rng.normal(0.0, 1.0, 3)
+        for _ in range(int(rng.integers(lo, hi, endpoint=True))):
+            figure = _figure_geometry(rng, h, w)
+            draws.append(rng.normal(0.0, 1.0, (len(_FAMILIES), 3)))
+            prims += [prim for _, _, prim in figure]
+            meta += [(k, rule[p, s], 4 * len(draws) - 4 + _FAMILIES.index(p)) for p, s, _ in figure]
+        if spec.noise_sigma > 0:
+            imgs[k] = rng.normal(0.0, spec.noise_sigma, (h, w, 3))
+
+    # Inside test and position fraction of each primitive over a window the
+    # size of its kind's largest box, placed over its own box in the frame.
+    sample, row, jrow = np.array(meta, np.int64).reshape(-1, 3).T
+    found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    for kind in dict.fromkeys(prim[0] for prim in prims):
+        sel = np.array([g for g, prim in enumerate(prims) if prim[0] == kind], np.int64)
+        params = np.array([prims[g][1:] for g in sel.tolist()]).T
+        x0, y0, x1, y1 = _box((kind, *params), np.minimum, np.maximum)
+        ys, xs = _window(y0, y1, h)[:, :, None], _window(x0, x1, w)[:, None, :]
+        inside, t = _RASTERS[kind](ys, xs, *params[:, :, None, None])
+        pix = (sample[sel, None, None] * h + ys) * w + xs
+        found.append((pix[inside], np.broadcast_to(sel[:, None, None], inside.shape)[inside],
+                      np.broadcast_to(t, inside.shape)[inside]))
+
+    # The last part drawn over a pixel owns it, and labels and colors it.
+    pix, part, frac = (np.concatenate(found_k) for found_k in zip(*found))
+    owner = np.full(n * h * w, -1)
+    np.maximum.at(owner, pix, part)
+    won = owner[pix] == part
+    pix, part = pix[won], part[won]
+    fids = lut[row[part], np.searchsorted(cuts, frac[won], side="right")]
+    color = np.take(_FAMILY_BASE, jrow[part] % len(_FAMILIES), axis=0) + spec.palette_jitter * (
+        0.8 * np.take(_fine_offsets(taxonomy), fids, axis=0)
+        + np.take(np.array(draws).reshape(-1, 3), jrow[part], axis=0))
+
+    # imgs holds the noise: add the owner's color or else the background to it.
+    fine, flat = np.zeros((n, h, w), np.int64), imgs.reshape(-1, 3)
+    fine.reshape(-1)[pix] = fids
+    color = np.clip(color, 0.0, 1.0) + np.take(flat, pix, axis=0)
+    imgs += np.clip(_BG_BASE + spec.palette_jitter * bg, 0.0, 1.0)[:, None, None]
+    flat[pix] = color
+    np.clip(imgs, 0.0, 1.0, out=imgs)
+    return [Sample(image=imgs[k], labels=fine[k]) for k in range(n)]
 
 
 def generate_sample(spec: SceneSpec, taxonomy: Taxonomy, index: int) -> Sample:
     """Generate sample ``index`` of ``spec`` labelled in ``taxonomy``."""
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
-    h, w = spec.image_size
-    cuts, rule, lut = _label_table(taxonomy)
-    bg = np.clip(_BG_BASE + spec.palette_jitter * rng.normal(0.0, 1.0, 3), 0.0, 1.0)
-    lo, hi = spec.figures_per_image
-    parts, jitter = [], []
-    for _ in range(int(rng.integers(lo, hi, endpoint=True))):
-        figure = _figure_geometry(rng, h, w)
-        draws = rng.normal(0.0, 1.0, (len(_FAMILIES), 3))
-        parts += figure
-        jitter += [draws[_FAMILIES.index(part)] for part, _, _ in figure]
-
-    # Inside test and position fraction of every primitive over the parts'
-    # common box; a pixel outside a primitive's own box is never inside it.
-    x0, y0, x1, y1 = _bounds(prim for _, _, prim in parts)
-    iy0, iy1 = max(0, math.floor(y0)), min(h - 1, math.ceil(y1))
-    ix0, ix1 = max(0, math.floor(x0)), min(w - 1, math.ceil(x1))
-    ys, xs = np.arange(iy0, iy1 + 1)[:, None], np.arange(ix0, ix1 + 1)
-    inside = np.empty((len(parts), len(ys), len(xs)), bool)
-    t = np.empty(inside.shape)
-    for kind, raster in _RASTERS.items():
-        sel = [i for i, (_, _, prim) in enumerate(parts) if prim[0] == kind]
-        params = np.array([parts[i][2][1:] for i in sel]).T[:, :, None, None]
-        inside[sel], t[sel] = raster(ys, xs, *params)
-
-    # The last part drawn over a pixel owns it, and labels and colors it.
-    yy, xx = inside.any(axis=0).nonzero()
-    owner = len(parts) - 1 - inside[::-1].argmax(axis=0)[yy, xx]
-    rows = np.array([rule[part, seg] for part, seg, _ in parts])
-    fam = np.array([_FAMILIES.index(part) for part, _, _ in parts])
-    fids = lut[rows[owner], np.searchsorted(cuts, t[owner, yy, xx], side="right")]
-    color = _FAMILY_BASE[fam[owner]] + spec.palette_jitter * (
-        0.8 * _fine_offsets(taxonomy)[fids] + np.array(jitter)[owner])
-
-    fine, img = np.zeros((h, w), np.int64), np.tile(bg, (h, w, 1))
-    fine[iy0 + yy, ix0 + xx] = fids
-    img[iy0 + yy, ix0 + xx] = np.clip(color, 0.0, 1.0)
-    if spec.noise_sigma > 0:
-        img = np.clip(img + rng.normal(0.0, spec.noise_sigma, img.shape), 0.0, 1.0)
-    return Sample(image=img, labels=fine)
+    return _paint(spec, taxonomy, [index])[0]
 
 
 def generate(spec: SceneSpec, taxonomy: Taxonomy, count: int) -> list[Sample]:
     """Generate ``count`` samples; sample i depends only on (spec, taxonomy, i)."""
-    bad = validate(taxonomy)
-    if bad:
+    if bad := validate(taxonomy):
         raise ValueError("invalid taxonomy: " + "; ".join(bad))
-    return [generate_sample(spec, taxonomy, i) for i in range(count)]
+    return _paint(spec, taxonomy, range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +324,12 @@ def write_sample(path_stem, sample: Sample) -> tuple[str, str]:
     """Write image as <stem>.ppm and labels as <stem>.pgm; returns both paths."""
     ppm, pgm = f"{path_stem}.ppm", f"{path_stem}.pgm"
     imageio.write_ppm(ppm, imageio.quantize_image(sample.image))
-    if sample.labels.max() > 255:
-        raise ValueError("PGM label maps cap at 255 labels")
-    imageio.write_pgm(pgm, sample.labels.astype(np.uint8))
+    imageio.write_pgm(pgm, sample.labels)
     return ppm, pgm
 
 
 def read_sample(image_path, label_path) -> Sample:
-    img = imageio.read_ppm(image_path)
-    lab = imageio.read_pgm(label_path)
+    img, lab = imageio.read_ppm(image_path), imageio.read_pgm(label_path)
     if img.shape[:2] != lab.shape:
         raise ValueError(f"image {image_path} is {img.shape[:2]} but label map "
                          f"{label_path} is {lab.shape}")
@@ -326,16 +337,21 @@ def read_sample(image_path, label_path) -> Sample:
 
 
 def save_dataset(dirpath, dataset: Dataset) -> str:
-    """Write samples and a manifest; returns the manifest path."""
+    """Write the samples, then the manifest via a temp file renamed over it; returns its path."""
     os.makedirs(dirpath, exist_ok=True)
     lines = [f"taxonomy\t{dataset.taxonomy.dataset_name}\n"]
     for i, sample in enumerate(dataset.samples):
-        stem = os.path.join(dirpath, f"{i:05d}")
-        write_sample(stem, sample)
+        write_sample(os.path.join(dirpath, f"{i:05d}"), sample)
         lines.append(f"{i}\t{i:05d}.ppm\t{i:05d}.pgm\n")
     manifest = os.path.join(dirpath, "manifest.txt")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    tmp = f"{manifest}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, manifest)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return manifest
 
 
@@ -387,29 +403,19 @@ def load_dataset(manifest_path, taxonomy: Taxonomy | None = None, name: str | No
 _BENCHMARK_PLAN = (("A", 200, 50), ("B", 600, 100), ("C", 400, 100))
 
 
-def _child_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence([seed, *key]).generate_state(1, np.uint64)[0])
-
-
 def make_benchmark_datasets(seed: int, image_size=(32, 32)) -> dict[str, tuple[Dataset, Dataset]]:
     """The three in-memory benchmark datasets: A 200/50, B 600/100, C 400/100."""
     out = {}
-    for d, (nm, ntrain, ntest) in enumerate(_BENCHMARK_PLAN):
+    for d, (nm, *counts) in enumerate(_BENCHMARK_PLAN):
         tax = taxonomy_by_name(nm)
-        train_spec = SceneSpec(seed=_child_seed(seed, d, 0), image_size=image_size)
-        test_spec = SceneSpec(seed=_child_seed(seed, d, 1), image_size=image_size)
-        train = Dataset(nm, tax, generate(train_spec, tax, ntrain))
-        test = Dataset(nm, tax, generate(test_spec, tax, ntest))
-        out[nm] = (train, test)
+        seeds = (np.random.SeedSequence([seed, d, s]).generate_state(1, np.uint64)[0] for s in (0, 1))
+        out[nm] = tuple(Dataset(nm, tax, generate(SceneSpec(int(sd), image_size), tax, c))
+                        for sd, c in zip(seeds, counts))
     return out
 
 
 def make_benchmark(seed: int, out_dir, image_size=(32, 32)) -> dict[str, dict[str, str]]:
     """Generate and write the three benchmark datasets; returns manifest paths."""
-    paths: dict[str, dict[str, str]] = {}
-    for nm, (train, test) in make_benchmark_datasets(seed, image_size).items():
-        paths[nm] = {
-            "train": save_dataset(os.path.join(out_dir, nm, "train"), train),
-            "test": save_dataset(os.path.join(out_dir, nm, "test"), test),
-        }
-    return paths
+    return {nm: {split: save_dataset(os.path.join(out_dir, nm, split), ds)
+                 for split, ds in zip(("train", "test"), pair)}
+            for nm, pair in make_benchmark_datasets(seed, image_size).items()}

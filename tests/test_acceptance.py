@@ -1,14 +1,18 @@
 """Acceptance gate: every criterion as one test, printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The directional-ablation
-fixture trains twelve models (4 configurations x 3 seeds) and takes several
-minutes; everything is seed-fixed and deterministic on a given backend.
+fixture trains twelve models (4 configurations x 3 seeds) on up to two worker
+processes and takes a few minutes; everything is seed-fixed and deterministic
+on a given backend.
 """
 
+import functools
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -41,43 +45,53 @@ def bench():
     return make_benchmark_datasets(0)
 
 
-@pytest.fixture(scope="module")
-def ablation_runs(bench):
-    """Train baseline / fine-level-only / full pyramid / mutual at 3 seeds."""
+@functools.cache
+def _ablation_data():
+    return make_benchmark_datasets(0)
+
+
+def train_ablation(name, seed):
+    """Train ablation ``name`` (base, l3only, full or mutual) at ``seed`` on
+    ``make_benchmark_datasets(0)``; returns its test mIoU on A and the wall
+    seconds of its training. Runs in a worker process, which builds the data
+    itself (once) rather than receiving it pickled."""
+    bench = _ablation_data()
     train_a, test_a = bench["A"]
-    datasets = [bench[n][0] for n in ("A", "B", "C")]
-    seeds = (0, 1, 2)
-    scores = {"base": [], "l3only": [], "full": [], "mutual": []}
-    slowest = 0.0
-
-    def timed(fn):
-        nonlocal slowest
-        t0 = time.time()
-        out = fn()
-        slowest = max(slowest, time.time() - t0)
-        return out
-
     with precision("f32"):
-        for seed in seeds:
-            single = dict(seed=seed, lr=0.1, lr_decay=0.3, batch_size=4,
-                          clip_norm=1.0, epochs_pretrain=8, epochs_main=16)
-            base = timed(lambda: pretrain_then_train(
-                train_a, TrainConfig(**single, with_gpm=False)))
-            scores["base"].append(level3_miou(base, test_a, "main"))
-
-            l3 = timed(lambda: pretrain_then_train(
-                train_a, TrainConfig(**single, levels=(3,))))
-            scores["l3only"].append(level3_miou(l3, test_a))
-
-            full = timed(lambda: pretrain_then_train(train_a, TrainConfig(**single)))
-            scores["full"].append(level3_miou(full, test_a))
-
+        t0 = time.time()
+        if name == "mutual":
             mcfg = MlTrainConfig(seed=seed, lr=0.1, lr_decay=0.3, batch_size=4,
                                  clip_norm=1.0, epochs_pretrain=4, epochs_main=10,
                                  epochs_finetune=6)
-            ml = timed(lambda: train_mutual(datasets, mcfg, finetune_on=1))
-            scores["mutual"].append(level3_miou(ml.branch_params(1), test_a))
-    return scores, slowest
+            ml = train_mutual([bench[n][0] for n in "ABC"], mcfg, finetune_on=1)
+            params = ml.branch_params(1)
+        else:
+            layout = {"base": dict(with_gpm=False), "l3only": dict(levels=(3,)), "full": {}}[name]
+            params = pretrain_then_train(train_a, TrainConfig(
+                seed=seed, lr=0.1, lr_decay=0.3, batch_size=4, clip_norm=1.0,
+                epochs_pretrain=8, epochs_main=16, **layout))
+        wall = time.time() - t0
+        return level3_miou(params, test_a, "main" if name == "base" else "gpm"), wall
+
+
+@pytest.fixture(scope="module")
+def ablation_runs():
+    """Train baseline / fine-level-only / full pyramid / mutual at 3 seeds.
+
+    The twelve runs are independent, so they go to min(2, CPUs) spawned worker
+    processes with one BLAS thread each, the longest (mutual) first.
+    """
+    seeds = (0, 1, 2)
+    jobs = [(name, seed) for name in ("mutual", "full", "l3only", "base") for seed in seeds]
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(min(2, os.cpu_count() or 1),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = {job: pool.submit(train_ablation, *job) for job in jobs}
+            runs = {job: future.result() for job, future in futures.items()}
+    scores = {name: [runs[name, seed][0] for seed in seeds]
+              for name in ("base", "l3only", "full", "mutual")}
+    return scores, max(wall for _, wall in runs.values())
 
 
 def test_full_scale_results_out_of_scope():

@@ -73,8 +73,8 @@ class TestGenerate:
         class MaxRng:
             # always drawing the top of every range pushes the arm tips
             # past the frame edge, so no attempt can fit
-            def uniform(self, lo, hi):
-                return hi
+            def random(self):
+                return 1.0
 
         with pytest.raises(GenerationError, match="100"):
             _figure_geometry(MaxRng(), 16, 16)
@@ -102,6 +102,31 @@ class TestAgainstOracle:
             assert s.labels.tobytes() == labels.tobytes(), f"sample {i}: labels differ"
 
     @pytest.mark.parametrize("tax_name", ["A", "B", "C"])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+    def test_generated_split_equals_per_primitive_painter_byte_for_byte(self, spec, tax_name):
+        tax = taxonomy_by_name(tax_name)
+        for i, s in enumerate(generate(spec, tax, 60)):
+            img, labels = scene_oracle(spec, tax, i)
+            assert s.image.tobytes() == img.tobytes(), f"sample {i}: image differs"
+            assert s.labels.tobytes() == labels.tobytes(), f"sample {i}: labels differ"
+
+    @pytest.mark.parametrize("spec", [ORACLE_SPECS["default"], ORACLE_SPECS["48x40-figures2-4"]],
+                             ids=["default", "48x40-figures2-4"])
+    def test_split_sample_equals_the_sample_alone(self, spec):
+        for tax in builtin_taxonomies():
+            split = generate(spec, tax, 25)
+            assert len(split) == 25
+            for i in (0, 1, 12, 24):
+                alone = generate_sample(spec, tax, i)
+                for got, want in ((split[i].image, alone.image), (split[i].labels, alone.labels)):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes(), f"{tax.dataset_name} sample {i}"
+            assert split[0].image.dtype == np.float64 and split[0].labels.dtype == np.int64
+
+    def test_empty_split(self, tax_a):
+        assert generate(SceneSpec(seed=0), tax_a, 0) == []
+
+    @pytest.mark.parametrize("tax_name", ["A", "B", "C"])
     def test_position_fraction_exactly_at_each_threshold(self, monkeypatch, tax_name):
         # Vertical capsules of length 20 (t = 20*dy / 400), a torso 50 rows
         # tall (t = dy / 50) and a head of diameter 20 (t = dy / 20) put the
@@ -124,6 +149,35 @@ class TestAgainstOracle:
         img, labels = scene_oracle(spec, tax, 0)
         assert s.labels.tobytes() == labels.tobytes()
         assert s.image.tobytes() == img.tobytes()
+        # the stacked path paints the same crafted figure in every sample
+        for i, s in enumerate(generate(spec, tax, 3)):
+            img, labels = scene_oracle(spec, tax, i)
+            assert s.labels.tobytes() == labels.tobytes(), f"sample {i}: labels differ"
+            assert s.image.tobytes() == img.tobytes(), f"sample {i}: image differs"
+
+    @pytest.mark.parametrize("tax_name", ["A", "B", "C"])
+    def test_primitives_crossing_the_frame_edge_paint_their_inside_part(self, monkeypatch,
+                                                                       tax_name):
+        # A figure that bypasses the fit test: each kind has a primitive
+        # crossing a frame edge and a larger one inside, so a window placed
+        # at the crossing primitive's box reaches past the frame.
+        def crossing(rng, h, w):
+            return [("arm", 0, ("capsule", -3.0, 5.2, 6.5, 9.1, 2.0)),
+                    ("arm", 1, ("capsule", 8.3, 8.0, 15.7, 21.4, 1.6)),
+                    ("leg", 0, ("capsule", 18.2, 17.5, 23.9, 26.0, 2.3)),
+                    ("leg", 1, ("capsule", 12.0, 14.0, 17.0, 12.5, 1.4)),
+                    ("torso", 0, ("rect", 9.4, 10.2, 17.8, 22.6)),
+                    ("torso", 0, ("rect", 20.5, -4.0, 29.0, 4.5)),
+                    ("head", 0, ("disc", 5.5, 18.0, 4.8)),
+                    ("head", 0, ("disc", 22.7, 9.6, 2.5))]
+
+        monkeypatch.setattr(synthdata, "_figure_geometry", crossing)
+        spec = SceneSpec(seed=3, image_size=(24, 24), figures_per_image=(1, 2))
+        tax = taxonomy_by_name(tax_name)
+        for i, s in enumerate(generate(spec, tax, 4)):
+            img, labels = scene_oracle(spec, tax, i)
+            assert s.labels.tobytes() == labels.tobytes(), f"sample {i}: labels differ"
+            assert s.image.tobytes() == img.tobytes(), f"sample {i}: image differs"
 
     def test_builtin_name_without_a_rule_label_names_the_label(self):
         from grapy.hierarchy import Taxonomy
@@ -156,6 +210,14 @@ class TestNetpbm:
         ppm2, pgm2 = write_sample(tmp_path / "b", back)
         assert open(ppm, "rb").read() == open(ppm2, "rb").read()
         assert open(pgm, "rb").read() == open(pgm2, "rb").read()
+
+    @pytest.mark.parametrize("bad", [-1, 256])
+    def test_label_outside_a_byte_rejected_and_no_pgm_written(self, tmp_path, tax_a, bad):
+        s = generate_sample(SceneSpec(seed=2, image_size=(16, 16)), tax_a, 0)
+        s.labels[3, 4] = bad
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            write_sample(tmp_path / "s0", s)
+        assert not (tmp_path / "s0.pgm").exists()
 
     def test_pgm_header(self, tmp_path):
         write_pgm(tmp_path / "x.pgm", np.zeros((32, 32), np.uint8))
@@ -196,6 +258,26 @@ class TestDatasetIO:
         assert loaded.taxonomy.dataset_name == "A"
         for a, b in zip(ds.samples, loaded.samples):
             assert np.array_equal(a.labels, b.labels)
+
+    def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, tax_a, monkeypatch):
+        samples = generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 3)
+        manifest = save_dataset(tmp_path / "d", Dataset("A", tax_a, samples[:2]))
+        before = open(manifest, "rb").read()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(synthdata.os, "replace", interrupted)
+        for target, previous in ((tmp_path / "d", before), (tmp_path / "fresh", None)):
+            with pytest.raises(OSError, match="interrupted"):
+                save_dataset(target, Dataset("A", tax_a, samples))
+            assert sorted(p.name for p in target.iterdir() if ".tmp" in p.name) == []
+            if previous is None:
+                assert not (target / "manifest.txt").exists()
+            else:
+                assert (target / "manifest.txt").read_bytes() == previous
+        monkeypatch.undo()
+        assert len(load_dataset(manifest)) == 2
 
     def test_manifest_taxonomy_mismatch(self, tmp_path, tax_a):
         ds = Dataset("A", tax_a, generate(SceneSpec(seed=6), tax_a, 1))

@@ -82,12 +82,11 @@ def validate(tax: Taxonomy) -> list[str]:
 
 def coarsen(m: np.ndarray, tax: Taxonomy, level: int) -> np.ndarray:
     """Map a fine (Level-3) label map pixelwise to Level 1 or Level 2."""
-    if level not in (1, 2, 3):
-        raise TaxonomyError(f"level must be 1, 2 or 3, got {level}")
+    table = tax.table_to(level)  # checks the level
     m = np.asarray(m)
     if m.size and (m.min() < 0 or m.max() >= tax.k3):
         raise TaxonomyError(f"label map holds values outside [0, {tax.k3})")
-    return tax.table_to(level)[m]
+    return table[m]
 
 
 def builtin_taxonomies() -> tuple[Taxonomy, Taxonomy, Taxonomy]:

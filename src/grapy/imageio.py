@@ -13,6 +13,13 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+def _write_netpbm(path, magic: str, arr: np.ndarray) -> None:
+    h, w = arr.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(arr.astype(np.uint8).tobytes())
+
+
 def write_pgm(path, labels: np.ndarray) -> None:
     """Write a 2-D integer array with values in [0, 255] as binary PGM, pixel value = label."""
     arr = np.asarray(labels)
@@ -20,10 +27,7 @@ def write_pgm(path, labels: np.ndarray) -> None:
         raise ValueError(f"PGM needs a 2-D array, got shape {arr.shape}")
     if arr.min() < 0 or arr.max() > 255:
         raise ValueError("PGM stores 8-bit values; labels must be in [0, 255]")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.astype(np.uint8).tobytes())
+    _write_netpbm(path, "P5", arr)
 
 
 def write_ppm(path, img: np.ndarray) -> None:
@@ -31,10 +35,7 @@ def write_ppm(path, img: np.ndarray) -> None:
     arr = np.asarray(img)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"PPM needs an (H, W, 3) array, got shape {arr.shape}")
-    h, w = arr.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.astype(np.uint8).tobytes())
+    _write_netpbm(path, "P6", arr)
 
 
 def _read_netpbm(path, magic: bytes):
@@ -57,6 +58,8 @@ def _read_netpbm(path, magic: bytes):
             start = pos
             while pos < len(blob) and blob[pos : pos + 1].isdigit():
                 pos += 1
+            if pos - start > 9:  # also keeps int() under its digit limit
+                raise ParseError("header number of more than 9 digits", start)
             fields.append(int(blob[start:pos]))
         else:
             raise ParseError(f"unexpected header byte {ch!r}", pos)

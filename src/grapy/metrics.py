@@ -39,39 +39,38 @@ class ConfusionMatrix:
         onehot = (table[:, None] == np.arange(k)).astype(np.int64)
         return ConfusionMatrix(k, onehot.T @ self.counts @ onehot)
 
+    def _diagonal_over(self, denom: np.ndarray) -> np.ndarray:
+        """Each class's diagonal count over ``denom``; NaN where ``denom`` is 0."""
+        out = np.full(self.k, np.nan)
+        nz = denom > 0
+        out[nz] = np.diag(self.counts).astype(np.float64)[nz] / denom[nz]
+        return out
+
     def per_class_iou(self) -> np.ndarray:
         """IoU per class; NaN for classes absent from both pred and gt."""
-        diag = np.diag(self.counts).astype(np.float64)
-        union = self.counts.sum(axis=1) + self.counts.sum(axis=0) - np.diag(self.counts)
-        out = np.full(self.k, np.nan)
-        nz = union > 0
-        out[nz] = diag[nz] / union[nz]
-        return out
+        return self._diagonal_over(self.counts.sum(axis=1) + self.counts.sum(axis=0)
+                                   - np.diag(self.counts))
 
     def per_class_recall(self) -> np.ndarray:
         """Recall per class; NaN for classes with no ground-truth pixels."""
-        diag = np.diag(self.counts).astype(np.float64)
-        support = self.counts.sum(axis=1)
-        out = np.full(self.k, np.nan)
-        nz = support > 0
-        out[nz] = diag[nz] / support[nz]
-        return out
+        return self._diagonal_over(self.counts.sum(axis=1))
 
     def miou(self) -> float:
         """Mean IoU over classes present in prediction or ground truth."""
-        iou = self.per_class_iou()
-        valid = ~np.isnan(iou)
-        if not valid.any():
-            raise ValueError("no class has any pixels; mIoU undefined")
-        return float(iou[valid].mean())
+        return _mean_of_valid(self.per_class_iou(), "no class has any pixels; mIoU undefined")
 
     def mean_accuracy(self) -> float:
         """Mean per-class recall over classes with ground-truth support."""
-        rec = self.per_class_recall()
-        valid = ~np.isnan(rec)
-        if not valid.any():
-            raise ValueError("no class has ground-truth pixels; mean accuracy undefined")
-        return float(rec[valid].mean())
+        return _mean_of_valid(self.per_class_recall(),
+                              "no class has ground-truth pixels; mean accuracy undefined")
+
+
+def _mean_of_valid(values: np.ndarray, undefined: str) -> float:
+    """The mean of the non-NaN ``values``; ValueError(``undefined``) if there are none."""
+    valid = ~np.isnan(values)
+    if not valid.any():
+        raise ValueError(undefined)
+    return float(values[valid].mean())
 
 
 def _branches_of(params: ModelParams) -> list[str]:

@@ -104,7 +104,6 @@ class ModelParams:
 class ForwardOut(NamedTuple):
     y: Tensor                 # main-branch per-pixel distribution (N, H, W, K3)
     y_hat: Tensor | None      # pyramid-branch distribution, None in main-only mode
-    f_hat: Tensor | None      # fused feature map feeding the pyramid head
     fine: np.ndarray | None = None  # argmax of y (N, H, W) when the pyramid's masks came from it
 
     def main_prediction(self) -> np.ndarray:
@@ -125,13 +124,13 @@ def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
     f = params.backbone.apply(Tensor(np.asarray(images) - 0.5))
     y = softmax_channels(params.main_head.apply(f))
     if main_only or params.gpm is None:
-        return ForwardOut(y=y, y_hat=None, f_hat=None)
+        return ForwardOut(y=y, y_hat=None)
     if gt_labels is None:
         maps, fine = None, argmax_channel(y)
     else:
         maps, fine = gt_label_maps(gt_labels, taxonomy, sorted(params.gpm.levels)), None
-    f_hat, y_hat = pyramid_forward(f, y, taxonomy, params.gpm, label_maps=maps, fine=fine)
-    return ForwardOut(y=y, y_hat=y_hat, f_hat=f_hat, fine=fine)
+    _, y_hat = pyramid_forward(f, taxonomy, params.gpm, label_maps=maps, fine=fine)
+    return ForwardOut(y=y, y_hat=y_hat, fine=fine)
 
 
 def loss_tensor(out: ForwardOut, q: np.ndarray, loss_weight: float) -> Tensor:

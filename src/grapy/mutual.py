@@ -195,18 +195,17 @@ def snapshot(named: dict[str, Tensor]) -> dict[str, bytes]:
     return {name: t.data.tobytes() for name, t in named.items()}
 
 
-def audit_sharing(model: MlModel, datasets: list[Dataset], lr: float = 0.05,
-                  batch_size: int = 2, seed: int = 0) -> tuple[bool, list[str]]:
-    """Probe step per dataset: other branches must stay bitwise unchanged while
-    at least one shared parameter moves. Returns (ok, report lines)."""
+def audit_sharing(model: MlModel, datasets: list[Dataset]) -> tuple[bool, list[str]]:
+    """Probe step per dataset (2 images, lr 0.05): other branches must stay bitwise
+    unchanged while at least one shared parameter moves. Returns (ok, report lines)."""
     report, ok = [], True
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     indices = range(1, len(model.branches) + 1)
     for d in indices:
         before = [snapshot(model.branch_named(dd)) for dd in indices]
         shared_before = snapshot(model.shared_named())
-        batch = next(datasets[d - 1].batches(rng, batch_size, dataset_index=d))
-        ml_step(batch, model, SGD(model.step_params(d), lr, momentum=0.0))
+        batch = next(datasets[d - 1].batches(rng, 2, dataset_index=d))
+        ml_step(batch, model, SGD(model.step_params(d), 0.05, momentum=0.0))
         shared_changed = snapshot(model.shared_named()) != shared_before
         moved = [dd for dd in indices
                  if dd != d and snapshot(model.branch_named(dd)) != before[dd - 1]]

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hierarchy import Taxonomy, coarsen
-from .tensor import (Tensor, argmax_channel, attention_rounds, broadcast_nodes,
-                     concat_channels, conv2d, masked_pool, matmul, softmax_channels,
-                     uniform_init)
+from .tensor import (Tensor, attention_rounds, broadcast_nodes, concat_channels, conv2d,
+                     masked_pool, matmul, softmax_channels, uniform_init)
 
 GCR_ITERATIONS = 3
 
@@ -174,7 +173,7 @@ def level_forward(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,
     return distribute(f_prev, refined, params.out_proj, label_map)
 
 
-def pyramid_forward(f: Tensor, y: Tensor, taxonomy: Taxonomy, params: GpmParams,
+def pyramid_forward(f: Tensor, taxonomy: Taxonomy, params: GpmParams,
                     label_maps: dict[int, np.ndarray] | None = None,
                     fine: np.ndarray | None = None):
     """Run the pyramid coarse to fine; returns (f_hat, y_hat).
@@ -182,15 +181,12 @@ def pyramid_forward(f: Tensor, y: Tensor, taxonomy: Taxonomy, params: GpmParams,
     ``label_maps`` overrides the prediction-derived masks (used by the
     ground-truth-mask debug mode and by gradient checks, where masks must
     stay fixed). The other masks coarsen ``fine``, the (N, H, W) argmax of
-    ``y``, taken here unless the caller passes it.
+    the main prediction.
     """
     maps = label_maps or {}
-    levels = sorted(params.levels)
-    if fine is None and not all(l in maps for l in levels):
-        fine = argmax_channel(y)
     f_l = f
     pyramid = [f]
-    for level in levels:
+    for level in sorted(params.levels):
         label_map = maps.get(level)
         if label_map is None:
             label_map = masks_from_prediction(fine, taxonomy, level)

@@ -323,8 +323,8 @@ def generate(spec: SceneSpec, taxonomy: Taxonomy, count: int) -> list[Sample]:
 def write_sample(path_stem, sample: Sample) -> tuple[str, str]:
     """Write image as <stem>.ppm and labels as <stem>.pgm; returns both paths."""
     ppm, pgm = f"{path_stem}.ppm", f"{path_stem}.pgm"
+    imageio.write_pgm(pgm, sample.labels)  # first: its label check can fail
     imageio.write_ppm(ppm, imageio.quantize_image(sample.image))
-    imageio.write_pgm(pgm, sample.labels)
     return ppm, pgm
 
 
@@ -355,28 +355,29 @@ def save_dataset(dirpath, dataset: Dataset) -> str:
     return manifest
 
 
-def load_dataset(manifest_path, taxonomy: Taxonomy | None = None, name: str | None = None) -> Dataset:
+def load_dataset(manifest_path) -> Dataset:
     """Load a manifest's samples, rejecting any that training could not stack.
 
-    Every label must lie in [0, k3) of the bound taxonomy, and every image
-    must have the size of the first, since a batch is one stacked array.
+    Every label must lie in [0, k3) of the manifest's taxonomy, and every
+    image must be non-empty and have the size of the first, since a batch is
+    one stacked array.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    with open(manifest_path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{manifest_path}: not UTF-8 at byte offset {exc.start}") from None
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("taxonomy\t"):
         raise DatasetError(f"{manifest_path}: first manifest line must be 'taxonomy<TAB><name>'")
     if len(lines) < 2:
         raise DatasetError(f"{manifest_path}: the manifest lists no samples")
-    tax_name = lines[0][1].split("\t", 1)[1]
-    if taxonomy is None:
-        try:
-            taxonomy = taxonomy_by_name(tax_name)
-        except TaxonomyError as exc:
-            raise DatasetError(f"{manifest_path}:{lines[0][0]}: {exc}") from None
-    elif taxonomy.dataset_name != tax_name:
-        raise DatasetError(f"{manifest_path} is bound to taxonomy {tax_name!r}, "
-                           f"got {taxonomy.dataset_name!r}")
+    try:
+        taxonomy = taxonomy_by_name(lines[0][1].split("\t", 1)[1])
+    except TaxonomyError as exc:
+        raise DatasetError(f"{manifest_path}:{lines[0][0]}: {exc}") from None
     samples = []
     for no, ln in lines[1:]:
         where = f"{manifest_path}:{no}"
@@ -388,7 +389,9 @@ def load_dataset(manifest_path, taxonomy: Taxonomy | None = None, name: str | No
             sample = read_sample(os.path.join(base, img_rel), os.path.join(base, lab_rel))
         except (OSError, ValueError) as exc:  # ParseError is a ValueError
             raise DatasetError(f"{where}: {exc}") from None
-        top = int(sample.labels.max(initial=0))
+        if not sample.labels.size:
+            raise DatasetError(f"{where}: image {img_rel} has no pixels")
+        top = int(sample.labels.max())
         if top >= taxonomy.k3:
             raise DatasetError(f"{where}: label map {lab_rel} holds label {top}, outside "
                                f"[0, {taxonomy.k3}) of taxonomy {taxonomy.dataset_name!r}")
@@ -397,7 +400,7 @@ def load_dataset(manifest_path, taxonomy: Taxonomy | None = None, name: str | No
                                f"first image is {samples[0].image.shape[:2]}; a batch needs "
                                "one size")
         samples.append(sample)
-    return Dataset(name=name or tax_name, taxonomy=taxonomy, samples=samples)
+    return Dataset(name=taxonomy.dataset_name, taxonomy=taxonomy, samples=samples)
 
 
 _BENCHMARK_PLAN = (("A", 200, 50), ("B", 600, 100), ("C", 400, 100))

@@ -165,7 +165,7 @@ def test_oracle_equivalence_20_instances():
         for lp in gpm.levels.values():
             lp.out_proj.data[:] = rng.normal(size=lp.out_proj.shape) * 0.3
         gpm.head.data[:] = rng.normal(size=gpm.head.shape) * 0.2
-        f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
+        f_hat, y_hat = pyramid_forward(Tensor(f[None]), tax, gpm, fine=np.argmax(y[None], axis=-1))
         level_arrays = {l: (gpm.levels[l].q1.data, gpm.levels[l].q2.data,
                             gpm.levels[l].out_proj.data) for l in (1, 2, 3)}
         f_exp, y_exp = pyramid_oracle(f, y, tables, level_arrays, gpm.head.data)

@@ -498,3 +498,32 @@ def test_failed_sharing_audit_exits_1(bench_dir, tmp_path, monkeypatch, capsys):
     assert code == cli.EXIT_AUDIT == 1
     assert "audit: step on dataset 1: injected" in out
     assert "audit: FAILED" in err and "audit: ok" not in out
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_image_without_pixels_exits_2(command, one_sample_manifest, tmp_path):
+    manifest = one_sample_manifest(0, 0)
+    where = ["--out", str(tmp_path / "o")] if command == "train" else ["--ckpt", EVAL_CKPT]
+    res = run_cli(command, "--data", str(manifest), *where)
+    assert res.returncode == 2, res.stderr
+    assert "manifest.txt:2: image s.ppm has no pixels" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_manifest_not_utf8_exits_2(one_sample_manifest):
+    manifest = one_sample_manifest(2, 2, b"taxonomy\tA\n0\ts.ppm\ts.pgm\xff\n")
+    res = run_cli("eval", "--data", str(manifest), "--ckpt", EVAL_CKPT)
+    assert res.returncode == 2, res.stderr
+    assert "manifest.txt: not UTF-8 at byte offset 24" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 3)])
+def test_one_pixel_high_images_train_and_eval(h, w, one_sample_manifest, tmp_path):
+    manifest = one_sample_manifest(h, w)
+    res = run_cli("train", "--data", str(manifest), "--out", str(tmp_path / "o"),
+                  "--overfit", "1", "--steps", "4")
+    assert res.returncode == 0, res.stderr
+    res = run_cli("eval", "--data", str(manifest), "--ckpt", str(tmp_path / "o" / "model.ckpt"))
+    assert res.returncode == 0, res.stderr
+    assert "level3: miou=" in res.stdout

@@ -39,7 +39,6 @@ class TestForward:
         out = forward(rng.uniform(0, 1, (16, 16, 3))[None], params, tax)
         assert out.y.data[0].shape == (16, 16, 7)
         assert out.y_hat.data[0].shape == (16, 16, 7)
-        assert out.f_hat.data[0].shape == (16, 16, 16)
 
     def test_deterministic_bitwise(self, tax, tiny):
         params, image, _ = tiny
@@ -51,7 +50,7 @@ class TestForward:
     def test_main_only_skips_pyramid(self, tax, tiny):
         params, image, _ = tiny
         out = forward(image[None], params, tax, main_only=True)
-        assert out.y_hat is None and out.f_hat is None
+        assert out.y_hat is None
 
     def test_no_gpm_model(self, tax):
         rng = np.random.default_rng(2)
@@ -72,12 +71,12 @@ class TestForward:
         assert main_only.fine is None
         assert np.array_equal(main_only.main_prediction(), out.fine)
 
-    def test_three_field_construction_has_no_fine(self, tax, tiny):
+    def test_two_field_construction_has_no_fine(self, tax, tiny):
         params, image, _ = tiny
         out = forward(image[None], params, tax)
-        three = ForwardOut(out.y, out.y_hat, out.f_hat)
-        assert three.fine is None
-        assert np.array_equal(three.main_prediction(), out.fine)
+        two = ForwardOut(out.y, out.y_hat)
+        assert two.fine is None
+        assert np.array_equal(two.main_prediction(), out.fine)
 
 
 class TestLoss:
@@ -86,7 +85,7 @@ class TestLoss:
         one_hot = Tensor(np.eye(tax.k3)[q][None])
         from grapy.model import ForwardOut
 
-        out = ForwardOut(y=one_hot, y_hat=one_hot, f_hat=None)
+        out = ForwardOut(y=one_hot, y_hat=one_hot)
         assert abs(float(loss_tensor(out, q[None], 1.0).data)) < 1e-9
 
     def test_uniform_gives_two_log_k(self, tax):
@@ -94,7 +93,7 @@ class TestLoss:
         uniform = Tensor(np.full((1, 4, 4, tax.k3), 1.0 / tax.k3))
         from grapy.model import ForwardOut
 
-        out = ForwardOut(y=uniform, y_hat=uniform, f_hat=None)
+        out = ForwardOut(y=uniform, y_hat=uniform)
         assert np.isclose(float(loss_tensor(out, q, 1.0).data), 2 * np.log(tax.k3))
 
     def test_lambda_zero_is_main_only(self, tax, tiny):
@@ -289,7 +288,7 @@ class TestBatchAxis:
                           gt_labels=labels[None] if gt_masks else None)
             assert rel_err(out.y.data[n], one.y.data[0]) < 1e-9
             assert rel_err(out.y_hat.data[n], one.y_hat.data[0]) < 1e-9
-            sliced = ForwardOut(Tensor(out.y.data[n:n + 1]), Tensor(out.y_hat.data[n:n + 1]), None)
+            sliced = ForwardOut(Tensor(out.y.data[n:n + 1]), Tensor(out.y_hat.data[n:n + 1]))
             a = float(loss_tensor(sliced, labels[None], 1.0).data)
             b = float(loss_tensor(one, labels[None], 1.0).data)
             assert abs(a - b) <= 1e-9 * abs(b)

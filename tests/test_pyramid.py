@@ -274,7 +274,7 @@ class TestPyramidForward:
             lp.q2.data[:] = 0
             lp.out_proj.data[:] = 0
         gpm.head.data[:] = 0
-        f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
+        f_hat, y_hat = pyramid_forward(Tensor(f[None]), tax, gpm, fine=np.argmax(y[None], axis=-1))
         assert np.array_equal(f_hat.data[0], np.concatenate([f] * 4, axis=2))
         assert np.allclose(y_hat.data[0], 1.0 / tax.k3)
 
@@ -283,7 +283,7 @@ class TestPyramidForward:
         f = Tensor(rng.normal(size=(1, 16, 16, 8)))
         y = Tensor(rng.uniform(0, 1, (1, 16, 16, tax.k3)))
         gpm = GpmParams.init(rng, 8, tax.k3)
-        f_hat, y_hat = pyramid_forward(f, y, tax, gpm)
+        f_hat, y_hat = pyramid_forward(f, tax, gpm, fine=argmax_channel(y))
         assert f_hat.data[0].shape == (16, 16, 32)
         assert y_hat.data[0].shape == (16, 16, tax.k3)
 
@@ -294,7 +294,7 @@ class TestPyramidForward:
         for lp in gpm.levels.values():  # zero-init projections hide the level path
             lp.out_proj.data[:] = rng.normal(size=lp.out_proj.shape) * 0.3
         gpm.head.data[:] = rng.normal(size=gpm.head.shape) * 0.2
-        f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
+        f_hat, y_hat = pyramid_forward(Tensor(f[None]), tax, gpm, fine=np.argmax(y[None], axis=-1))
         tables = {l: tax.table_to(l) for l in (1, 2, 3)}
         lp = {l: (gpm.levels[l].q1.data, gpm.levels[l].q2.data,
                   gpm.levels[l].out_proj.data) for l in (1, 2, 3)}
@@ -306,7 +306,7 @@ class TestPyramidForward:
         rng = np.random.default_rng(19)
         f, y = self._inputs(rng, tax)
         gpm = GpmParams.init(rng, 4, tax.k3, levels=(3,))
-        f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
+        f_hat, y_hat = pyramid_forward(Tensor(f[None]), tax, gpm, fine=np.argmax(y[None], axis=-1))
         assert f_hat.data[0].shape == (6, 6, 8)
         assert y_hat.data[0].shape == (6, 6, tax.k3)
 
@@ -318,7 +318,7 @@ class TestPyramidForward:
         maps = gt_label_maps(q[None], tax, (1, 2, 3))
         for level in (1, 2, 3):
             assert np.array_equal(maps[level][0], coarsen(q, tax, level))
-        f_hat, _ = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm, label_maps=maps)
+        f_hat, _ = pyramid_forward(Tensor(f[None]), tax, gpm, label_maps=maps)
         assert f_hat.data[0].shape == (6, 6, 16)
 
     def test_permutation_equivariance(self):
@@ -351,7 +351,8 @@ class TestPyramidForward:
         gpm = GpmParams.init(np.random.default_rng(3), 4, tax.k3)
 
         def run():
-            f_hat, y_hat = pyramid_forward(Tensor(f[None]), Tensor(y[None]), tax, gpm)
+            f_hat, y_hat = pyramid_forward(Tensor(f[None]), tax, gpm,
+                                           fine=np.argmax(y[None], axis=-1))
             return f_hat.data[0].tobytes() + y_hat.data[0].tobytes()
 
         assert run() == run()
@@ -365,7 +366,7 @@ class TestPyramidForward:
         maps = {l: masks_from_prediction(argmax_channel(y), tax, l) for l in (1, 2, 3)}
 
         def build():
-            _, y_hat = pyramid_forward(f, y, tax, gpm, label_maps=maps)
+            _, y_hat = pyramid_forward(f, tax, gpm, label_maps=maps)
             return cross_entropy_mean(y_hat, q)
 
         with Tape() as tape:
@@ -412,7 +413,7 @@ class TestBatchAxis:
         for lp in gpm.levels.values():
             lp.out_proj.data[:] = rng.normal(size=lp.out_proj.shape) * 0.3
         gpm.head.data[:] = rng.normal(size=gpm.head.shape) * 0.2
-        f_hat, y_hat = pyramid_forward(Tensor(f), Tensor(y), tax, gpm)
+        f_hat, y_hat = pyramid_forward(Tensor(f), tax, gpm, fine=np.argmax(y, axis=-1))
         tables = {l: tax.table_to(l) for l in (1, 2, 3)}
         lp = {l: (gpm.levels[l].q1.data, gpm.levels[l].q2.data,
                   gpm.levels[l].out_proj.data) for l in (1, 2, 3)}

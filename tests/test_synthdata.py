@@ -218,6 +218,7 @@ class TestNetpbm:
         with pytest.raises(ValueError, match=r"\[0, 255\]"):
             write_sample(tmp_path / "s0", s)
         assert not (tmp_path / "s0.pgm").exists()
+        assert not (tmp_path / "s0.ppm").exists()
 
     def test_pgm_header(self, tmp_path):
         write_pgm(tmp_path / "x.pgm", np.zeros((32, 32), np.uint8))
@@ -279,12 +280,6 @@ class TestDatasetIO:
         monkeypatch.undo()
         assert len(load_dataset(manifest)) == 2
 
-    def test_manifest_taxonomy_mismatch(self, tmp_path, tax_a):
-        ds = Dataset("A", tax_a, generate(SceneSpec(seed=6), tax_a, 1))
-        manifest = save_dataset(tmp_path / "d", ds)
-        with pytest.raises(ValueError, match="bound"):
-            load_dataset(manifest, taxonomy=taxonomy_by_name("B"))
-
     def test_label_outside_taxonomy_names_manifest_line(self, tmp_path, tax_a):
         ds = Dataset("A", tax_a, generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 3))
         ds.samples[1].labels[2, 3] = tax_a.k3  # one past the last fine label
@@ -305,6 +300,23 @@ class TestDatasetIO:
         pgm = tmp_path / "d" / "00001.pgm"
         pgm.write_bytes(pgm.read_bytes()[:-1])
         with pytest.raises(DatasetError, match=r"manifest\.txt:3: .*truncated"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("h, w", [(0, 0), (0, 3), (3, 0)])
+    def test_image_without_pixels_names_manifest_line(self, one_sample_manifest, h, w):
+        manifest = one_sample_manifest(h, w)
+        with pytest.raises(DatasetError, match=r"manifest\.txt:2: image s\.ppm has no pixels"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 3), (3, 1)])
+    def test_one_pixel_high_or_wide_images_load(self, one_sample_manifest, h, w):
+        loaded = load_dataset(one_sample_manifest(h, w))
+        assert loaded.samples[0].image.shape == (h, w, 3)
+        assert loaded.samples[0].labels.shape == (h, w)
+
+    def test_manifest_not_utf8_names_byte_offset(self, one_sample_manifest):
+        manifest = one_sample_manifest(2, 2, b"taxonomy\tA\n0\ts\xff.ppm\ts.pgm\n")
+        with pytest.raises(DatasetError, match=r"manifest\.txt: not UTF-8 at byte offset 14"):
             load_dataset(manifest)
 
     def test_benchmark_layout(self, tmp_path):

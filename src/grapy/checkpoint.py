@@ -5,8 +5,9 @@ u32 name length, UTF-8 name, u32 rank, u64 extents, little-endian float64
 values. Metadata strings (taxonomy bindings and model layout hints) travel
 as records named ``meta.<key>`` whose values are the UTF-8 byte codepoints;
 that keeps the container flat and the round-trip bit-exact. Record names
-are unique. A save writes a temporary file next to the target, syncs it and
-renames it over the target, so a failed save leaves the old file as it was.
+are unique, parameter values finite and metadata values byte codes. A save
+writes a temporary file next to the target, syncs it and renames it over the
+target, so a failed save leaves the old file as it was.
 """
 
 from __future__ import annotations
@@ -79,8 +80,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             raise CheckpointError(f"duplicate record name {name!r} at offset {start}")
         names.add(name)
         if name.startswith(_META_PREFIX):
+            if not ((values >= 0) & (values <= 255) & (values == np.round(values))).all():
+                raise CheckpointError(f"value of {name!r} in the record at offset {start} "
+                                      "holds codes that are not bytes (integers in [0, 255])")
             meta[name[len(_META_PREFIX):]] = _text(bytes(values.astype(np.uint8)),
                                                    f"value of {name!r}", start)
+        elif not np.isfinite(values).all():
+            raise CheckpointError(f"parameter {name!r} in the record at offset {start} "
+                                  "holds NaN or Inf")
         else:
             arrays[name] = values
     return arrays, meta
@@ -115,6 +122,10 @@ def _read_record(blob: bytes, pos: int):
     for ext in shape:
         count *= ext
     need(8 * count, f"values of {name!r}")
-    values = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+    try:  # a zero extent lets any others through need(); numpy caps rank and size
+        values = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+    except ValueError:
+        raise CheckpointError(f"extents {shape} of {name!r} at offset {pos - 8 * rank} "
+                              "make no array") from None
     pos += 8 * count
     return name, values, pos

@@ -20,7 +20,7 @@ from . import gradcheck as gradcheck_mod
 from . import metrics, serialize
 from .checkpoint import CheckpointError, load_checkpoint
 from .imageio import colorize_labels, write_ppm
-from .model import (SeedConfig, TrainConfig, TrainLog, forward, init_model, overfit_train,
+from .model import (SeedConfig, TrainConfig, forward, init_model, overfit_train,
                     pretrain_then_train, run_phases, setting)
 from .mutual import MlModel, MlTrainConfig, audit_sharing, mutual_phases
 from .synthdata import DatasetError, load_dataset, make_benchmark
@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
         dataset = load_dataset(args.data)
         os.makedirs(args.out, exist_ok=True)
         log_path = os.path.join(args.out, "train.log")
-        with TrainLog(log_path) as log:
+        with open(log_path, "w", encoding="utf-8") as log:
             if fit.overfit > 0:
                 params = overfit_train(dataset.subset(fit.overfit), cfg, fit.steps, log)
             else:
@@ -196,11 +196,11 @@ def cmd_train_ml(args) -> int:
             serialize.save_ml_model(path, model)
             print(f"{what} checkpoint: {path}")
 
-        with TrainLog(log_path) as log:
-            at = run_phases(joint, cfg.clip_norm, log, label=model.log_label)
+        with open(log_path, "w", encoding="utf-8") as log:
+            at = run_phases(joint, cfg, log, label=model.log_label)
             save("model_ml.ckpt", "joint")
             if finetune_d is not None:
-                run_phases(finetune, cfg.clip_norm, log, label=model.log_label, at=at)
+                run_phases(finetune, cfg, log, label=model.log_label, at=at)
                 save(f"model_ml_ft_{args.finetune}.ckpt", "fine-tuned")
         if args.audit_sharing:
             ok, report = audit_sharing(model, datasets)

@@ -25,7 +25,7 @@ def write_pgm(path, labels: np.ndarray) -> None:
     arr = np.asarray(labels)
     if arr.ndim != 2:
         raise ValueError(f"PGM needs a 2-D array, got shape {arr.shape}")
-    if arr.min() < 0 or arr.max() > 255:
+    if arr.size and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("PGM stores 8-bit values; labels must be in [0, 255]")
     _write_netpbm(path, "P5", arr)
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, fields
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -89,15 +88,10 @@ class ModelParams:
             raise ValueError(f"loss weight must be >= 0, got {self.loss_weight}")
 
     def named(self) -> dict[str, Tensor]:
-        out = self.main_named()
-        if self.gpm is not None:
-            out.update(self.gpm.named("gpm"))
-        return out
-
-    def main_named(self) -> dict[str, Tensor]:
-        """Backbone + main head only (the pretrain parameter set)."""
         out = self.backbone.named()
         out.update(self.main_head.named("main_head"))
+        if self.gpm is not None:
+            out.update(self.gpm.named("gpm"))
         return out
 
 
@@ -292,10 +286,11 @@ def batch_stream(dataset: Dataset, rng: np.random.Generator, batch_size: int,
 
 @dataclass
 class Phase:
-    """One stretch of a schedule: ``opt`` holds the parameters that move and
-    their lr; ``step(batch, opt, **flags)`` updates on ``next_batch()``."""
+    """One stretch of a schedule: ``params`` move at ``lr`` (under an SGD of
+    their own); ``step(batch, opt, **flags)`` updates on ``next_batch()``."""
 
-    opt: SGD
+    params: dict[str, Tensor]
+    lr: float
     step: Callable[..., float]
     next_batch: Callable[[], object]
     epochs: int
@@ -304,51 +299,39 @@ class Phase:
     gt_masks: bool = False
 
 
-class TrainLog:
-    """Append-only tab-separated training log: epoch, step, [dataset,] loss, lr."""
-
-    def __init__(self, path=None):
-        self._fh = open(path, "w", encoding="utf-8") if path else None
-
-    def write(self, epoch: int, step: int, loss: float, lr: float, dataset: str | None = None):
-        if self._fh is not None:
-            label = "" if dataset is None else f"{dataset}\t"
-            self._fh.write(f"{epoch}\t{step}\t{label}{loss:.6f}\t{lr:g}\n")
-
-    def close(self):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+def schedule(cfg: BaseTrainConfig, named: dict[str, Tensor], pretrain: tuple,
+             main: tuple) -> list[Phase]:
+    """All but the pyramid on the main branch at ``lr``, so masks become meaningful,
+    then all on the two-branch objective at the decayed lr; ``pretrain`` and
+    ``main`` are each phase's (step, next_batch, epochs, epoch_steps)."""
+    return [Phase({n: t for n, t in named.items() if "gpm." not in n}, cfg.lr, *pretrain,
+                  main_only=True),
+            Phase(named, cfg.lr * cfg.lr_decay, *main, gt_masks=cfg.gt_masks)]
 
 
-def run_phases(phases: list[Phase], clip_norm: float, log: TrainLog | None = None,
+def run_phases(phases: list[Phase], cfg: BaseTrainConfig, log: TextIO | None = None,
                label: Callable = lambda batch: None, at: tuple[int, int] = (0, 0)):
-    """The training loop. Log rows take ``label(batch)`` as dataset column and
-    number epochs and steps on from ``at``; returns the (epoch, step) reached."""
-    log = log or TrainLog(None)
+    """The training loop. Writes a tab-separated row per step to ``log``: epoch and
+    step (numbered on from ``at``), ``label(batch)`` unless None, loss and lr.
+    Returns the (epoch, step) reached."""
     epoch, step = at
     for ph in phases:
+        opt = SGD(ph.params, ph.lr, cfg.momentum)
         for _ in range(ph.epochs):
             for _ in range(ph.epoch_steps):
                 batch = ph.next_batch()
-                loss = ph.step(batch, ph.opt, gt_masks=ph.gt_masks, main_only=ph.main_only,
-                               clip_norm=clip_norm)
+                loss = ph.step(batch, opt, gt_masks=ph.gt_masks, main_only=ph.main_only,
+                               clip_norm=cfg.clip_norm)
                 step += 1
-                log.write(epoch, step, loss, ph.opt.lr, dataset=label(batch))
+                if log is not None:
+                    row = (epoch, step, label(batch), f"{loss:.6f}", f"{ph.lr:g}")
+                    log.write("\t".join(str(c) for c in row if c is not None) + "\n")
             epoch += 1
     return epoch, step
 
 
 def _train_single(dataset: Dataset, cfg: TrainConfig, log, params, pretrain, main):
-    """Backbone + main head alone so masks become meaningful, then everything on
-    the two-branch objective at the decayed lr; both (epochs, epoch_steps)."""
+    """``schedule`` over one batch stream; ``pretrain``, ``main`` are (epochs, epoch_steps)."""
     if params is None:
         params = init_model(ModelParams.init, cfg, dataset.taxonomy)
     next_batch = batch_stream(dataset, seeded_rng(cfg.seed, 1), cfg.batch_size)
@@ -356,15 +339,12 @@ def _train_single(dataset: Dataset, cfg: TrainConfig, log, params, pretrain, mai
     def step(batch, opt, **flags):
         return train_step(batch, params, dataset.taxonomy, opt, **flags)
 
-    sgd = partial(SGD, momentum=cfg.momentum)
-    run_phases([Phase(sgd(params.main_named(), cfg.lr), step, next_batch, *pretrain,
-                      main_only=True),
-                Phase(sgd(params.named(), cfg.lr * cfg.lr_decay), step, next_batch, *main,
-                      gt_masks=cfg.gt_masks)], cfg.clip_norm, log)
+    run_phases(schedule(cfg, params.named(), (step, next_batch, *pretrain),
+                        (step, next_batch, *main)), cfg, log)
     return params
 
 
-def pretrain_then_train(dataset: Dataset, cfg: TrainConfig, log: TrainLog | None = None,
+def pretrain_then_train(dataset: Dataset, cfg: TrainConfig, log: TextIO | None = None,
                         params: ModelParams | None = None) -> ModelParams:
     """``epochs_pretrain`` main-branch epochs, then ``epochs_main`` two-branch epochs."""
     cfg.validate()
@@ -374,7 +354,7 @@ def pretrain_then_train(dataset: Dataset, cfg: TrainConfig, log: TrainLog | None
 
 
 def overfit_train(dataset: Dataset, cfg: TrainConfig, steps: int,
-                  log: TrainLog | None = None) -> ModelParams:
+                  log: TextIO | None = None) -> ModelParams:
     """Fixed-subset training on a step budget, a quarter of it main-branch only,
     over one batch stream. The log's epoch column counts the two phases."""
     cfg.validate()

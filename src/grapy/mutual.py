@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TextIO
 
 import numpy as np
 
 from .hierarchy import Taxonomy
 from .model import (CLIP_NORM, SGD, BackboneParams, BaseTrainConfig, ConvLayer, ModelParams,
-                    Phase, TrainLog, apply_update, batch_loss, batch_stream,
-                    init_model, run_phases, seeded_rng, setting, train_step)
+                    Phase, apply_update, batch_loss, batch_stream, init_model, run_phases,
+                    schedule, seeded_rng, setting, train_step)
 # the benchmark's tracer wraps ``clip_gradients`` and ``train_step`` here too
 from .model import clip_gradients  # noqa: F401
 from .pyramid import GpmParams, init_levels
@@ -89,10 +90,6 @@ class MlModel:
             out.update(self.branch_named(d))
         return out
 
-    def step_params(self, d: int) -> dict[str, Tensor]:
-        """Parameters an update on dataset ``d`` may touch: shared + branch d."""
-        return {**self.shared_named(), **self.branch_named(d)}
-
     def log_label(self, batch) -> str:
         """The log's dataset column: the batch's dataset, or "all" for a group."""
         if isinstance(batch, list):
@@ -148,12 +145,9 @@ class MlTrainConfig(BaseTrainConfig):
 
 def mutual_phases(datasets: list[Dataset], cfg: MlTrainConfig, model: MlModel,
                   finetune_on: int | None = None) -> tuple[list[Phase], list[Phase]]:
-    """The joint phases and the fine-tune phases (none without ``finetune_on``).
-
-    Joint pretrain of backbone(s) + main heads, then joint two-branch training
-    of everything, on round-robin batches; then shared core + branch
-    ``finetune_on`` on that dataset alone.
-    """
+    """``schedule``'s joint phases on round-robin batches, and the fine-tune phases
+    (none without ``finetune_on``): shared core + branch ``finetune_on`` on that
+    dataset alone, at the decayed lr."""
     sampler = RoundRobinSampler(datasets, seeded_rng(cfg.seed, 1), cfg.batch_size)
     per_epoch = sum(-(-len(ds) // cfg.batch_size) for ds in datasets)
 
@@ -163,31 +157,29 @@ def mutual_phases(datasets: list[Dataset], cfg: MlTrainConfig, model: MlModel,
     def group_step(batches, opt, **flags):
         return ml_step_accumulated(batches, model, opt, **flags)[0]
 
-    sgd, lr2 = partial(SGD, momentum=cfg.momentum), cfg.lr * cfg.lr_decay
-    pre = {n: t for n, t in model.named().items() if ".gpm." not in n}
     main = ((group_step, lambda: [sampler.next_batch() for _ in datasets],
              cfg.epochs_main, max(1, per_epoch // len(datasets))) if cfg.accumulate
             else (step, sampler.next_batch, cfg.epochs_main, per_epoch))
-    joint = [Phase(sgd(pre, cfg.lr), step, sampler.next_batch, cfg.epochs_pretrain, per_epoch,
-                   main_only=True),
-             Phase(sgd(model.named(), lr2), *main, gt_masks=cfg.gt_masks)]
+    joint = schedule(cfg, model.named(), (step, sampler.next_batch, cfg.epochs_pretrain,
+                                          per_epoch), main)
     if finetune_on is None:
         return joint, []
     d, target = finetune_on, datasets[finetune_on - 1]
     stream = batch_stream(target, seeded_rng(cfg.seed, 2), cfg.batch_size, dataset_index=d)
-    return joint, [Phase(sgd(model.step_params(d), lr2), step, stream, cfg.epochs_finetune,
-                         -(-len(target) // cfg.batch_size), gt_masks=cfg.gt_masks)]
+    return joint, [Phase(model.branch_params(d).named(), cfg.lr * cfg.lr_decay, step, stream,
+                         cfg.epochs_finetune, -(-len(target) // cfg.batch_size),
+                         gt_masks=cfg.gt_masks)]
 
 
 def train_mutual(datasets: list[Dataset], cfg: MlTrainConfig,
-                 log: TrainLog | None = None, finetune_on: int | None = None,
+                 log: TextIO | None = None, finetune_on: int | None = None,
                  model: MlModel | None = None) -> MlModel:
     """Every phase of ``mutual_phases`` in one run."""
     cfg.validate()
     if model is None:
         model = init_model(MlModel.init, cfg, [ds.taxonomy for ds in datasets])
     joint, finetune = mutual_phases(datasets, cfg, model, finetune_on)
-    run_phases(joint + finetune, cfg.clip_norm, log, label=model.log_label)
+    run_phases(joint + finetune, cfg, log, label=model.log_label)
     return model
 
 
@@ -205,7 +197,7 @@ def audit_sharing(model: MlModel, datasets: list[Dataset]) -> tuple[bool, list[s
         before = [snapshot(model.branch_named(dd)) for dd in indices]
         shared_before = snapshot(model.shared_named())
         batch = next(datasets[d - 1].batches(rng, 2, dataset_index=d))
-        ml_step(batch, model, SGD(model.step_params(d), 0.05, momentum=0.0))
+        ml_step(batch, model, SGD(model.branch_params(d).named(), 0.05, momentum=0.0))
         shared_changed = snapshot(model.shared_named()) != shared_before
         moved = [dd for dd in indices
                  if dd != d and snapshot(model.branch_named(dd)) != before[dd - 1]]

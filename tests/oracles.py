@@ -274,3 +274,11 @@ def scene_oracle(spec, taxonomy, index):
     if spec.noise_sigma > 0:
         img = np.clip(img + rng.normal(0.0, spec.noise_sigma, img.shape), 0.0, 1.0)
     return img, fine
+
+
+def checkpoint_record(name: str, values) -> bytes:
+    """One checkpoint record as the format documents it: u32 name length, the
+    UTF-8 name, u32 rank, u64 extents, little-endian float64 values."""
+    raw, arr = name.encode("utf-8"), np.asarray(values, dtype="<f8")
+    return b"".join([len(raw).to_bytes(4, "little"), raw, arr.ndim.to_bytes(4, "little"),
+                     *(ext.to_bytes(8, "little") for ext in arr.shape), arr.tobytes()])

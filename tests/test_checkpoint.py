@@ -6,6 +6,7 @@ from grapy.hierarchy import taxonomy_by_name
 from grapy.model import ModelParams
 from grapy.serialize import load_model, save_model
 from grapy.tensor import precision
+from oracles import checkpoint_record
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -123,4 +124,53 @@ def test_duplicate_record_name_rejected_at_its_offset(tmp_path, arrays, meta, na
     blob = path.read_bytes()
     path.write_bytes(blob + blob[8:])  # the file's one record, twice
     with pytest.raises(CheckpointError, match=f"duplicate record name '{name}' at offset {len(blob)}"):
+        load_checkpoint(path)
+
+
+def test_encoder_oracle_matches_the_writer(tmp_path):
+    path = tmp_path / "p.ckpt"
+    w = np.arange(6.0).reshape(2, 3)
+    save_checkpoint(path, {"w": w}, meta={"kind": "single"})
+    assert path.read_bytes() == (MAGIC + (1).to_bytes(4, "little")
+                                 + checkpoint_record("meta.kind", list(b"single"))
+                                 + checkpoint_record("w", w))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_parameter_rejected_naming_it(tmp_path, bad):
+    path = tmp_path / "p.ckpt"
+    w = np.arange(4.0)
+    w[2] = bad
+    save_checkpoint(path, {"v": np.zeros(2), "w": w}, meta={"kind": "single"})
+    with pytest.raises(CheckpointError, match="parameter 'w' in the record at offset .* NaN or Inf"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("codes", [[300.0] * 3, [65.5], [np.nan], [-1.0], [np.inf], [65.0, 256.0]],
+                         ids=["above_255", "fraction", "nan", "negative", "inf", "second_code"])
+def test_meta_codes_that_are_not_bytes_rejected_at_their_offset(tmp_path, codes):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"w": np.zeros(2)}, meta={"kind": "single"})
+    blob = path.read_bytes()
+    path.write_bytes(blob + checkpoint_record("meta.note", codes))
+    with pytest.raises(CheckpointError,
+                       match=f"'meta.note' in the record at offset {len(blob)} .* not bytes"):
+        load_checkpoint(path)
+
+
+def test_meta_byte_codes_load_as_utf8(tmp_path):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"w": np.zeros(2)})
+    path.write_bytes(path.read_bytes() + checkpoint_record("meta.note", [0.0, 195.0, 169.0]))
+    assert load_checkpoint(path)[1] == {"note": "\x00\u00e9"}
+
+
+@pytest.mark.parametrize("shape", [(0, 2**62, 2**62), (0,) * 65], ids=["too_large", "rank_65"])
+def test_extents_numpy_cannot_hold_rejected(tmp_path, shape):
+    # a zero extent makes the record hold no values, whatever the other extents
+    head = b"".join([(1).to_bytes(4, "little"), b"w", len(shape).to_bytes(4, "little"),
+                     *(ext.to_bytes(8, "little") for ext in shape)])
+    path = tmp_path / "p.ckpt"
+    path.write_bytes(MAGIC + (1).to_bytes(4, "little") + head)
+    with pytest.raises(CheckpointError, match="of 'w' at offset 17 make no array"):
         load_checkpoint(path)

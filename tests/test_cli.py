@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from grapy.imageio import label_palette, read_ppm
+from oracles import checkpoint_record
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -378,7 +379,17 @@ def _edit_eval_ckpt(case: str, path) -> str:
     elif case == "four_channel_backbone":
         first = arrays["shared.backbone.conv1.kernel"]
         arrays["shared.backbone.conv1.kernel"] = np.concatenate([first, first[:, :, :1]], 2)
+    elif case == "nan_weight":
+        arrays[kernel].flat[5] = np.nan
+    elif case == "inf_bias":
+        arrays["branch2.main_head.bias"][-1] = np.inf
     save_checkpoint(path, arrays, meta)
+    if case.startswith("meta_codes_"):
+        blob = path.read_bytes()
+        codes = {"meta_codes_above_255": [300.0] * 3, "meta_codes_fraction": [65.5],
+                 "meta_codes_nan": [np.nan]}[case]
+        path.write_bytes(blob + checkpoint_record("meta.note", codes))
+        return f"'meta.note' in the record at offset {len(blob)}"
     if case == "name_not_utf8":
         blob = path.read_bytes()
         assert blob.count(b"branch1.gpm.head") == 1
@@ -387,14 +398,17 @@ def _edit_eval_ckpt(case: str, path) -> str:
     return {"meta_not_a_number": "iterations", "unexpected_parameter": "branch1.main_head.scale",
             "unknown_pooling": "median", "four_channel_backbone": "4-channel",
             "iterations_zero": "meta.iterations", "iterations_negative": "meta.iterations",
-            "negative_loss_weight": "meta.loss_weight"}.get(case, kernel)
+            "negative_loss_weight": "meta.loss_weight",
+            "inf_bias": "'branch2.main_head.bias'"}.get(case, kernel)
 
 
 @pytest.mark.parametrize("case", ["missing_parameter", "meta_not_a_number",
                                   "bias_wider_than_kernel", "name_not_utf8",
                                   "unexpected_parameter", "unknown_pooling",
                                   "four_channel_backbone", "iterations_zero",
-                                  "iterations_negative", "negative_loss_weight"])
+                                  "iterations_negative", "negative_loss_weight",
+                                  "nan_weight", "inf_bias", "meta_codes_above_255",
+                                  "meta_codes_fraction", "meta_codes_nan"])
 def test_unusable_checkpoint_exits_4_naming_the_key(case, bench_dir, tmp_path):
     ckpt = tmp_path / "edited.ckpt"
     named = _edit_eval_ckpt(case, ckpt)

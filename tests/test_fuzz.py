@@ -1,10 +1,16 @@
-"""Arbitrary bytes at the file boundaries: netpbm images and manifests.
+"""Arbitrary bytes at the file boundaries: netpbm images, manifests,
+checkpoints and config files.
 
 Each property runs a bounded, derandomized Hypothesis search. Any PPM/PGM
 byte string reads as an array or raises ``ParseError`` at an offset inside
 the file; any manifest bytes, next to sample files, load as a ``Dataset`` or
-raise ``DatasetError``; ``grapy eval`` on such a manifest exits 2.
+raise ``DatasetError``; ``grapy eval`` on such a manifest exits 2. Any
+checkpoint bytes load or raise ``CheckpointError``, and ``grapy eval`` on a
+checkpoint broken one way exits 4 (or 2); any config file bytes resolve to
+settings inside their declared ranges or raise ``ConfigError``.
 """
+
+import argparse
 
 import numpy as np
 import pytest
@@ -12,8 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grapy import cli
+from grapy.checkpoint import MAGIC, VERSION, CheckpointError, load_checkpoint
+from grapy.hierarchy import taxonomy_by_name
 from grapy.imageio import ParseError, read_pgm, read_ppm, write_pgm, write_ppm
+from grapy.model import ModelParams, TrainConfig
+from grapy.mutual import MlTrainConfig
 from grapy.synthdata import Dataset, DatasetError, load_dataset
+from oracles import checkpoint_record
 
 BOUNDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -111,3 +122,156 @@ def test_eval_on_manifest_bytes_exits_2(blob, sample_dir):
     manifest.write_bytes(blob)
     code = cli.main(["eval", "--data", str(manifest), "--ckpt", str(sample_dir / "absent.ckpt")])
     assert code == 2
+
+
+# checkpoints: a usable single-model A checkpoint (width 2, two channels),
+# then copies of it broken one way each
+_HEADER_BYTES = MAGIC + VERSION.to_bytes(4, "little")
+_META = {"kind": "single", "taxonomies": "A", "loss_weight": "1.0", "pooling": "both",
+         "iterations": "3", "levels": "1,2,3"}
+_ARRAYS = {name: t.data.astype(np.float64) for name, t in
+           ModelParams.init(0, taxonomy_by_name("A"), width=2, channels=2).named().items()}
+
+
+def _encode(meta: dict[str, str], arrays: dict[str, np.ndarray]) -> bytes:
+    return _HEADER_BYTES + b"".join(
+        [checkpoint_record(f"meta.{key}", list(text.encode("utf-8"))) for key, text in meta.items()]
+        + [checkpoint_record(name, values) for name, values in arrays.items()])
+
+
+_CKPT = _encode(_META, _ARRAYS)
+_NAMES = sorted(_ARRAYS)
+
+
+def _with_value(name, index, value):
+    arrays = {n: a.copy() for n, a in _ARRAYS.items()}
+    arrays[name].flat[index % arrays[name].size] = value
+    return _encode(_META, arrays)
+
+
+def _with_meta(key, text):
+    return _encode({**_META, key: text}, _ARRAYS)
+
+
+def _flattened(name):
+    return _encode(_META, {**_ARRAYS, name: _ARRAYS[name].reshape(-1)})
+
+
+def _header_byte(at, byte):
+    blob = bytearray(_CKPT)
+    blob[at] = byte if byte != blob[at] else (byte + 1) % 256
+    return bytes(blob)
+
+
+_BAD_META = st.one_of(
+    st.tuples(st.just("iterations"), st.sampled_from(["0", "-1", "three", "", "1e3"])),
+    st.tuples(st.just("pooling"), st.sampled_from(["median", "", "Both"])),
+    st.tuples(st.just("levels"), st.sampled_from(["1,1", "4", "", "0,1", "x"])),
+    st.tuples(st.just("loss_weight"), st.sampled_from(["-1", "nan", "inf", "x", ""])),
+    st.tuples(st.just("taxonomies"), st.sampled_from(["B", "Z", "", "A,A", ",A"])),
+    st.tuples(st.just("kind"), st.sampled_from(["mutual", "", "other"])),
+)
+_APPENDED = st.one_of(
+    st.builds(checkpoint_record, st.sampled_from(_NAMES + ["meta.kind", "meta.taxonomies"]),
+              st.lists(st.floats(0, 255), max_size=4)),  # a repeated record name
+    st.builds(checkpoint_record, st.sampled_from(["gpm.extra", "backbone.conv4.kernel", "x"]),
+              st.lists(st.floats(-2, 2), max_size=4)),  # a parameter the layout lacks
+    st.builds(checkpoint_record, st.just("meta.note"),
+              st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4)
+              .filter(lambda v: not all(0 <= x <= 255 and x == int(x) for x in v))),
+    st.binary(min_size=1, max_size=24),
+)
+# every one of these is unusable as a model
+_BROKEN_CKPT = st.one_of(
+    st.binary(max_size=80),
+    st.binary(min_size=1, max_size=60).map(lambda tail: _HEADER_BYTES + tail),
+    st.integers(0, len(_CKPT) - 1).map(lambda cut: _CKPT[:cut]),
+    _APPENDED.map(lambda record: _CKPT + record),
+    st.builds(_with_value, st.sampled_from(_NAMES), st.integers(0, 10**6),
+              st.sampled_from([np.nan, np.inf, -np.inf])),
+    _BAD_META.map(lambda kv: _with_meta(*kv)),
+    st.sampled_from([n for n in _NAMES if _ARRAYS[n].ndim > 1]).map(_flattened),
+    st.builds(_header_byte, st.integers(0, 7), st.integers(0, 255)),
+)
+_FLIPPED = st.builds(lambda at, byte: _CKPT[:at] + bytes([byte]) + _CKPT[at + 1:],
+                     st.integers(0, len(_CKPT) - 1), st.integers(0, 255))
+
+
+@pytest.fixture(scope="module")
+def eval_manifest(tmp_path_factory):
+    """One 4x4 A sample and its manifest, for ``grapy eval``."""
+    root = tmp_path_factory.mktemp("fuzz_eval")
+    rng = np.random.default_rng(1)
+    write_ppm(root / "s.ppm", rng.integers(0, 256, (4, 4, 3), dtype=np.uint8))
+    write_pgm(root / "s.pgm", rng.integers(0, 7, (4, 4)))
+    (root / "manifest.txt").write_text("taxonomy\tA\n0\ts.ppm\ts.pgm\n", encoding="utf-8")
+    return root / "manifest.txt"
+
+
+def test_the_unbroken_checkpoint_evaluates(eval_manifest, tmp_path):
+    path = tmp_path / "base.ckpt"
+    path.write_bytes(_CKPT)
+    assert cli.main(["eval", "--data", str(eval_manifest), "--ckpt", str(path)]) == 0
+
+
+@BOUNDED
+@given(blob=st.one_of(_BROKEN_CKPT, _FLIPPED, st.just(_CKPT)))
+def test_checkpoint_bytes_load_or_raise_checkpoint_error(blob, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(blob)
+    try:
+        arrays, meta = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert all(np.isfinite(a).all() for a in arrays.values())
+    assert all(isinstance(text, str) for text in meta.values())
+
+
+@BOUNDED
+@given(blob=_BROKEN_CKPT)
+def test_eval_on_a_broken_checkpoint_exits_4_or_2(blob, eval_manifest, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz_eval.ckpt"
+    path.write_bytes(blob)
+    assert cli.main(["eval", "--data", str(eval_manifest), "--ckpt", str(path)]) in (2, 4)
+
+
+# config files: `key = value` lines over the settings' keys (some dashed,
+# some unknown) and values in and out of their ranges, comments, blank and
+# malformed lines, any line ends, stray bytes, raw bytes
+_CONFIG_CLASSES = ((TrainConfig, cli.Precision, cli.Overfit), (MlTrainConfig, cli.Precision))
+_KEYS = sorted({k for classes in _CONFIG_CLASSES for f in cli._settings(*classes)
+                for k in (cli._key(f), *f.metadata["setting"].aliases)})
+_KEY = st.one_of(st.sampled_from(_KEYS), st.sampled_from(_KEYS).map(lambda k: k.replace("_", "-")),
+                 st.sampled_from(["nope", "", "limit", "gpm levels", "#lr"]))
+_VALUE = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "0.5", "1e999", "nan", "inf", "-0", "yes", "off",
+                     "maybe", "both", "ave", "max", "f32", "f64", "1,2", "3,3", "2,3", "",
+                     "1" * 5000]),
+    st.text(max_size=5),
+)
+_ASSIGNMENT = st.builds(lambda k, sp, v: f"{k}{sp}={sp}{v}", _KEY,
+                        st.sampled_from(["", " ", "\t"]), _VALUE)
+_CONFIG_LINE = st.one_of(_ASSIGNMENT, _ASSIGNMENT,
+                         st.sampled_from(["", "# comment", "  ", "lr", "= 1", "lr == 1"]))
+_CONFIG_TEXT = st.builds(lambda lines, end: end.join(lines), st.lists(_CONFIG_LINE, max_size=6),
+                         st.sampled_from(["\n", "\r\n", "\r"]))
+_CONFIG = st.one_of(
+    _CONFIG_TEXT.map(lambda t: t.encode("utf-8")),
+    _CONFIG_TEXT.map(lambda t: t.encode("utf-8")),
+    st.builds(lambda t, at, junk: (t.encode("utf-8")[:at] + junk + t.encode("utf-8")[at:]),
+              _CONFIG_TEXT, st.integers(0, 60), st.binary(min_size=1, max_size=3)),
+    st.binary(max_size=80),
+)
+
+
+@BOUNDED
+@given(blob=_CONFIG)
+def test_config_bytes_resolve_in_range_or_raise_config_error(blob, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(blob)
+    for classes in _CONFIG_CLASSES:
+        try:
+            resolved = cli.resolve_settings(argparse.Namespace(config=str(path)), *classes)
+        except cli.ConfigError:
+            continue
+        resolved[0].validate()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from grapy.hierarchy import taxonomy_by_name
-from grapy.model import (ForwardOut, ModelParams, TrainConfig, TrainLog, batch_loss,
+from grapy.model import (ForwardOut, ModelParams, TrainConfig, batch_loss,
                          clip_gradients, forward, loss_tensor, pretrain_then_train,
-                         train_step)
+                         schedule, train_step)
 from grapy.synthdata import Dataset, SampleBatch, SceneSpec, generate
 from grapy.tensor import (SGD, NumericsError, Tape, Tensor, add, argmax_channel, precision,
                           scale)
@@ -143,7 +143,8 @@ class TestTrainStep:
     def test_loss_decreases_on_fixed_image(self, tax):
         params = ModelParams.init(np.random.default_rng(6), tax, width=4, channels=4)
         batch = self._batch(tax, n=1)
-        opt = SGD(params.main_named(), lr=0.05, momentum=0.9)
+        opt = SGD({n: t for n, t in params.named().items() if "gpm." not in n},
+                  lr=0.05, momentum=0.9)
         losses = [train_step(batch, params, tax, opt, main_only=True)
                   for _ in range(50)]
         assert losses[-1] < losses[0] * 0.7
@@ -212,6 +213,16 @@ class TestPhases:
             if name.startswith("gpm"):
                 assert t.data.tobytes() == fresh.named()[name].data.tobytes(), name
 
+    def test_schedule_phases(self, tax):
+        params = ModelParams.init(np.random.default_rng(0), tax, width=4, channels=4)
+        cfg = TrainConfig(lr=0.2, lr_decay=0.25, gt_masks=True)
+        named = params.named()
+        pre, main = schedule(cfg, named, (None, None, 1, 1), (None, None, 1, 1))
+        assert list(pre.params) == [n for n in named if not n.startswith("gpm.")]
+        assert (pre.lr, pre.main_only, pre.gt_masks) == (0.2, True, False)
+        assert main.params is named
+        assert (main.lr, main.main_only, main.gt_masks) == (0.2 * 0.25, False, True)
+
     def test_masks_non_degenerate_after_pretrain(self, tax):
         ds = self._dataset(tax, n=6)
         cfg = TrainConfig(seed=1, lr=0.1, batch_size=2, epochs_pretrain=12,
@@ -242,7 +253,7 @@ class TestPhases:
         cfg = TrainConfig(seed=0, lr=0.05, batch_size=2, epochs_pretrain=1,
                           epochs_main=1, width=4, channels=4)
         path = tmp_path / "train.log"
-        with TrainLog(path) as log:
+        with open(path, "w", encoding="utf-8") as log:
             pretrain_then_train(ds, cfg, log)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2 * 2  # two epochs, two steps each

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grapy.hierarchy import builtin_taxonomies
-from grapy.model import ModelParams, forward, loss_tensor
+from grapy.model import ModelParams, forward, init_model, loss_tensor
 from grapy.mutual import (MlModel, MlTrainConfig, RoundRobinSampler, audit_sharing,
                           ml_step, ml_step_accumulated, snapshot,
                           train_mutual)
@@ -181,18 +181,41 @@ class TestTrainMutual:
             assert snapshot(model.branch_named(3)) == before[3]
 
     def test_log_has_dataset_column(self, taxonomies, tmp_path):
-        from grapy.model import TrainLog
-
         datasets = small_datasets(n=2)
         cfg = MlTrainConfig(seed=0, lr=0.05, batch_size=2, epochs_pretrain=1,
                             epochs_main=0, epochs_finetune=0, width=4, channels=4)
         path = tmp_path / "ml.log"
-        with precision("f32"), TrainLog(path) as log:
+        with precision("f32"), open(path, "w", encoding="utf-8") as log:
             train_mutual(datasets, cfg, log)
         rows = [ln.split("\t") for ln in path.read_text().strip().split("\n")]
         assert [r[2] for r in rows] == ["A", "B", "C"]
         for r in rows:
             int(r[0]), int(r[1]), float(r[3]), float(r[4])
+
+    def test_pretrain_leaves_gpm_at_init(self, taxonomies):
+        """The mutual twin of the single-model test: one schedule for both."""
+        datasets = small_datasets(n=2)
+        cfg = MlTrainConfig(seed=0, lr=0.05, batch_size=2, epochs_pretrain=2,
+                            epochs_main=0, epochs_finetune=0, width=4, channels=4)
+        with precision("f32"):
+            fresh = snapshot(init_model(MlModel.init, cfg, taxonomies).named())
+            trained = snapshot(train_mutual(datasets, cfg).named())
+        moved = {name for name in fresh if trained[name] != fresh[name]}
+        assert moved and all("gpm." not in name for name in moved)
+        assert any(".main_head." in name for name in moved)
+
+    def test_log_lr_column_follows_the_schedule(self, taxonomies, tmp_path):
+        datasets = small_datasets(n=2)  # one batch per dataset and epoch
+        cfg = MlTrainConfig(seed=0, lr=0.05, lr_decay=0.5, batch_size=2, epochs_pretrain=1,
+                            epochs_main=1, epochs_finetune=1, width=4, channels=4)
+        path = tmp_path / "ml.log"
+        with precision("f32"), open(path, "w", encoding="utf-8") as log:
+            train_mutual(datasets, cfg, log, finetune_on=2)
+        rows = [ln.split("\t") for ln in path.read_text().splitlines()]
+        assert [(r[0], r[2], r[4]) for r in rows] == [
+            ("0", "A", "0.05"), ("0", "B", "0.05"), ("0", "C", "0.05"),
+            ("1", "A", "0.025"), ("1", "B", "0.025"), ("1", "C", "0.025"),
+            ("2", "B", "0.025")]
 
     def test_accumulation_mode_trains(self, taxonomies):
         datasets = small_datasets(n=2)

@@ -220,6 +220,12 @@ class TestNetpbm:
         assert not (tmp_path / "s0.pgm").exists()
         assert not (tmp_path / "s0.ppm").exists()
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_label_map_round_trips(self, tmp_path, shape):
+        write_pgm(tmp_path / "e.pgm", np.zeros(shape, np.int64))
+        back = read_pgm(tmp_path / "e.pgm")
+        assert back.shape == shape and back.dtype == np.uint8
+
     def test_pgm_header(self, tmp_path):
         write_pgm(tmp_path / "x.pgm", np.zeros((32, 32), np.uint8))
         header = (tmp_path / "x.pgm").read_bytes()[:32]

@@ -2,7 +2,8 @@
 
 A line counts unless it is blank or its first non-space character is ``#``;
 docstrings count. Prints one ``<lines> <module>`` row per module, then the
-total. Run from anywhere: ``python tools/count_lines.py``; to count another
+subtotal of the training loop and its commands (``cli.py``, ``model.py``,
+``mutual.py``, ROADMAP item 7), then the total. Run from anywhere: ``python tools/count_lines.py``; to count another
 tree, run that checkout's copy.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "grapy"
+LOOP = ("cli.py", "model.py", "mutual.py")
 
 
 def counted_lines(path: Path) -> int:
@@ -22,6 +24,7 @@ def main() -> None:
     counts = {p.name: counted_lines(p) for p in sorted(PACKAGE.glob("*.py"))}
     for name, n in counts.items():
         print(f"{n:5d} {name}")
+    print(f"{sum(counts[name] for name in LOOP):5d} {' + '.join(LOOP)}")
     print(f"{sum(counts.values()):5d} total")
 
 

@@ -88,11 +88,15 @@ def read_ppm(path) -> np.ndarray:
 
 
 def quantize_image(img: np.ndarray) -> np.ndarray:
-    """Map floats in [0, 1] to uint8; ``np.rint`` rounds a half to the even integer."""
+    """Map floats in [0, 1] to uint8; ``np.rint`` rounds a half to the even integer.
+    uint8 codes are returned as they are."""
+    if img.dtype == np.uint8:
+        return img
     return np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
 def dequantize_image(img: np.ndarray) -> np.ndarray:
+    """Map uint8 codes to float64 in [0, 1]: ``q / 255``."""
     return img.astype(np.float64) / 255.0
 
 

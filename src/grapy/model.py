@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple, TextIO
 import numpy as np
 
 from .hierarchy import Taxonomy
+from .imageio import dequantize_image
 from .pyramid import GCR_ITERATIONS, GpmParams, check_levels, gt_label_maps, pyramid_forward
 from .synthdata import Dataset, SampleBatch
 from .tensor import (SGD, Tape, Tensor, argmax_channel, conv2d, cross_entropy_mean, relu,
@@ -108,14 +109,18 @@ class ForwardOut(NamedTuple):
 def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
             gt_labels: np.ndarray | None = None, main_only: bool = False) -> ForwardOut:
     """Full forward pass of an (N, H, W, C) batch: features, main prediction,
-    pyramid prediction, each (N, H, W, .).
+    pyramid prediction, each (N, H, W, .). Images are floats in [0, 1] or
+    uint8 codes, which ``dequantize_image`` maps there.
 
     ``gt_labels`` ((N, H, W)) switches category masks to coarsened ground
     truth (debug mode); default masks derive from the main prediction's argmax,
     which is returned as ``fine`` for callers that need the prediction too.
     """
-    # images arrive in [0, 1]; centering keeps the first conv well conditioned
-    f = params.backbone.apply(Tensor(np.asarray(images) - 0.5))
+    images = np.asarray(images)
+    if images.dtype == np.uint8:  # a loaded split's codes: dequantized once per batch
+        images = dequantize_image(images)
+    # centering keeps the first conv well conditioned
+    f = params.backbone.apply(Tensor(images - 0.5))
     y = softmax_channels(params.main_head.apply(f))
     if main_only or params.gpm is None:
         return ForwardOut(y=y, y_hat=None)

@@ -54,7 +54,8 @@ def _common(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> dict:
 
 def _filled(init, arrays: dict[str, np.ndarray], *args, **kw):
     """The layout ``init(seed, *args, **kw)`` builds, holding ``arrays``, which
-    must name exactly its parameters with exactly their shapes."""
+    must name exactly its parameters with exactly their shapes, and whose
+    values must fit the default float width."""
     try:
         model = init(0, *args, **kw)
     except ValueError as exc:
@@ -69,7 +70,12 @@ def _filled(init, arrays: dict[str, np.ndarray], *args, **kw):
         if arrays[name].shape != t.shape:
             raise CheckpointError(f"parameter {name} has shape {arrays[name].shape}, "
                                   f"its layout implies {t.shape}")
-        t.data = arrays[name].astype(get_default_dtype())
+        with np.errstate(over="ignore"):
+            t.data = arrays[name].astype(get_default_dtype())
+        if not np.isfinite(t.data).all():
+            worst = float(np.abs(arrays[name]).max())
+            raise CheckpointError(f"the record of parameter {name!r} holds {worst:g}, beyond the "
+                                  f"{t.data.dtype} range of --precision f32; load it under f64")
     return model
 
 

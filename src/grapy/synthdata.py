@@ -68,8 +68,11 @@ class SceneSpec:
 
 @dataclass
 class Sample:
-    image: np.ndarray   # (H, W, 3) float in [0, 1]
-    labels: np.ndarray  # (H, W) int64 fine labels
+    """A loaded sample holds its files' 8-bit codes as read, which ``forward``
+    maps to [0, 1] through ``imageio.dequantize_image``."""
+
+    image: np.ndarray   # (H, W, 3): uint8 codes when loaded, float in [0, 1] when generated
+    labels: np.ndarray  # (H, W) fine labels: uint8 when loaded, int64 when generated
 
 
 @dataclass
@@ -333,7 +336,7 @@ def read_sample(image_path, label_path) -> Sample:
     if img.shape[:2] != lab.shape:
         raise ValueError(f"image {image_path} is {img.shape[:2]} but label map "
                          f"{label_path} is {lab.shape}")
-    return Sample(image=imageio.dequantize_image(img), labels=lab.astype(np.int64))
+    return Sample(image=img, labels=lab)
 
 
 def save_dataset(dirpath, dataset: Dataset) -> str:

@@ -383,6 +383,8 @@ def _edit_eval_ckpt(case: str, path) -> str:
         arrays[kernel].flat[5] = np.nan
     elif case == "inf_bias":
         arrays["branch2.main_head.bias"][-1] = np.inf
+    elif case == "beyond_f32":
+        arrays[kernel][:] = 1e300
     save_checkpoint(path, arrays, meta)
     if case.startswith("meta_codes_"):
         blob = path.read_bytes()
@@ -399,7 +401,9 @@ def _edit_eval_ckpt(case: str, path) -> str:
             "unknown_pooling": "median", "four_channel_backbone": "4-channel",
             "iterations_zero": "meta.iterations", "iterations_negative": "meta.iterations",
             "negative_loss_weight": "meta.loss_weight",
-            "inf_bias": "'branch2.main_head.bias'"}.get(case, kernel)
+            "inf_bias": "'branch2.main_head.bias'",
+            "beyond_f32": f"parameter '{kernel}' holds 1e+300, beyond the float32 range "
+                          "of --precision f32"}.get(case, kernel)
 
 
 @pytest.mark.parametrize("case", ["missing_parameter", "meta_not_a_number",
@@ -408,7 +412,7 @@ def _edit_eval_ckpt(case: str, path) -> str:
                                   "four_channel_backbone", "iterations_zero",
                                   "iterations_negative", "negative_loss_weight",
                                   "nan_weight", "inf_bias", "meta_codes_above_255",
-                                  "meta_codes_fraction", "meta_codes_nan"])
+                                  "meta_codes_fraction", "meta_codes_nan", "beyond_f32"])
 def test_unusable_checkpoint_exits_4_naming_the_key(case, bench_dir, tmp_path):
     ckpt = tmp_path / "edited.ckpt"
     named = _edit_eval_ckpt(case, ckpt)
@@ -417,6 +421,24 @@ def test_unusable_checkpoint_exits_4_naming_the_key(case, bench_dir, tmp_path):
     assert res.returncode == 4, res.stderr
     assert "edited.ckpt" in res.stderr and named in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_checkpoint_beyond_f32_loads_under_f64(bench_dir, tmp_path):
+    from grapy.checkpoint import CheckpointError
+    from grapy.serialize import load_ml_model
+    from grapy.tensor import precision
+
+    ckpt = tmp_path / "edited.ckpt"
+    _edit_eval_ckpt("beyond_f32", ckpt)
+    with precision("f64"):
+        ml, _ = load_ml_model(ckpt)
+    assert (ml.branch_params(1).main_head.kernel.data == 1e300).all()
+    with precision("f32"), pytest.raises(CheckpointError, match="branch1.main_head.kernel"):
+        load_ml_model(ckpt)
+    res = run_cli("eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),
+                  "--ckpt", str(ckpt), "--precision", "f64")
+    assert res.returncode == 0, res.stderr
+    assert "Warning" not in res.stderr
 
 
 def test_checkpoint_with_repeated_levels_exits_4(bench_dir, tmp_path):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from grapy.hierarchy import taxonomy_by_name
+from grapy.imageio import dequantize_image
 from grapy.model import (ForwardOut, ModelParams, TrainConfig, batch_loss,
                          clip_gradients, forward, loss_tensor, pretrain_then_train,
                          schedule, train_step)
-from grapy.synthdata import Dataset, SampleBatch, SceneSpec, generate
+from grapy.synthdata import (Dataset, SampleBatch, SceneSpec, generate, load_dataset,
+                             save_dataset)
 from grapy.tensor import (SGD, NumericsError, Tape, Tensor, add, argmax_channel, precision,
                           scale)
 from oracles import fd_gradient, rel_err
@@ -331,3 +333,45 @@ class TestBatchAxis:
         with Tape() as single:
             batch_loss(SampleBatch(batch.images[:1], batch.labels[:1]), params, tax)
         assert len(tape) == len(single)
+
+
+class TestInputBoundary:
+    """Loaded samples hold their files' 8-bit codes; ``forward`` maps them to
+    [0, 1] itself, with the arithmetic a float image in [0, 1] gets."""
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        tax = taxonomy_by_name("B")
+        made = Dataset("B", tax, generate(SceneSpec(seed=12, image_size=(16, 16)), tax, 3))
+        return tax, load_dataset(save_dataset(tmp_path / "d", made)).samples
+
+    @pytest.mark.parametrize("prec", ["f32", "f64"])
+    def test_codes_forward_as_their_dequantized_floats(self, loaded, prec):
+        tax, samples = loaded
+        codes = np.stack([s.image for s in samples])
+        assert codes.dtype == np.uint8
+        with precision(prec):
+            params = ModelParams.init(np.random.default_rng(13), tax, width=8, channels=4)
+            a = forward(codes, params, tax)
+            b = forward(dequantize_image(codes), params, tax)
+        for got, want in ((a.y.data, b.y.data), (a.y_hat.data, b.y_hat.data), (a.fine, b.fine)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("prec", ["f32", "f64"])
+    def test_batch_loss_of_codes_equals_loss_of_floats(self, loaded, prec):
+        tax, samples = loaded
+        codes = SampleBatch([s.image for s in samples], [s.labels for s in samples])
+        floats = SampleBatch([dequantize_image(s.image) for s in samples],
+                             [s.labels.astype(np.int64) for s in samples])
+        with precision(prec):
+            params = ModelParams.init(np.random.default_rng(14), tax, width=8, channels=4)
+            grads = []
+            for batch in (codes, floats):
+                with Tape() as tape:
+                    loss = batch_loss(batch, params, tax)
+                grads.append((loss.data.tobytes(), tape.backward(loss)))
+        (loss_a, got), (loss_b, want) = grads
+        assert loss_a == loss_b
+        assert set(got) == set(want)
+        for leaf, g in want.items():
+            assert got[leaf].tobytes() == g.tobytes()

@@ -3,7 +3,8 @@ import pytest
 
 from grapy import synthdata
 from grapy.hierarchy import builtin_taxonomies, coarsen, taxonomy_by_name
-from grapy.imageio import ParseError, read_pgm, read_ppm, write_pgm, write_ppm
+from grapy.imageio import (ParseError, dequantize_image, quantize_image, read_pgm, read_ppm,
+                           write_pgm, write_ppm)
 from grapy.synthdata import (Dataset, DatasetError, GenerationError, SceneSpec, generate,
                              generate_sample, load_dataset, make_benchmark, read_sample,
                              save_dataset, write_sample)
@@ -201,7 +202,7 @@ class TestNetpbm:
         s = generate_sample(SceneSpec(seed=2), tax_a, 0)
         ppm, pgm = write_sample(tmp_path / "s0", s)
         back = read_sample(ppm, pgm)
-        assert np.abs(back.image - s.image).max() <= 0.5 / 255 + 1e-12
+        assert np.abs(dequantize_image(back.image) - s.image).max() <= 0.5 / 255 + 1e-12
 
     def test_file_round_trip_byte_exact(self, tmp_path, tax_a):
         s = generate_sample(SceneSpec(seed=2), tax_a, 0)
@@ -265,6 +266,16 @@ class TestDatasetIO:
         assert loaded.taxonomy.dataset_name == "A"
         for a, b in zip(ds.samples, loaded.samples):
             assert np.array_equal(a.labels, b.labels)
+
+    def test_loaded_split_keeps_the_files_codes(self, tmp_path, tax_a):
+        ds = Dataset("A", tax_a, generate(SceneSpec(seed=6, image_size=(24, 16)), tax_a, 3))
+        loaded = load_dataset(save_dataset(tmp_path / "d", ds))
+        for made, s in zip(ds.samples, loaded.samples):
+            h, w = s.labels.shape
+            assert s.image.dtype == np.uint8 and s.labels.dtype == np.uint8
+            assert s.image.nbytes + s.labels.nbytes == h * w * 4
+            assert s.image.tobytes() == quantize_image(made.image).tobytes()
+            assert np.array_equal(s.labels, made.labels)
 
     def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, tax_a, monkeypatch):
         samples = generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 3)

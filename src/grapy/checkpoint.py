@@ -6,14 +6,14 @@ values. Metadata strings (taxonomy bindings and model layout hints) travel
 as records named ``meta.<key>`` whose values are the UTF-8 byte codepoints;
 that keeps the container flat and the round-trip bit-exact. Record names
 are unique, parameter values finite and metadata values byte codes. A save
-writes a temporary file next to the target, syncs it and renames it over the
-target, so a failed save leaves the old file as it was.
+writes through ``replacing``, so a failed save leaves the old file as it was.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,20 +26,15 @@ class CheckpointError(ValueError):
     """Malformed checkpoint container."""
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> None:
+@contextmanager
+def replacing(path):
+    """A binary file whose bytes replace ``path`` when the block ends: written
+    to a temporary file next to it, synced, then renamed over it. A block that
+    raises leaves ``path`` as it was and no temporary file behind."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            for key, text in (meta or {}).items():
-                raw = text.encode("utf-8")
-                vals = np.frombuffer(raw, dtype=np.uint8).astype("<f8")
-                _write_record(fh, _META_PREFIX + key, vals)
-            for name, arr in arrays.items():
-                if name.startswith(_META_PREFIX):
-                    raise CheckpointError(f"parameter name {name!r} collides with metadata prefix")
-                _write_record(fh, name, np.asarray(arr, dtype="<f8"))
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -47,6 +42,20 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] | 
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> None:
+    with replacing(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        for key, text in (meta or {}).items():
+            raw = text.encode("utf-8")
+            vals = np.frombuffer(raw, dtype=np.uint8).astype("<f8")
+            _write_record(fh, _META_PREFIX + key, vals)
+        for name, arr in arrays.items():
+            if name.startswith(_META_PREFIX):
+                raise CheckpointError(f"parameter name {name!r} collides with metadata prefix")
+            _write_record(fh, name, np.asarray(arr, dtype="<f8"))
 
 
 def _write_record(fh, name: str, values: np.ndarray) -> None:

@@ -18,13 +18,13 @@ from functools import partial
 
 from . import gradcheck as gradcheck_mod
 from . import metrics, serialize
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, replacing
 from .imageio import colorize_labels, write_ppm
-from .model import (SeedConfig, TrainConfig, forward, init_model, overfit_train,
-                    pretrain_then_train, run_phases, setting)
+from .model import (SeedConfig, TrainConfig, init_model, overfit_train, pretrain_then_train,
+                    run_phases, setting)
 from .mutual import MlModel, MlTrainConfig, audit_sharing, mutual_phases
 from .synthdata import DatasetError, load_dataset, make_benchmark
-from .tensor import NumericsError, argmax_channel, precision
+from .tensor import NumericsError, precision
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -244,8 +244,8 @@ def cmd_eval(args) -> int:
         report, cms = metrics.evaluate_report(params, dataset)
         sys.stdout.write(metrics.report_text(report, cms, dataset))
         if args.kv_out:
-            with open(args.kv_out, "w", encoding="utf-8") as fh:
-                fh.write(metrics.report_kv(report))
+            with replacing(args.kv_out) as fh:
+                fh.write(metrics.report_kv(report).encode("utf-8"))
             print(f"kv report: {args.kv_out}")
     return EXIT_OK
 
@@ -257,12 +257,9 @@ def cmd_predict(args) -> int:
         params = _load_eval_params(args.ckpt, dataset)
         os.makedirs(args.out, exist_ok=True)
         count = len(dataset) if lim.limit is None else min(lim.limit, len(dataset))
-        for i in range(count):
-            out = forward(dataset.samples[i].image[None], params, dataset.taxonomy)
-            if args.branch == "gpm" and out.y_hat is not None:
-                pred = argmax_channel(out.y_hat)[0]
-            else:
-                pred = out.main_prediction()[0]
+        # range first: zip stops before it asks for a forward past the limit
+        for i, preds in zip(range(count), metrics.predictions(params, dataset)):
+            pred = preds.get(args.branch, preds["main"])
             path = os.path.join(args.out, f"{i:05d}_pred.ppm")
             write_ppm(path, colorize_labels(pred, dataset.taxonomy.k3))
         print(f"wrote {count} predictions to {args.out}")

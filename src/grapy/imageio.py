@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import colorsys
+
 import numpy as np
 
 
@@ -109,18 +111,8 @@ def label_palette(k: int) -> np.ndarray:
     pal = np.zeros((k, 3), np.uint8)
     for i in range(1, k):
         hue = (i * 0.61803398875) % 1.0
-        pal[i] = _hsv_to_rgb8(hue, 0.65, 0.95)
+        pal[i] = [round(c * 255) for c in colorsys.hsv_to_rgb(hue, 0.65, 0.95)]
     return pal
-
-
-def _hsv_to_rgb8(h: float, s: float, v: float) -> tuple[int, int, int]:
-    i = int(h * 6.0) % 6
-    f = h * 6.0 - int(h * 6.0)
-    p = v * (1.0 - s)
-    q = v * (1.0 - f * s)
-    t = v * (1.0 - (1.0 - f) * s)
-    r, g, b = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
-    return int(round(r * 255)), int(round(g * 255)), int(round(b * 255))
 
 
 def colorize_labels(labels: np.ndarray, k: int) -> np.ndarray:

@@ -77,23 +77,30 @@ def _branches_of(params: ModelParams) -> list[str]:
     return ["main"] + (["gpm"] if params.gpm is not None else [])
 
 
-def confusions(params: ModelParams, dataset: Dataset) -> dict[str, dict[int, ConfusionMatrix]]:
-    """Confusion matrices for every branch and level, one forward per sample
-    (a batch of one).
+def predictions(params: ModelParams, dataset: Dataset):
+    """Each sample's (H, W) label maps by branch, ``{"main": ..., "gpm": ...}`` ("gpm"
+    with a pyramid), from one forward per sample; "main" is the forward's own argmax."""
+    for sample in dataset.samples:
+        out = forward(sample.image[None], params, dataset.taxonomy)
+        preds = {"main": out.main_prediction()[0]}
+        if out.y_hat is not None:
+            preds["gpm"] = argmax_channel(out.y_hat)[0]
+        yield preds
 
-    Each image is counted once per branch, at the fine level 3; the forward's
-    own argmax is the main prediction. Every level-1 or level-2 label is a
-    many-to-one map of the fine ones, so those matrices are block sums of the
-    fine one (``ConfusionMatrix.merged``): integer sums, equal to counting
-    the coarsened maps image by image.
+
+def confusions(params: ModelParams, dataset: Dataset) -> dict[str, dict[int, ConfusionMatrix]]:
+    """Confusion matrices for every branch and level, counted from ``predictions``.
+
+    Each image is counted once per branch, at the fine level 3. Every level-1
+    or level-2 label is a many-to-one map of the fine ones, so those matrices
+    are block sums of the fine one (``ConfusionMatrix.merged``): integer sums,
+    equal to counting the coarsened maps image by image.
     """
     tax = dataset.taxonomy
     fine = {b: ConfusionMatrix(tax.k3) for b in _branches_of(params)}
-    for sample in dataset.samples:
-        out = forward(sample.image[None], params, tax)
-        fine["main"].add(out.main_prediction()[0], sample.labels)
-        if out.y_hat is not None:
-            fine["gpm"].add(argmax_channel(out.y_hat)[0], sample.labels)
+    for sample, preds in zip(dataset.samples, predictions(params, dataset)):
+        for b, pred in preds.items():
+            fine[b].add(pred, sample.labels)
     # (the level-l label of every fine index, the level's class count)
     tables = {level: (coarsen(np.arange(tax.k3), tax, level), tax.k_at(level)) for level in (1, 2)}
     return {b: {1: cm.merged(*tables[1]), 2: cm.merged(*tables[2]), 3: cm}

@@ -19,7 +19,7 @@ import numpy as np
 from .hierarchy import Taxonomy
 from .imageio import dequantize_image
 from .pyramid import GCR_ITERATIONS, GpmParams, check_levels, gt_label_maps, pyramid_forward
-from .synthdata import Dataset, SampleBatch
+from .synthdata import Dataset, RoundRobinSampler, SampleBatch
 from .tensor import (SGD, Tape, Tensor, argmax_channel, conv2d, cross_entropy_mean, relu,
                      scale, softmax_channels, uniform_init)
 
@@ -280,15 +280,6 @@ def init_model(init: Callable, cfg, *args):
                 **{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name in takes})
 
 
-def batch_stream(dataset: Dataset, rng: np.random.Generator, batch_size: int,
-                 dataset_index: int = 0) -> Callable[[], SampleBatch]:
-    """``next_batch`` over endless passes of ``dataset``, each reshuffled by ``rng``."""
-    def passes():
-        while len(dataset):  # an empty dataset ends the stream: StopIteration
-            yield from dataset.batches(rng, batch_size, dataset_index=dataset_index)
-    return passes().__next__
-
-
 @dataclass
 class Phase:
     """One stretch of a schedule: ``params`` move at ``lr`` (under an SGD of
@@ -336,10 +327,11 @@ def run_phases(phases: list[Phase], cfg: BaseTrainConfig, log: TextIO | None = N
 
 
 def _train_single(dataset: Dataset, cfg: TrainConfig, log, params, pretrain, main):
-    """``schedule`` over one batch stream; ``pretrain``, ``main`` are (epochs, epoch_steps)."""
+    """``schedule`` over one sampler; ``pretrain``, ``main`` are (epochs, epoch_steps)."""
     if params is None:
         params = init_model(ModelParams.init, cfg, dataset.taxonomy)
-    next_batch = batch_stream(dataset, seeded_rng(cfg.seed, 1), cfg.batch_size)
+    next_batch = RoundRobinSampler([dataset], seeded_rng(cfg.seed, 1), cfg.batch_size,
+                                   first=0).next_batch
 
     def step(batch, opt, **flags):
         return train_step(batch, params, dataset.taxonomy, opt, **flags)
@@ -361,6 +353,6 @@ def pretrain_then_train(dataset: Dataset, cfg: TrainConfig, log: TextIO | None =
 def overfit_train(dataset: Dataset, cfg: TrainConfig, steps: int,
                   log: TextIO | None = None) -> ModelParams:
     """Fixed-subset training on a step budget, a quarter of it main-branch only,
-    over one batch stream. The log's epoch column counts the two phases."""
+    over one sampler. The log's epoch column counts the two phases."""
     cfg.validate()
     return _train_single(dataset, cfg, log, None, (1, steps // 4), (1, steps - steps // 4))

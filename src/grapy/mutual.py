@@ -19,12 +19,12 @@ import numpy as np
 
 from .hierarchy import Taxonomy
 from .model import (CLIP_NORM, SGD, BackboneParams, BaseTrainConfig, ConvLayer, ModelParams,
-                    Phase, apply_update, batch_loss, batch_stream, init_model, run_phases,
-                    schedule, seeded_rng, setting, train_step)
+                    Phase, apply_update, batch_loss, init_model, run_phases, schedule,
+                    seeded_rng, setting, train_step)
 # the benchmark's tracer wraps ``clip_gradients`` and ``train_step`` here too
 from .model import clip_gradients  # noqa: F401
-from .pyramid import GpmParams, init_levels
-from .synthdata import Dataset, SampleBatch
+from .pyramid import GCR_ITERATIONS, GpmParams, init_levels
+from .synthdata import Dataset, RoundRobinSampler, SampleBatch
 from .tensor import Tape, Tensor, uniform_init
 
 
@@ -36,7 +36,7 @@ class MlModel:
     @classmethod
     def init(cls, seed_or_rng, taxonomies: list[Taxonomy], c_in: int = 3,
              width: int = 16, channels: int = 8, loss_weight: float = 1.0,
-             pooling: str = "both", iterations: int = 3,
+             pooling: str = "both", iterations: int = GCR_ITERATIONS,
              share_backbone: bool = True, fresh_weights: bool = False) -> "MlModel":
         """Draws the shared backbone, Levels 1-2, then per branch its own
         backbone (unless shared), main head, Level 3 and head."""
@@ -122,20 +122,6 @@ def ml_step_accumulated(batches: list[SampleBatch], model: MlModel, opt: SGD,
     return float(total.data), per_dataset
 
 
-class RoundRobinSampler:
-    """Cycles datasets 1, 2, 3, 1, 2, ...; each dataset reshuffles independently."""
-
-    def __init__(self, datasets: list[Dataset], rng: np.random.Generator, batch_size: int):
-        self._streams = [batch_stream(ds, rng, batch_size, dataset_index=d)
-                         for d, ds in enumerate(datasets, start=1)]
-        self._cursor = 0
-
-    def next_batch(self) -> SampleBatch:
-        i = self._cursor
-        self._cursor = (i + 1) % len(self._streams)
-        return self._streams[i]()
-
-
 @dataclass
 class MlTrainConfig(BaseTrainConfig):
     epochs_finetune: int = setting(10, "epochs on the --finetune dataset", bounds="[0, inf)")
@@ -165,10 +151,10 @@ def mutual_phases(datasets: list[Dataset], cfg: MlTrainConfig, model: MlModel,
     if finetune_on is None:
         return joint, []
     d, target = finetune_on, datasets[finetune_on - 1]
-    stream = batch_stream(target, seeded_rng(cfg.seed, 2), cfg.batch_size, dataset_index=d)
-    return joint, [Phase(model.branch_params(d).named(), cfg.lr * cfg.lr_decay, step, stream,
-                         cfg.epochs_finetune, -(-len(target) // cfg.batch_size),
-                         gt_masks=cfg.gt_masks)]
+    stream = RoundRobinSampler([target], seeded_rng(cfg.seed, 2), cfg.batch_size, first=d)
+    return joint, [Phase(model.branch_params(d).named(), cfg.lr * cfg.lr_decay, step,
+                         stream.next_batch, cfg.epochs_finetune,
+                         -(-len(target) // cfg.batch_size), gt_masks=cfg.gt_masks)]
 
 
 def train_mutual(datasets: list[Dataset], cfg: MlTrainConfig,

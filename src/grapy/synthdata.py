@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imageio
+from .checkpoint import replacing
 from .hierarchy import Taxonomy, TaxonomyError, taxonomy_by_name, validate
 
 
@@ -99,6 +100,25 @@ class Dataset:
         for start in range(0, len(order), batch_size):
             chunk = [self.samples[i] for i in order[start : start + batch_size]]
             yield SampleBatch([s.image for s in chunk], [s.labels for s in chunk], dataset_index)
+
+
+class RoundRobinSampler:
+    """Endless passes over each dataset, the datasets in turn; ``datasets[i]``'s
+    batches carry index ``first + i``, and a pass draws its order from ``rng`` as it starts."""
+
+    def __init__(self, datasets: list[Dataset], rng: np.random.Generator, batch_size: int,
+                 first: int = 1):
+        def passes(dataset, d):
+            while len(dataset):  # an empty dataset ends the stream: StopIteration
+                yield from dataset.batches(rng, batch_size, dataset_index=d)
+
+        self._streams = [passes(ds, d) for d, ds in enumerate(datasets, start=first)]
+        self._cursor = 0
+
+    def next_batch(self) -> SampleBatch:
+        i = self._cursor
+        self._cursor = (i + 1) % len(self._streams)
+        return next(self._streams[i])
 
 
 # Families in the order of their base colors and of each figure's jitter draws.
@@ -340,21 +360,18 @@ def read_sample(image_path, label_path) -> Sample:
 
 
 def save_dataset(dirpath, dataset: Dataset) -> str:
-    """Write the samples, then the manifest via a temp file renamed over it; returns its path."""
+    """Write the samples, then the manifest through ``replacing``; returns its path.
+    The old manifest goes first: a failed save leaves none, not one over new samples."""
     os.makedirs(dirpath, exist_ok=True)
+    manifest = os.path.join(dirpath, "manifest.txt")
+    if os.path.exists(manifest):
+        os.remove(manifest)
     lines = [f"taxonomy\t{dataset.taxonomy.dataset_name}\n"]
     for i, sample in enumerate(dataset.samples):
         write_sample(os.path.join(dirpath, f"{i:05d}"), sample)
         lines.append(f"{i}\t{i:05d}.ppm\t{i:05d}.pgm\n")
-    manifest = os.path.join(dirpath, "manifest.txt")
-    tmp = f"{manifest}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        os.replace(tmp, manifest)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing(manifest) as fh:
+        fh.write("".join(lines).encode("utf-8"))
     return manifest
 
 

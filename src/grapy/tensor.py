@@ -38,36 +38,28 @@ _DTYPE = np.float64  # 64-bit is the test/gradcheck mode; training may use 32-bi
 _TINY = {np.dtype(t): np.finfo(t).tiny for t in (np.float32, np.float64)}
 
 
-def set_default_dtype(dtype) -> None:
-    global _DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"precision must be float32 or float64, got {dt}")
-    _DTYPE = dt.type
-
-
 def get_default_dtype():
     return _DTYPE
 
 
-class precision:
+_PRECISIONS = {"f32": np.float32, "f64": np.float64}
+
+
+def precision(name: str):
     """Context manager pinning the default dtype: precision('f64') or ('f32')."""
+    if name not in _PRECISIONS:
+        raise ValueError(f"precision mode must be one of {tuple(_PRECISIONS)}, got {name!r}")
+    return _pinned(_PRECISIONS[name])
 
-    _NAMES = {"f32": np.float32, "f64": np.float64}
 
-    def __init__(self, name: str):
-        if name not in self._NAMES:
-            raise ValueError(f"precision mode must be one of {tuple(self._NAMES)}, got {name!r}")
-        self._dtype = self._NAMES[name]
-
-    def __enter__(self):
-        self._saved = get_default_dtype()
-        set_default_dtype(self._dtype)
-        return self
-
-    def __exit__(self, *exc):
-        set_default_dtype(self._saved)
-        return False
+@contextmanager
+def _pinned(dtype):
+    global _DTYPE
+    saved, _DTYPE = _DTYPE, dtype
+    try:
+        yield
+    finally:
+        _DTYPE = saved
 
 
 class Tensor:

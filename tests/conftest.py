@@ -6,21 +6,19 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 from grapy import tensor
-from grapy.tensor import set_default_dtype
+from grapy.tensor import precision
 
 
 @pytest.fixture(autouse=True)
 def f64_default():
     """Tests run in 64-bit unless they opt into f32 themselves."""
-    set_default_dtype(np.float64)
-    yield
-    set_default_dtype(np.float64)
+    with precision("f64"):
+        yield
 
 
 @pytest.fixture

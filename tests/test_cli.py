@@ -563,3 +563,28 @@ def test_one_pixel_high_images_train_and_eval(h, w, one_sample_manifest, tmp_pat
     res = run_cli("eval", "--data", str(manifest), "--ckpt", str(tmp_path / "o" / "model.ckpt"))
     assert res.returncode == 0, res.stderr
     assert "level3: miou=" in res.stdout
+
+
+def test_failed_kv_report_leaves_the_old_report(bench_dir, tmp_path, monkeypatch):
+    from grapy import cli
+
+    kv = tmp_path / "m.kv"
+    kv.write_bytes(b"main.level1.miou=0.5\n")
+
+    def broken(report):
+        raise RuntimeError("no report")
+
+    monkeypatch.setattr(cli.metrics, "report_kv", broken)
+    with pytest.raises(RuntimeError, match="no report"):
+        cli.main(["eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),
+                  "--ckpt", EVAL_CKPT, "--kv-out", str(kv)])
+    assert kv.read_bytes() == b"main.level1.miou=0.5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.kv"]
+
+
+def test_kv_out_into_a_missing_directory_exits_2_naming_it(bench_dir, tmp_path):
+    kv = tmp_path / "missing" / "m.kv"
+    res = run_cli("eval", "--data", str(bench_dir / "A" / "test" / "manifest.txt"),
+                  "--ckpt", EVAL_CKPT, "--kv-out", str(kv))
+    assert res.returncode == 2, res.stderr
+    assert str(kv) in res.stderr and "Traceback" not in res.stderr

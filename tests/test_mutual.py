@@ -165,6 +165,16 @@ class TestSteps:
         order = [sampler.next_batch().dataset_index for _ in range(9)]
         assert order == [1, 2, 3, 1, 2, 3, 1, 2, 3]
 
+    def test_sampler_of_one_dataset_numbers_it_first_and_reshuffles_per_pass(self, taxonomies):
+        ds = small_datasets(n=3)[0]
+        sampler = RoundRobinSampler([ds], np.random.default_rng(4), batch_size=2, first=0)
+        rng = np.random.default_rng(4)
+        want = [b for _ in range(2) for b in ds.batches(rng, 2, dataset_index=0)]
+        got = [sampler.next_batch() for _ in range(4)]
+        assert [b.dataset_index for b in got] == [0, 0, 0, 0]
+        assert ([[im.tobytes() for im in b.images] for b in got]
+                == [[im.tobytes() for im in b.images] for b in want])
+
 
 class TestTrainMutual:
     def test_finetune_leaves_other_branches(self, taxonomies):

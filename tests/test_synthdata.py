@@ -3,8 +3,8 @@ import pytest
 
 from grapy import synthdata
 from grapy.hierarchy import builtin_taxonomies, coarsen, taxonomy_by_name
-from grapy.imageio import (ParseError, dequantize_image, quantize_image, read_pgm, read_ppm,
-                           write_pgm, write_ppm)
+from grapy.imageio import (ParseError, dequantize_image, label_palette, quantize_image, read_pgm,
+                           read_ppm, write_pgm, write_ppm)
 from grapy.synthdata import (Dataset, DatasetError, GenerationError, SceneSpec, generate,
                              generate_sample, load_dataset, make_benchmark, read_sample,
                              save_dataset, write_sample)
@@ -192,6 +192,12 @@ class TestAgainstOracle:
 
 
 class TestNetpbm:
+    def test_label_palette_is_pinned(self):
+        assert label_palette(12).tolist() == [
+            [0, 0, 0], [85, 131, 242], [177, 242, 85], [242, 85, 223], [85, 242, 216],
+            [242, 170, 85], [124, 85, 242], [91, 242, 85], [242, 85, 137], [85, 183, 242],
+            [229, 242, 85], [209, 85, 242]]
+
     def test_label_round_trip(self, tmp_path, tax_a):
         s = generate_sample(SceneSpec(seed=2), tax_a, 0)
         ppm, pgm = write_sample(tmp_path / "s0", s)
@@ -277,25 +283,53 @@ class TestDatasetIO:
             assert s.image.tobytes() == quantize_image(made.image).tobytes()
             assert np.array_equal(s.labels, made.labels)
 
-    def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, tax_a, monkeypatch):
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, tax_a, monkeypatch):
         samples = generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 3)
-        manifest = save_dataset(tmp_path / "d", Dataset("A", tax_a, samples[:2]))
-        before = open(manifest, "rb").read()
+        save_dataset(tmp_path / "d", Dataset("A", tax_a, samples[:2]))
 
         def interrupted(src, dst):
             raise OSError("interrupted")
 
         monkeypatch.setattr(synthdata.os, "replace", interrupted)
-        for target, previous in ((tmp_path / "d", before), (tmp_path / "fresh", None)):
+        for target in (tmp_path / "d", tmp_path / "fresh"):
             with pytest.raises(OSError, match="interrupted"):
                 save_dataset(target, Dataset("A", tax_a, samples))
             assert sorted(p.name for p in target.iterdir() if ".tmp" in p.name) == []
-            if previous is None:
-                assert not (target / "manifest.txt").exists()
-            else:
-                assert (target / "manifest.txt").read_bytes() == previous
+            assert not (target / "manifest.txt").exists()
         monkeypatch.undo()
-        assert len(load_dataset(manifest)) == 2
+        loaded = load_dataset(save_dataset(tmp_path / "d", Dataset("A", tax_a, samples)))
+        assert [s.labels.tobytes() for s in loaded.samples] == [
+            s.labels.astype(np.uint8).tobytes() for s in samples]
+
+    @pytest.mark.parametrize("fails", ["manifest", "samples"])
+    def test_failed_resave_lists_no_rewritten_sample(self, tmp_path, tax_a, monkeypatch, fails):
+        """A re-save of another split that fails part-way leaves no manifest,
+        not the old one over the new split's files."""
+        old = generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 2)
+        new = generate(SceneSpec(seed=7, image_size=(16, 16)), tax_a, 3)
+        manifest = save_dataset(tmp_path / "d", Dataset("A", tax_a, old))
+
+        def interrupted(*args):
+            raise OSError("interrupted")
+
+        if fails == "manifest":
+            monkeypatch.setattr(synthdata.os, "replace", interrupted)
+        else:  # the first sample is rewritten, then the second write fails
+            left = [synthdata.write_sample]
+            monkeypatch.setattr(synthdata, "write_sample",
+                                lambda *args: (left.pop() if left else interrupted)(*args))
+        with pytest.raises(OSError, match="interrupted"):
+            save_dataset(tmp_path / "d", Dataset("A", tax_a, new))
+        monkeypatch.undo()
+        with pytest.raises(FileNotFoundError, match="manifest.txt"):
+            load_dataset(manifest)
+
+    def test_manifest_write_is_synced(self, tmp_path, tax_a, monkeypatch):
+        synced, fsync = [], synthdata.os.fsync
+        monkeypatch.setattr(synthdata.os, "fsync", lambda fd: synced.append(fd) or fsync(fd))
+        save_dataset(tmp_path / "d",
+                     Dataset("A", tax_a, generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 2)))
+        assert len(synced) == 1  # the manifest; sample files are plain writes
 
     def test_label_outside_taxonomy_names_manifest_line(self, tmp_path, tax_a):
         ds = Dataset("A", tax_a, generate(SceneSpec(seed=6, image_size=(16, 16)), tax_a, 3))

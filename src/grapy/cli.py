@@ -257,8 +257,9 @@ def cmd_predict(args) -> int:
         params = _load_eval_params(args.ckpt, dataset)
         os.makedirs(args.out, exist_ok=True)
         count = len(dataset) if lim.limit is None else min(lim.limit, len(dataset))
+        preds_of = metrics.predictions(params, dataset, main_only=args.branch == "main")
         # range first: zip stops before it asks for a forward past the limit
-        for i, preds in zip(range(count), metrics.predictions(params, dataset)):
+        for i, preds in zip(range(count), preds_of):
             pred = preds.get(args.branch, preds["main"])
             path = os.path.join(args.out, f"{i:05d}_pred.ppm")
             write_ppm(path, colorize_labels(pred, dataset.taxonomy.k3))

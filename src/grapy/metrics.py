@@ -77,11 +77,12 @@ def _branches_of(params: ModelParams) -> list[str]:
     return ["main"] + (["gpm"] if params.gpm is not None else [])
 
 
-def predictions(params: ModelParams, dataset: Dataset):
+def predictions(params: ModelParams, dataset: Dataset, main_only: bool = False):
     """Each sample's (H, W) label maps by branch, ``{"main": ..., "gpm": ...}`` ("gpm"
-    with a pyramid), from one forward per sample; "main" is the forward's own argmax."""
+    with a pyramid and not ``main_only``), from one forward per sample; "main" is the
+    forward's own argmax."""
     for sample in dataset.samples:
-        out = forward(sample.image[None], params, dataset.taxonomy)
+        out = forward(sample.image[None], params, dataset.taxonomy, main_only=main_only)
         preds = {"main": out.main_prediction()[0]}
         if out.y_hat is not None:
             preds["gpm"] = argmax_channel(out.y_hat)[0]

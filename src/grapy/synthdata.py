@@ -3,13 +3,13 @@
 Each figure is a head disc, a torso rectangle, two 2-segment arms and two
 2-segment legs, posed with seeded random angles and sizes. A draw loop runs each
 sample's random stream (background, figure count, each figure's geometry and
-color jitter, noise), then one stacked pass paints the whole split: per kind, one
-raster call tests every primitive over a window the size of the kind's largest
-floor/ceil box, placed over the primitive's own box in the frame (a pixel
-outside that box is at least 1 px beyond the primitive), and gives each pixel
-its position fraction t (0 at the top of head and torso, at the near end of a
-limb segment). The last part drawn over a pixel owns it (per figure arms, legs,
-torso, head; later figures over earlier ones).
+color jitter, noise), then one stacked pass paints each chunk of ``PAINT_CHUNK``
+images: per kind, one raster call tests every primitive over a window the size
+of the kind's largest floor/ceil box, placed over the primitive's own box in the
+frame (a pixel outside that box is at least 1 px beyond the primitive), and
+gives each pixel its position fraction t (0 at the top of head and torso, at the
+near end of a limb segment). The last part drawn over a pixel owns it (per
+figure arms, legs, torso, head; later figures over earlier ones).
 
 The owner's (taxonomy, part, segment) rule labels the pixel: thresholds on t
 split a part into fine labels, and t exactly at a threshold takes the later one.
@@ -275,6 +275,10 @@ def _window(lo, hi, size):
     return np.minimum(start, size - m).astype(np.int64)[:, None] + np.arange(m)
 
 
+# Images per stacked paint: generation's scratch memory grows with this, not with the split.
+PAINT_CHUNK = 16
+
+
 def _paint(spec: SceneSpec, taxonomy: Taxonomy, indices) -> list[Sample]:
     """Samples ``indices`` of ``spec``: each one's random draws in turn, then one stacked paint."""
     (h, w), (lo, hi), n = spec.image_size, spec.figures_per_image, len(indices)
@@ -333,10 +337,12 @@ def generate_sample(spec: SceneSpec, taxonomy: Taxonomy, index: int) -> Sample:
 
 
 def generate(spec: SceneSpec, taxonomy: Taxonomy, count: int) -> list[Sample]:
-    """Generate ``count`` samples; sample i depends only on (spec, taxonomy, i)."""
+    """Generate ``count`` samples; sample i depends only on (spec, taxonomy, i), so
+    painting them ``PAINT_CHUNK`` at a time gives the bytes of one pass over all."""
     if bad := validate(taxonomy):
         raise ValueError("invalid taxonomy: " + "; ".join(bad))
-    return _paint(spec, taxonomy, range(count))
+    return [sample for start in range(0, count, PAINT_CHUNK)
+            for sample in _paint(spec, taxonomy, range(start, min(start + PAINT_CHUNK, count)))]
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +432,28 @@ def load_dataset(manifest_path) -> Dataset:
 _BENCHMARK_PLAN = (("A", 200, 50), ("B", 600, 100), ("C", 400, 100))
 
 
+def _benchmark_splits(seed: int, image_size):
+    """(name, split, Dataset) of each benchmark split in turn, generated as it is asked for."""
+    for d, (nm, *counts) in enumerate(_BENCHMARK_PLAN):
+        tax = taxonomy_by_name(nm)
+        for s, (split, count) in enumerate(zip(("train", "test"), counts)):
+            sd = np.random.SeedSequence([seed, d, s]).generate_state(1, np.uint64)[0]
+            yield nm, split, Dataset(nm, tax, generate(SceneSpec(int(sd), image_size), tax, count))
+
+
 def make_benchmark_datasets(seed: int, image_size=(32, 32)) -> dict[str, tuple[Dataset, Dataset]]:
     """The three in-memory benchmark datasets: A 200/50, B 600/100, C 400/100."""
     out = {}
-    for d, (nm, *counts) in enumerate(_BENCHMARK_PLAN):
-        tax = taxonomy_by_name(nm)
-        seeds = (np.random.SeedSequence([seed, d, s]).generate_state(1, np.uint64)[0] for s in (0, 1))
-        out[nm] = tuple(Dataset(nm, tax, generate(SceneSpec(int(sd), image_size), tax, c))
-                        for sd, c in zip(seeds, counts))
+    for nm, _, ds in _benchmark_splits(seed, image_size):
+        out[nm] = out.get(nm, ()) + (ds,)
     return out
 
 
 def make_benchmark(seed: int, out_dir, image_size=(32, 32)) -> dict[str, dict[str, str]]:
-    """Generate and write the three benchmark datasets; returns manifest paths."""
-    return {nm: {split: save_dataset(os.path.join(out_dir, nm, split), ds)
-                 for split, ds in zip(("train", "test"), pair)}
-            for nm, pair in make_benchmark_datasets(seed, image_size).items()}
+    """Generate and write the three benchmark datasets one split at a time, each
+    written before the next is generated; returns manifest paths."""
+    out = {}
+    for nm, split, ds in _benchmark_splits(seed, image_size):
+        out.setdefault(nm, {})[split] = save_dataset(os.path.join(out_dir, nm, split), ds)
+        del ds  # not held while the next split is painted
+    return out

@@ -588,3 +588,30 @@ def test_kv_out_into_a_missing_directory_exits_2_naming_it(bench_dir, tmp_path):
                   "--ckpt", EVAL_CKPT, "--kv-out", str(kv))
     assert res.returncode == 2, res.stderr
     assert str(kv) in res.stderr and "Traceback" not in res.stderr
+
+
+def test_predict_main_branch_runs_no_pyramid(bench_dir, tmp_path, monkeypatch, capsys):
+    from grapy import cli, model
+    from grapy.imageio import colorize_labels
+    from grapy.synthdata import load_dataset
+    from grapy.tensor import precision
+
+    manifest = str(bench_dir / "A" / "test" / "manifest.txt")
+    with precision("f32"):  # the default --precision
+        dataset = load_dataset(manifest)
+        params = cli._load_eval_params(EVAL_CKPT, dataset)
+        full = [model.forward(s.image[None], params, dataset.taxonomy) for s in dataset.samples[:3]]
+    assert all(out.y_hat is not None for out in full)
+
+    def no_pyramid(*args, **kwargs):
+        raise AssertionError("the pyramid ran")
+
+    monkeypatch.setattr(model, "pyramid_forward", no_pyramid)
+    argv = ["predict", "--data", manifest, "--ckpt", EVAL_CKPT, "--limit", "3"]
+    with pytest.raises(AssertionError, match="the pyramid ran"):
+        cli.main(argv + ["--out", str(tmp_path / "gpm")])
+    assert cli.main(argv + ["--out", str(tmp_path / "main"), "--branch", "main"]) == 0
+    assert "wrote 3 predictions" in capsys.readouterr().out
+    for i, out in enumerate(full):
+        want = colorize_labels(out.main_prediction()[0], dataset.taxonomy.k3)
+        assert read_ppm(tmp_path / "main" / f"{i:05d}_pred.ppm").tobytes() == want.tobytes()

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,25 @@ class TestAgainstOracle:
                     assert (got.dtype, got.shape) == (want.dtype, want.shape)
                     assert got.tobytes() == want.tobytes(), f"{tax.dataset_name} sample {i}"
             assert split[0].image.dtype == np.float64 and split[0].labels.dtype == np.int64
+
+    def test_transient_memory_does_not_grow_with_the_split(self, tax_a):
+        """Generation's scratch memory (traced peak minus what the split keeps)
+        is bounded by the chunk: eight chunks' worth need no more than one."""
+        spec = SceneSpec(seed=9)
+
+        def transient(count):
+            tracemalloc.start()
+            try:
+                split = generate(spec, tax_a, count)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(split) == count
+            return peak - kept
+
+        generate(spec, tax_a, synthdata.PAINT_CHUNK)  # warm the per-taxonomy caches
+        one, eight = transient(synthdata.PAINT_CHUNK), transient(8 * synthdata.PAINT_CHUNK)
+        assert eight < 2 * one, f"{one} B for one chunk, {eight} B for eight"
 
     def test_empty_split(self, tax_a):
         assert generate(SceneSpec(seed=0), tax_a, 0) == []
@@ -371,13 +393,22 @@ class TestDatasetIO:
             load_dataset(manifest)
 
     def test_benchmark_layout(self, tmp_path):
-        paths = make_benchmark(0, tmp_path / "bench", image_size=(16, 16))
+        root = tmp_path / "bench"
+        paths = make_benchmark(0, root, image_size=(16, 16))
         assert set(paths) == {"A", "B", "C"}
         sizes = {"A": (200, 50), "B": (600, 100), "C": (400, 100)}
         for name, (ntrain, ntest) in sizes.items():
             train = load_dataset(paths[name]["train"])
             test = load_dataset(paths[name]["test"])
             assert (len(train), len(test)) == (ntrain, ntest)
+        # every written byte, pinned: each file's relative path and contents
+        digest = hashlib.sha256()
+        files = sorted(p for p in root.rglob("*") if p.is_file())
+        for path in files:
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+        assert len(files) == 2 * sum(map(sum, sizes.values())) + 6  # .ppm, .pgm; 6 manifests
+        assert digest.hexdigest() == ("3236e006dd0a442dc4633726f3f45fd3"
+                                      "7e8782036fffa448e25ed3065d5354f4")
 
     def test_batches_cover_dataset(self, tax_a):
         ds = Dataset("A", tax_a, generate(SceneSpec(seed=8), tax_a, 10))

@@ -20,7 +20,7 @@ from .hierarchy import coarsen, taxonomy_by_name
 from .model import ModelParams, batch_loss
 # the benchmark's tracer wraps ``loss_tensor`` here too
 from .model import loss_tensor  # noqa: F401
-from .pyramid import GCR_ITERATIONS, GpmLevelParams, GpmParams, pyramid_forward, reason
+from .pyramid import GpmLevelParams, GpmParams, pyramid_forward, reason
 from .synthdata import SampleBatch
 from .tensor import Tape, Tensor, cross_entropy_mean, precision
 
@@ -132,11 +132,6 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     wp = rng.normal(size=(1, 3, 6))
     results["masked_pool"] = check_tensor_grads(
         lambda: T.weighted_sum(T.masked_pool(f, labels, 3)[0], wp), [f])
-    wp_ave = rng.normal(size=(1, 3, 3))
-    results["masked_pool_ave"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.masked_pool(f, labels, 3, mode="ave")[0], wp_ave), [f])
-    results["masked_pool_max"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.masked_pool(f, labels, 3, mode="max")[0], wp_ave), [f])
 
     nodes = leaf(1, 3, 4)
     wb = rng.normal(size=(1, 5, 6, 4))
@@ -175,17 +170,15 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     return results
 
 
-def reason_suite(seed: int = 0, batch: int = 1, fresh_weights: bool = False) -> float:
+def reason_suite(seed: int = 0, batch: int = 1) -> float:
     """Attention reasoning over a batch of 4-node sets, with one projection
-    pair shared by every round or a fresh pair per round."""
+    pair shared by every round."""
     rng = np.random.default_rng(seed)
     v = Tensor(rng.normal(0.0, 1.0, (batch, 4, 8)), requires_grad=True)
-    params = GpmLevelParams.init(rng, 8, 4,
-                                 fresh_iterations=GCR_ITERATIONS if fresh_weights else 0)
+    params = GpmLevelParams.init(rng, 8, 4)
     w = rng.normal(size=(batch, 4, 8))
-    extra = [q for pair in params.extra for q in pair]
     return check_tensor_grads(lambda: T.weighted_sum(reason(v, params), w),
-                              [v, params.q1, params.q2, *extra])
+                              [v, params.q1, params.q2])
 
 
 def pyramid_suite(seed: int = 0) -> float:
@@ -238,7 +231,6 @@ def run_all(seed: int = 0, verbose: bool = False) -> tuple[dict[str, float], boo
         results = op_suites(seed)
         results["reason"] = reason_suite(seed)
         results["reason_batch2"] = reason_suite(seed, batch=2)
-        results["reason_fresh"] = reason_suite(seed, fresh_weights=True)
         results["pyramid"] = pyramid_suite(seed)
         results["end_to_end"] = end_to_end_suite(seed)
         results["end_to_end_batch2"] = end_to_end_suite(seed, batch=2)

@@ -74,13 +74,12 @@ class ModelParams:
     @classmethod
     def init(cls, seed_or_rng, taxonomy: Taxonomy, c_in: int = 3, width: int = 16,
              channels: int = 8, loss_weight: float = 1.0, with_gpm: bool = True,
-             pooling: str = "both", levels=(1, 2, 3), iterations: int = GCR_ITERATIONS,
-             fresh_weights: bool = False) -> "ModelParams":
+             levels=(1, 2, 3), iterations: int = GCR_ITERATIONS, **modes) -> "ModelParams":
+        only_default_modes(**modes)
         rng = np.random.default_rng(seed_or_rng)  # a Generator passes through
         backbone = BackboneParams.init(rng, c_in, width, channels)
         main_head = ConvLayer.init(rng, 1, 1, channels, taxonomy.k3)
-        gpm = (GpmParams.init(rng, channels, taxonomy.k3, pooling=pooling, levels=levels,
-                              iterations=iterations, fresh_weights=fresh_weights)
+        gpm = (GpmParams.init(rng, channels, taxonomy.k3, levels=levels, iterations=iterations)
                if with_gpm else None)
         return cls(backbone, main_head, gpm, loss_weight)
 
@@ -173,21 +172,17 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
     return grads
 
 
-def apply_update(tape: Tape, total: Tensor, opt: SGD, clip_norm: float) -> None:
-    """Backward from ``total``; clip ``opt``'s gradients (named, in tape order); step."""
+def train_step(batch: SampleBatch, params: ModelParams, taxonomy: Taxonomy, opt: SGD,
+               gt_masks: bool = False, main_only: bool = False,
+               clip_norm: float = CLIP_NORM) -> float:
+    """One forward/backward/SGD update at ``opt.lr``; returns the pre-update loss.
+    ``opt``'s gradients are clipped by name, in tape order."""
+    with Tape() as tape:
+        total = batch_loss(batch, params, taxonomy, gt_masks=gt_masks, main_only=main_only)
     grad_map = tape.backward(total)
     name_of = {id(t): name for name, t in opt.params.items()}
     grads = {name_of[id(t)]: g for t, g in grad_map.items() if id(t) in name_of}
     opt.step(clip_gradients(grads, clip_norm))
-
-
-def train_step(batch: SampleBatch, params: ModelParams, taxonomy: Taxonomy, opt: SGD,
-               gt_masks: bool = False, main_only: bool = False,
-               clip_norm: float = CLIP_NORM) -> float:
-    """One forward/backward/SGD update at ``opt.lr``; returns the pre-update loss."""
-    with Tape() as tape:
-        total = batch_loss(batch, params, taxonomy, gt_masks=gt_masks, main_only=main_only)
-    apply_update(tape, total, opt, clip_norm)
     return float(total.data)
 
 
@@ -251,13 +246,23 @@ class BaseTrainConfig(SeedConfig):
     loss_weight: float = setting(1.0, "pyramid-branch loss weight", key="lambda",
                                  aliases=("loss_weight",), bounds="[0, inf)")
     gt_masks: bool = setting(False, "debug: category masks from ground truth")
-    pooling: str = setting("both", "category pooling", choices=("both", "ave", "max"))
     iterations: int = setting(GCR_ITERATIONS, "reasoning iterations", bounds="[1, inf)")
-    fresh_weights: bool = setting(False, "fresh attention projections per iteration",
-                                  key="gcr_fresh_weights")
     c_in: int = 3  # image channels; the datasets are RGB
     width: int = setting(16, "backbone conv width", bounds="[1, inf)")
     channels: int = setting(8, "feature channels", bounds="[1, inf)")
+    # Class constants, not fields, so no flag or key: perfbench/workloads.py's
+    # TrainSingleA.setup and TrainMutualABC.setup read them and pass them to
+    # ModelParams.init and MlModel.init, which take no other value.
+    pooling = "both"
+    fresh_weights = False
+
+
+def only_default_modes(pooling: str = "both", fresh_weights: bool = False) -> None:
+    """Reject the removed pyramid modes that ``BaseTrainConfig``'s constants name."""
+    if pooling != "both":
+        raise ValueError(f"pooling {pooling!r} was removed; nodes pool mean and max")
+    if fresh_weights:
+        raise ValueError("fresh_weights was removed; every reasoning round shares q1, q2")
 
 
 @dataclass

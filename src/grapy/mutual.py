@@ -5,8 +5,8 @@ holds the same tensors for pyramid Levels 1 and 2 and, by default, the same
 backbone; its main head, Level-3 weights and fused prediction head are its
 own, sized to its fine label count. A step on one dataset therefore updates
 the shared tensors and that branch only. The multi-dataset objective is the
-sum of per-dataset two-branch losses, realized either across round-robin
-steps or in a single accumulated step.
+sum of per-dataset two-branch losses, taken across round-robin steps: one
+batch of each dataset in turn.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ import numpy as np
 
 from .hierarchy import Taxonomy
 from .model import (CLIP_NORM, SGD, BackboneParams, BaseTrainConfig, ConvLayer, ModelParams,
-                    Phase, apply_update, batch_loss, init_model, run_phases, schedule,
-                    seeded_rng, setting, train_step)
+                    Phase, init_model, only_default_modes, run_phases, schedule, seeded_rng,
+                    setting, train_step)
 # the benchmark's tracer wraps ``clip_gradients`` and ``train_step`` here too
 from .model import clip_gradients  # noqa: F401
 from .pyramid import GCR_ITERATIONS, GpmParams, init_levels
 from .synthdata import Dataset, RoundRobinSampler, SampleBatch
-from .tensor import Tape, Tensor, uniform_init
+from .tensor import Tensor, uniform_init
 
 
 @dataclass
@@ -36,18 +36,18 @@ class MlModel:
     @classmethod
     def init(cls, seed_or_rng, taxonomies: list[Taxonomy], c_in: int = 3,
              width: int = 16, channels: int = 8, loss_weight: float = 1.0,
-             pooling: str = "both", iterations: int = GCR_ITERATIONS,
-             share_backbone: bool = True, fresh_weights: bool = False) -> "MlModel":
+             iterations: int = GCR_ITERATIONS, share_backbone: bool = True,
+             **modes) -> "MlModel":
         """Draws the shared backbone, Levels 1-2, then per branch its own
         backbone (unless shared), main head, Level 3 and head."""
+        only_default_modes(**modes)
         if len(taxonomies) < 2:
             raise ValueError("mutual learning needs at least 2 datasets")
         names = [t.dataset_name for t in taxonomies]
         if len(set(names)) < len(names):
             raise ValueError(f"each dataset needs its own branch, got taxonomies {','.join(names)}")
         rng = np.random.default_rng(seed_or_rng)  # a Generator passes through
-        levels = partial(init_levels, rng, channels, pooling=pooling, iterations=iterations,
-                         fresh_weights=fresh_weights)
+        levels = partial(init_levels, rng, channels)
         backbone = BackboneParams.init(rng, c_in, width, channels) if share_backbone else None
         coarse = levels((1, 2))
         branches = []
@@ -56,7 +56,7 @@ class MlModel:
             main_head = ConvLayer.init(rng, 1, 1, channels, tax.k3)
             fine = levels((3,))
             head = uniform_init(rng, (1, 1, 4 * channels, tax.k3), 4 * channels)
-            gpm = GpmParams({**coarse, **fine}, head, pooling, iterations)
+            gpm = GpmParams({**coarse, **fine}, head, iterations)
             branches.append(ModelParams(bb, main_head, gpm, loss_weight))
         return cls(branches, list(taxonomies))
 
@@ -90,10 +90,8 @@ class MlModel:
             out.update(self.branch_named(d))
         return out
 
-    def log_label(self, batch) -> str:
-        """The log's dataset column: the batch's dataset, or "all" for a group."""
-        if isinstance(batch, list):
-            return "all"
+    def log_label(self, batch: SampleBatch) -> str:
+        """The log's dataset column: the batch's dataset."""
         return self.taxonomies[batch.dataset_index - 1].dataset_name
 
 
@@ -105,28 +103,10 @@ def ml_step(batch: SampleBatch, model: MlModel, opt: SGD, gt_masks: bool = False
                       gt_masks=gt_masks, main_only=main_only, clip_norm=clip_norm)
 
 
-def ml_step_accumulated(batches: list[SampleBatch], model: MlModel, opt: SGD,
-                        gt_masks: bool = False, main_only: bool = False,
-                        clip_norm: float = CLIP_NORM):
-    """One update from one batch per dataset; the loss is the exact sum of the
-    per-dataset losses (returned alongside for the additivity check)."""
-    per_dataset, total = [], None
-    with Tape() as tape:
-        for batch in batches:
-            d = batch.dataset_index
-            term = batch_loss(batch, model.branch_params(d), model.taxonomies[d - 1],
-                              gt_masks=gt_masks, main_only=main_only)
-            per_dataset.append(float(term.data))
-            total = term if total is None else total + term
-    apply_update(tape, total, opt, clip_norm)
-    return float(total.data), per_dataset
-
-
 @dataclass
 class MlTrainConfig(BaseTrainConfig):
     epochs_finetune: int = setting(10, "epochs on the --finetune dataset", bounds="[0, inf)")
     share_backbone: bool = setting(True, "one backbone for every dataset branch")
-    accumulate: bool = setting(False, "one update per dataset group (summed losses)")
 
 
 def mutual_phases(datasets: list[Dataset], cfg: MlTrainConfig, model: MlModel,
@@ -140,14 +120,9 @@ def mutual_phases(datasets: list[Dataset], cfg: MlTrainConfig, model: MlModel,
     def step(batch, opt, **flags):
         return ml_step(batch, model, opt, **flags)
 
-    def group_step(batches, opt, **flags):
-        return ml_step_accumulated(batches, model, opt, **flags)[0]
-
-    main = ((group_step, lambda: [sampler.next_batch() for _ in datasets],
-             cfg.epochs_main, max(1, per_epoch // len(datasets))) if cfg.accumulate
-            else (step, sampler.next_batch, cfg.epochs_main, per_epoch))
     joint = schedule(cfg, model.named(), (step, sampler.next_batch, cfg.epochs_pretrain,
-                                          per_epoch), main)
+                                          per_epoch),
+                     (step, sampler.next_batch, cfg.epochs_main, per_epoch))
     if finetune_on is None:
         return joint, []
     d, target = finetune_on, datasets[finetune_on - 1]

@@ -47,11 +47,9 @@ class GpmLevelParams:
     q1: Tensor
     q2: Tensor
     out_proj: Tensor
-    extra: list[tuple[Tensor, Tensor]]  # fresh per-iteration (q1, q2), usually empty
 
     @classmethod
-    def init(cls, rng: np.random.Generator, c_l: int, c_out: int,
-             fresh_iterations: int = 0) -> "GpmLevelParams":
+    def init(cls, rng: np.random.Generator, c_l: int, c_out: int) -> "GpmLevelParams":
         bottleneck = max(1, c_l // 8)
         q1 = uniform_init(rng, (c_l, bottleneck), c_l)
         q2 = uniform_init(rng, (c_l, bottleneck), c_l)
@@ -59,24 +57,11 @@ class GpmLevelParams:
         # iterations amplify node features ~2x each, and injecting that at a
         # random scale makes desk-scale training diverge
         out_proj = Tensor(np.zeros((c_l, c_out)), requires_grad=True)
-        extra = [(uniform_init(rng, (c_l, bottleneck), c_l),
-                  uniform_init(rng, (c_l, bottleneck), c_l))
-                 for _ in range(max(0, fresh_iterations - 1))]
-        return cls(q1, q2, out_proj, extra)
-
-    def projections(self, iteration: int) -> tuple[Tensor, Tensor]:
-        """Shared weights by default; per-iteration pairs when ``extra`` is filled."""
-        if iteration == 0 or not self.extra:
-            return self.q1, self.q2
-        return self.extra[iteration - 1]
+        return cls(q1, q2, out_proj)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.q1": self.q1, f"{prefix}.q2": self.q2,
-               f"{prefix}.out_proj": self.out_proj}
-        for i, (q1, q2) in enumerate(self.extra, start=2):
-            out[f"{prefix}.q1_iter{i}"] = q1
-            out[f"{prefix}.q2_iter{i}"] = q2
-        return out
+        return {f"{prefix}.q1": self.q1, f"{prefix}.q2": self.q2,
+                f"{prefix}.out_proj": self.out_proj}
 
 
 def check_levels(levels) -> tuple:
@@ -89,15 +74,10 @@ def check_levels(levels) -> tuple:
     return out
 
 
-def init_levels(rng: np.random.Generator, channels: int, levels, pooling: str,
-                iterations: int, fresh_weights: bool) -> dict[int, GpmLevelParams]:
+def init_levels(rng: np.random.Generator, channels: int, levels) -> dict[int, GpmLevelParams]:
     """The weights of pyramid ``levels``, drawn coarse to fine. Nodes are
-    ``2 * channels`` wide when pooling concatenates mean and max."""
-    if pooling not in ("both", "ave", "max"):
-        raise ValueError(f"pooling must be both|ave|max, got {pooling!r}")
-    c_l = 2 * channels if pooling == "both" else channels
-    fresh = iterations if fresh_weights else 0
-    return {l: GpmLevelParams.init(rng, c_l, channels, fresh) for l in check_levels(levels)}
+    ``2 * channels`` wide: pooling concatenates mean and max."""
+    return {l: GpmLevelParams.init(rng, 2 * channels, channels) for l in check_levels(levels)}
 
 
 @dataclass
@@ -106,19 +86,17 @@ class GpmParams:
 
     levels: dict[int, GpmLevelParams]
     head: Tensor              # (1, 1, (1 + n_levels) * C, K_3)
-    pooling: str = "both"     # both | ave | max
     iterations: int = GCR_ITERATIONS
 
     @classmethod
-    def init(cls, rng: np.random.Generator, channels: int, k3: int,
-             pooling: str = "both", levels=(1, 2, 3), iterations: int = GCR_ITERATIONS,
-             fresh_weights: bool = False) -> "GpmParams":
-        lv = init_levels(rng, channels, levels, pooling, iterations, fresh_weights)
+    def init(cls, rng: np.random.Generator, channels: int, k3: int, levels=(1, 2, 3),
+             iterations: int = GCR_ITERATIONS) -> "GpmParams":
+        lv = init_levels(rng, channels, levels)
         head_in = (1 + len(lv)) * channels
         # zero-init: the head joins training after the backbone has grown large
         # activations; a random head starts saturated and destabilizes phase 2
         head = Tensor(np.zeros((1, 1, head_in, k3)), requires_grad=True)
-        return cls(levels=lv, head=head, pooling=pooling, iterations=iterations)
+        return cls(levels=lv, head=head, iterations=iterations)
 
     def named(self, prefix: str = "gpm") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -139,10 +117,9 @@ def masks_from_prediction(fine: np.ndarray, taxonomy: Taxonomy, level: int) -> n
     return taxonomy.table_to(level)[fine]
 
 
-def aggregate(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,
-              pooling: str = "both") -> NodeSet:
+def aggregate(f_prev: Tensor, label_map: np.ndarray, k: int, level: int) -> NodeSet:
     """Pool the feature map into one node per category (masked mean + max)."""
-    feats, counts = masked_pool(f_prev, label_map, k, mode=pooling)
+    feats, counts = masked_pool(f_prev, label_map, k)
     return NodeSet(level=level, features=feats, counts=counts)
 
 
@@ -151,8 +128,9 @@ def reason(features: Tensor, params: GpmLevelParams, iterations: int = GCR_ITERA
 
     Per iteration: scores = (v q1)(v q2)^T row-softmaxed into attention, the
     attended mix a v is added back onto v, and the sum feeds the next round.
+    Every round uses the level's one (q1, q2) pair.
     """
-    return attention_rounds(features, [params.projections(it) for it in range(iterations)])
+    return attention_rounds(features, [(params.q1, params.q2)] * iterations)
 
 
 def distribute(f_prev: Tensor, v_gcr: Tensor, out_proj: Tensor,
@@ -167,8 +145,8 @@ def distribute(f_prev: Tensor, v_gcr: Tensor, out_proj: Tensor,
 
 
 def level_forward(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,
-                  params: GpmLevelParams, pooling: str, iterations: int) -> Tensor:
-    nodes = aggregate(f_prev, label_map, k, level, pooling)
+                  params: GpmLevelParams, iterations: int) -> Tensor:
+    nodes = aggregate(f_prev, label_map, k, level)
     refined = reason(nodes.features, params, iterations)
     return distribute(f_prev, refined, params.out_proj, label_map)
 
@@ -191,7 +169,7 @@ def pyramid_forward(f: Tensor, taxonomy: Taxonomy, params: GpmParams,
         if label_map is None:
             label_map = masks_from_prediction(fine, taxonomy, level)
         f_l = level_forward(f_l, label_map, taxonomy.k_at(level), level,
-                            params.levels[level], params.pooling, params.iterations)
+                            params.levels[level], params.iterations)
         pyramid.append(f_l)
     f_hat = concat_channels(pyramid)
     y_hat = softmax_channels(conv2d(f_hat, params.head))

@@ -14,17 +14,21 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .hierarchy import Taxonomy, taxonomy_by_name
-from .model import ModelParams, TrainConfig, parse_levels
+from .model import ModelParams, Setting, TrainConfig, parse_levels
 from .mutual import MlModel
 from .tensor import get_default_dtype
 
 
 _SETTINGS = {f.name: f.metadata["setting"] for f in fields(TrainConfig) if "setting" in f.metadata}
+# layout keys that are no training setting: every format version records "both"
+# (mean and max) pooling, and mutual checkpoints whether the backbone is shared
+_SETTINGS.update(pooling=Setting("node pooling", choices=("both",)),
+                 share_backbone=Setting("one backbone", choices=("0", "1")))
 
 
 def _meta(meta: dict[str, str], key: str, default: str, parse=str):
-    """``meta[key]`` parsed, and checked against the range of the training
-    setting of that name, if there is one."""
+    """``meta[key]`` parsed, and checked against the range of the setting of
+    that name, if there is one."""
     try:
         value = parse(meta.get(key, default))
         if key in _SETTINGS:
@@ -44,12 +48,11 @@ def _backbone_dims(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, int]
     return {"c_in": dims[0][2], "width": dims[0][3], "channels": dims[1][3]}
 
 
-def _common(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> dict:
+def _common(meta: dict[str, str]) -> dict:
     """The layout settings single and mutual checkpoints share."""
+    _meta(meta, "pooling", "both")  # checked, not used: nodes always pool mean and max
     return dict(loss_weight=_meta(meta, "loss_weight", "1.0", float),
-                pooling=_meta(meta, "pooling", "both"),
-                iterations=_meta(meta, "iterations", "3", int),
-                fresh_weights=any("_iter" in name for name in arrays))
+                iterations=_meta(meta, "iterations", "3", int))
 
 
 def _filled(init, arrays: dict[str, np.ndarray], *args, **kw):
@@ -83,7 +86,7 @@ def _layout_meta(kind: str, taxonomies: list[Taxonomy], params: ModelParams) -> 
     meta = {"kind": kind, "taxonomies": ",".join(t.dataset_name for t in taxonomies),
             "loss_weight": repr(params.loss_weight)}
     if params.gpm is not None:
-        meta["pooling"] = params.gpm.pooling
+        meta["pooling"] = "both"
         meta["iterations"] = str(params.gpm.iterations)
     return meta
 
@@ -105,7 +108,7 @@ def model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> Mo
     if meta.get("kind", "single") != "single":
         raise CheckpointError(f"expected a single-dataset checkpoint, got kind={meta.get('kind')!r}")
     return _filled(ModelParams.init, arrays, _meta(meta, "taxonomies", "", taxonomy_by_name),
-                   **_backbone_dims(arrays, "backbone"), **_common(arrays, meta),
+                   **_backbone_dims(arrays, "backbone"), **_common(meta),
                    with_gpm="gpm.head" in arrays,
                    levels=_meta(meta, "levels", "1,2,3", parse_levels))
 
@@ -125,9 +128,9 @@ def load_ml_model(path) -> tuple[MlModel, dict[str, str]]:
 def ml_model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> MlModel:
     if meta.get("kind") != "mutual":
         raise CheckpointError(f"expected a mutual-learning checkpoint, got kind={meta.get('kind')!r}")
-    share = meta.get("share_backbone", "1") == "1"
+    share = _meta(meta, "share_backbone", "1") == "1"
     taxonomies = _meta(meta, "taxonomies", "", lambda raw: [taxonomy_by_name(n)
                                                             for n in raw.split(",")])
     return _filled(MlModel.init, arrays, taxonomies, share_backbone=share,
-                   **_common(arrays, meta),
+                   **_common(meta),
                    **_backbone_dims(arrays, "shared.backbone" if share else "branch1.backbone"))

@@ -370,18 +370,15 @@ def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None) -> Tensor:
     return _apply("conv2d", out, (x, kern) if bias is None else (x, kern, bias), back)
 
 
-def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
+def masked_pool(f: Tensor, label_map: np.ndarray, k: int):
     """Category-wise pooling of (N, H, W, C) features over (N, H, W) integer
     label maps, each image on its own.
 
-    Returns (features, counts): (N, K, .) rows, one per category, holding the
-    masked mean, the channelwise masked max, or their concatenation per
-    ``mode``, and (N, K) pixel counts. Empty categories pool to zero rows. The
-    label maps are constants; gradients flow to ``f`` through the mean spread
-    and the max selections.
+    Returns (features, counts): (N, K, 2C) rows, one per category, holding the
+    masked mean concatenated with the channelwise masked max, and (N, K) pixel
+    counts. Empty categories pool to zero rows. The label maps are constants;
+    gradients flow to ``f`` through the mean spread and the max selections.
     """
-    if mode not in ("both", "ave", "max"):
-        raise ValueError(f"masked_pool mode must be both|ave|max, got {mode!r}")
     if f.data.ndim != 4 or label_map.shape != f.shape[:-1]:
         raise ShapeError(f"masked_pool needs (N,H,W,C) features and (N,H,W) labels, "
                          f"got {f.shape} and {label_map.shape}")
@@ -396,16 +393,9 @@ def masked_pool(f: Tensor, label_map: np.ndarray, k: int, mode: str = "both"):
     inv = np.zeros(counts.shape, f.data.dtype)
     nz = counts > 0
     inv[nz] = 1.0 / counts[nz]
-    both = np.concatenate([sums * inv[..., None], maxv], axis=-1)  # [mean | max]
-    cols = {"both": slice(None), "ave": slice(None, c), "max": slice(c, None)}[mode]
-    # a contiguous copy: downstream BLAS calls on a strided view of one half
-    # round differently, which changes the --pooling ave/max checkpoints
-    feats = np.ascontiguousarray(both[..., cols])
+    feats = np.concatenate([sums * inv[..., None], maxv], axis=-1)  # [mean | max]
 
     def back(g):
-        if mode != "both":  # the dropped half's gradient is zero
-            g, half = np.zeros(g.shape[:-1] + (2 * c,), g.dtype), g
-            g[..., cols] = half
         # the kernel spreads the mean gradient evenly over each mask (1/count)
         return (kernels.masked_pool_backward(g[..., :c], g[..., c:], label_map, counts, argi,
                                              f.shape),)

@@ -70,32 +70,23 @@ def masks_oracle(y, table):
     return out
 
 
-def gsa_oracle(f, label_map, k, mode="both"):
+def gsa_oracle(f, label_map, k):
     """Masked mean/max pooling per category via boolean masks."""
-    c = f.shape[2]
-    width = 2 * c if mode == "both" else c
-    nodes = np.zeros((k, width))
+    nodes = np.zeros((k, 2 * f.shape[2]))
     for kk in range(k):
         mask = label_map == kk
         if not mask.any():
             continue
         px = f[mask]
-        ave, mx = px.mean(axis=0), px.max(axis=0)
-        if mode == "both":
-            nodes[kk] = np.concatenate([ave, mx])
-        elif mode == "ave":
-            nodes[kk] = ave
-        else:
-            nodes[kk] = mx
+        nodes[kk] = np.concatenate([px.mean(axis=0), px.max(axis=0)])
     return nodes
 
 
-def gcr_oracle(v, q1, q2, iterations=3, pairs=None):
+def gcr_oracle(v, q1, q2, iterations=3):
     """Iterated residual self-attention written straight from the update rule."""
     v = v.copy()
-    for it in range(iterations):
-        a1, a2 = (q1, q2) if pairs is None else pairs[it]
-        scores = np.einsum("kd,ld->kl", v @ a1, v @ a2)
+    for _ in range(iterations):
+        scores = np.einsum("kd,ld->kl", v @ q1, v @ q2)
         attn = softmax_np(scores, axis=1)
         v = v + attn @ v
     return v
@@ -112,8 +103,7 @@ def gsd_oracle(f, v_gcr, out_proj, label_map):
     return out
 
 
-def pyramid_oracle(f, y, tables, level_params, head, mode="both", iterations=3,
-                   label_maps=None):
+def pyramid_oracle(f, y, tables, level_params, head, iterations=3, label_maps=None):
     """Composed forward of the three-level pyramid, no tape.
 
     ``tables`` maps level -> fine-index lookup table; ``level_params`` maps
@@ -128,7 +118,7 @@ def pyramid_oracle(f, y, tables, level_params, head, mode="both", iterations=3,
         if lm is None:
             lm = masks_oracle(y, tables[level])
         k = int(tables[level].max()) + 1
-        nodes = gsa_oracle(f_l, lm, k, mode)
+        nodes = gsa_oracle(f_l, lm, k)
         refined = gcr_oracle(nodes, q1, q2, iterations)
         f_l = gsd_oracle(f_l, refined, out_proj, lm)
         stack.append(f_l)

@@ -22,8 +22,7 @@ from grapy.hierarchy import builtin_taxonomies, coarsen, taxonomy_by_name
 from grapy.metrics import ConfusionMatrix, evaluate_report
 from grapy.model import (ModelParams, TrainConfig, forward, loss_tensor,
                          overfit_train, pretrain_then_train)
-from grapy.mutual import (MlModel, MlTrainConfig, ml_step, ml_step_accumulated,
-                          snapshot, train_mutual)
+from grapy.mutual import MlModel, MlTrainConfig, ml_step, snapshot, train_mutual
 from grapy.pyramid import (GCR_ITERATIONS, GpmLevelParams, GpmParams, aggregate,
                            distribute, pyramid_forward, reason)
 from grapy.synthdata import (Dataset, SampleBatch, SceneSpec, generate,
@@ -114,9 +113,9 @@ def test_full_scale_results_out_of_scope():
 
 GRADCHECK_SUITES = [
     "add", "matmul", "relu", "conv2d", "conv2d_bias", "concat", "scale", "masked_pool",
-    "masked_pool_ave", "masked_pool_max", "broadcast_nodes", "cross_entropy", "matmul_shared_batch2", "conv2d_batch2",
+    "broadcast_nodes", "cross_entropy", "matmul_shared_batch2", "conv2d_batch2",
     "masked_pool_batch2", "broadcast_nodes_batch2", "cross_entropy_batch2", "reason",
-    "reason_batch2", "reason_fresh", "pyramid", "end_to_end", "end_to_end_batch2"]
+    "reason_batch2", "pyramid", "end_to_end", "end_to_end_batch2"]
 
 
 def test_gradient_suite_under_tolerance_and_time():
@@ -249,25 +248,9 @@ def test_invariant_suite(bench, attention_mats):
     for lam in (1.0, 0.35):
         assert float(loss_tensor(out, q[None], lam).data) == l_main + lam * l_gpm
 
-    # multi-dataset additivity in accumulation mode (1e-9)
-    taxes = list(builtin_taxonomies())
-    model = MlModel.init(rng, taxes, width=4, channels=4)
-    batches = []
-    for d, t in enumerate(taxes, start=1):
-        ds = Dataset(t.dataset_name, t,
-                     generate(SceneSpec(seed=60 + d, image_size=(16, 16)), t, 1))
-        batches.append(SampleBatch([ds.samples[0].image], [ds.samples[0].labels],
-                                   dataset_index=d))
-    per = []
-    for batch in batches:
-        params = model.branch_params(batch.dataset_index)
-        o = forward(batch.images[0][None], params, model.taxonomies[batch.dataset_index - 1])
-        per.append(float(loss_tensor(o, batch.labels[0][None], params.loss_weight).data))
-    total, _ = ml_step_accumulated(batches, model, SGD(model.named(), lr=0.0))
-    assert abs(total - sum(per)) < 1e-9
     print(PASS.format("invariant suite: partition, attention rows, softmax shift, "
                       "coarsen composition, zero-node identity, permutation "
-                      "equivariance, loss additivity, accumulation additivity"))
+                      "equivariance, loss additivity"))
 
 
 def test_sharing_audit():

@@ -251,13 +251,13 @@ def _config(tmp_path, text):
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["width", "steps", "overfit", "channels", "pooling",
+@pytest.mark.parametrize("case", ["width", "steps", "overfit", "channels", "iterations",
                                   "precision", "repeated_levels", "gpm_levels"])
 def test_bad_setting_exits_2_naming_flag_or_key(case, tmp_path):
     flags = {"width": ["--width", "0"], "steps": ["--steps", "-3"],
              "overfit": ["--overfit", "-1"], "channels": ["--channels", "0"],
              "repeated_levels": ["--gpm-levels", "1,1,2"]}
-    lines = {"pooling": "# comment\npooling = bogus\n", "precision": "precision = f16\n",
+    lines = {"iterations": "# comment\niterations = 0\n", "precision": "precision = f16\n",
              "gpm_levels": "gpm_levels = 2,2\n"}
     if case in flags:
         argv, where = flags[case], f"argument {flags[case][0]}"
@@ -370,6 +370,12 @@ def _edit_eval_ckpt(case: str, path) -> str:
         arrays["branch1.main_head.scale"] = np.ones(3)
     elif case == "unknown_pooling":
         meta["pooling"] = "median"
+    elif case == "removed_pooling":
+        meta["pooling"] = "ave"
+    elif case == "fresh_weight_record":
+        arrays["shared.gpm.level1.q1_iter2"] = arrays["shared.gpm.level1.q1"]
+    elif case == "share_backbone_not_a_bit":
+        meta["share_backbone"] = "true"
     elif case == "iterations_zero":
         meta["iterations"] = "0"
     elif case == "iterations_negative":
@@ -399,6 +405,9 @@ def _edit_eval_ckpt(case: str, path) -> str:
         return "not UTF-8"
     return {"meta_not_a_number": "iterations", "unexpected_parameter": "branch1.main_head.scale",
             "unknown_pooling": "median", "four_channel_backbone": "4-channel",
+            "removed_pooling": "bad meta.pooling: 'ave'",
+            "fresh_weight_record": "unexpected parameter shared.gpm.level1.q1_iter2",
+            "share_backbone_not_a_bit": "bad meta.share_backbone: 'true'",
             "iterations_zero": "meta.iterations", "iterations_negative": "meta.iterations",
             "negative_loss_weight": "meta.loss_weight",
             "inf_bias": "'branch2.main_head.bias'",
@@ -409,7 +418,8 @@ def _edit_eval_ckpt(case: str, path) -> str:
 @pytest.mark.parametrize("case", ["missing_parameter", "meta_not_a_number",
                                   "bias_wider_than_kernel", "name_not_utf8",
                                   "unexpected_parameter", "unknown_pooling",
-                                  "four_channel_backbone", "iterations_zero",
+                                  "removed_pooling", "fresh_weight_record",
+                                  "share_backbone_not_a_bit", "four_channel_backbone", "iterations_zero",
                                   "iterations_negative", "negative_loss_weight",
                                   "nan_weight", "inf_bias", "meta_codes_above_255",
                                   "meta_codes_fraction", "meta_codes_nan", "beyond_f32"])

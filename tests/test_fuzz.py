@@ -22,7 +22,7 @@ from grapy.checkpoint import MAGIC, VERSION, CheckpointError, load_checkpoint
 from grapy.hierarchy import taxonomy_by_name
 from grapy.imageio import ParseError, read_pgm, read_ppm, write_pgm, write_ppm
 from grapy.model import ModelParams, TrainConfig
-from grapy.mutual import MlTrainConfig
+from grapy.mutual import MlModel, MlTrainConfig
 from grapy.synthdata import Dataset, DatasetError, load_dataset
 from oracles import checkpoint_record
 
@@ -124,13 +124,17 @@ def test_eval_on_manifest_bytes_exits_2(blob, sample_dir):
     assert code == 2
 
 
-# checkpoints: a usable single-model A checkpoint (width 2, two channels),
-# then copies of it broken one way each
+# checkpoints: a usable single-model A checkpoint and a mutual A,B one (width
+# 2, two channels), then copies of them broken one way each
 _HEADER_BYTES = MAGIC + VERSION.to_bytes(4, "little")
 _META = {"kind": "single", "taxonomies": "A", "loss_weight": "1.0", "pooling": "both",
          "iterations": "3", "levels": "1,2,3"}
 _ARRAYS = {name: t.data.astype(np.float64) for name, t in
            ModelParams.init(0, taxonomy_by_name("A"), width=2, channels=2).named().items()}
+_ML_META = {"kind": "mutual", "taxonomies": "A,B", "loss_weight": "1.0", "pooling": "both",
+            "iterations": "3", "share_backbone": "1"}
+_ML_ARRAYS = {name: t.data.astype(np.float64) for name, t in MlModel.init(
+    0, [taxonomy_by_name("A"), taxonomy_by_name("B")], width=2, channels=2).named().items()}
 
 
 def _encode(meta: dict[str, str], arrays: dict[str, np.ndarray]) -> bytes:
@@ -140,6 +144,8 @@ def _encode(meta: dict[str, str], arrays: dict[str, np.ndarray]) -> bytes:
 
 
 _CKPT = _encode(_META, _ARRAYS)
+_ML_CKPT = _encode(_ML_META, _ML_ARRAYS)
+_SINGLE, _MUTUAL = (_META, _ARRAYS), (_ML_META, _ML_ARRAYS)
 _NAMES = sorted(_ARRAYS)
 
 
@@ -149,8 +155,10 @@ def _with_value(name, index, value):
     return _encode(_META, arrays)
 
 
-def _with_meta(key, text):
-    return _encode({**_META, key: text}, _ARRAYS)
+def _bad(base, key, texts):
+    """The checkpoint of ``base`` (meta, arrays) with ``meta[key]`` set to one of ``texts``."""
+    meta, arrays = base
+    return st.sampled_from(texts).map(lambda text: _encode({**meta, key: text}, arrays))
 
 
 def _flattened(name):
@@ -164,17 +172,22 @@ def _header_byte(at, byte):
 
 
 _BAD_META = st.one_of(
-    st.tuples(st.just("iterations"), st.sampled_from(["0", "-1", "three", "", "1e3"])),
-    st.tuples(st.just("pooling"), st.sampled_from(["median", "", "Both"])),
-    st.tuples(st.just("levels"), st.sampled_from(["1,1", "4", "", "0,1", "x"])),
-    st.tuples(st.just("loss_weight"), st.sampled_from(["-1", "nan", "inf", "x", ""])),
-    st.tuples(st.just("taxonomies"), st.sampled_from(["B", "Z", "", "A,A", ",A"])),
-    st.tuples(st.just("kind"), st.sampled_from(["mutual", "", "other"])),
+    _bad(_SINGLE, "iterations", ["0", "-1", "three", "", "1e3"]),
+    _bad(_SINGLE, "pooling", ["median", "", "Both", "ave", "max"]),
+    _bad(_SINGLE, "levels", ["1,1", "4", "", "0,1", "x"]),
+    _bad(_SINGLE, "loss_weight", ["-1", "nan", "inf", "x", ""]),
+    _bad(_SINGLE, "taxonomies", ["B", "Z", "", "A,A", ",A"]),
+    _bad(_SINGLE, "kind", ["mutual", "", "other"]),
+    _bad(_MUTUAL, "share_backbone", ["true", "2", "", "yes", "0"]),
+    _bad(_MUTUAL, "pooling", ["ave", "max", ""]),
+    _bad(_MUTUAL, "taxonomies", ["A", "A,A", "B,A"]),
+    _bad(_MUTUAL, "kind", ["single", ""]),
 )
 _APPENDED = st.one_of(
     st.builds(checkpoint_record, st.sampled_from(_NAMES + ["meta.kind", "meta.taxonomies"]),
               st.lists(st.floats(0, 255), max_size=4)),  # a repeated record name
-    st.builds(checkpoint_record, st.sampled_from(["gpm.extra", "backbone.conv4.kernel", "x"]),
+    st.builds(checkpoint_record, st.sampled_from(["gpm.extra", "gpm.level1.q1_iter2",
+                                                  "backbone.conv4.kernel", "x"]),
               st.lists(st.floats(-2, 2), max_size=4)),  # a parameter the layout lacks
     st.builds(checkpoint_record, st.just("meta.note"),
               st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4)
@@ -189,7 +202,9 @@ _BROKEN_CKPT = st.one_of(
     _APPENDED.map(lambda record: _CKPT + record),
     st.builds(_with_value, st.sampled_from(_NAMES), st.integers(0, 10**6),
               st.sampled_from([np.nan, np.inf, -np.inf])),
-    _BAD_META.map(lambda kv: _with_meta(*kv)),
+    _BAD_META,
+    st.lists(st.floats(-2, 2), max_size=4).map(  # a removed fresh-weight pair's record
+        lambda v: _ML_CKPT + checkpoint_record("shared.gpm.level1.q1_iter2", v)),
     st.sampled_from([n for n in _NAMES if _ARRAYS[n].ndim > 1]).map(_flattened),
     st.builds(_header_byte, st.integers(0, 7), st.integers(0, 255)),
 )
@@ -208,9 +223,10 @@ def eval_manifest(tmp_path_factory):
     return root / "manifest.txt"
 
 
-def test_the_unbroken_checkpoint_evaluates(eval_manifest, tmp_path):
+@pytest.mark.parametrize("blob", [_CKPT, _ML_CKPT], ids=["single", "mutual"])
+def test_the_unbroken_checkpoint_evaluates(blob, eval_manifest, tmp_path):
     path = tmp_path / "base.ckpt"
-    path.write_bytes(_CKPT)
+    path.write_bytes(blob)
     assert cli.main(["eval", "--data", str(eval_manifest), "--ckpt", str(path)]) == 0
 
 

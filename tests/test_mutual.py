@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from grapy.hierarchy import builtin_taxonomies
-from grapy.model import ModelParams, forward, init_model, loss_tensor
+from grapy.model import ModelParams, forward, init_model
 from grapy.mutual import (MlModel, MlTrainConfig, RoundRobinSampler, audit_sharing,
-                          ml_step, ml_step_accumulated, snapshot,
-                          train_mutual)
+                          ml_step, snapshot, train_mutual)
 from grapy.pyramid import GpmParams
 from grapy.synthdata import Dataset, SampleBatch, SceneSpec, generate
 from grapy.tensor import SGD, Tensor, precision
@@ -141,24 +140,6 @@ class TestSteps:
         assert snapshot(model.shared_named()) != shared_before
         assert snapshot(model.branch_named(1)) != before[1]
 
-    def test_accumulated_loss_is_exact_sum(self, taxonomies):
-        model = small_model(taxonomies)
-        datasets = small_datasets(n=2)
-        batches = [SampleBatch([ds.samples[0].image], [ds.samples[0].labels],
-                               dataset_index=d)
-                   for d, ds in enumerate(datasets, start=1)]
-        # compute the per-dataset losses on an untouched copy first
-        per = []
-        for batch in batches:
-            params = model.branch_params(batch.dataset_index)
-            out = forward(batch.images[0][None], params,
-                          model.taxonomies[batch.dataset_index - 1])
-            per.append(float(loss_tensor(out, batch.labels[0][None], params.loss_weight).data))
-        opt = SGD(model.named(), lr=0.0, momentum=0.0)
-        total, reported = ml_step_accumulated(batches, model, opt)
-        assert np.isclose(total, sum(per), rtol=0, atol=1e-9)
-        assert np.allclose(reported, per, rtol=0, atol=1e-12)
-
     def test_round_robin_cycles_in_order(self, taxonomies):
         datasets = small_datasets(n=3)
         sampler = RoundRobinSampler(datasets, np.random.default_rng(0), batch_size=2)
@@ -226,15 +207,6 @@ class TestTrainMutual:
             ("0", "A", "0.05"), ("0", "B", "0.05"), ("0", "C", "0.05"),
             ("1", "A", "0.025"), ("1", "B", "0.025"), ("1", "C", "0.025"),
             ("2", "B", "0.025")]
-
-    def test_accumulation_mode_trains(self, taxonomies):
-        datasets = small_datasets(n=2)
-        with precision("f32"):
-            cfg = MlTrainConfig(seed=0, lr=0.05, batch_size=2, epochs_pretrain=1,
-                                epochs_main=1, epochs_finetune=0, accumulate=True,
-                                width=4, channels=4)
-            model = train_mutual(datasets, cfg)
-        assert model is not None
 
     def test_audit_sharing_passes(self, taxonomies):
         datasets = small_datasets(n=2)

@@ -39,19 +39,6 @@ def test_no_gpm_model_round_trip(tmp_path):
     assert loaded.gpm is None
 
 
-def test_fresh_weight_variant_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    tax = taxonomy_by_name("A")
-    params = ModelParams.init(rng, tax, width=4, channels=4, fresh_weights=True)
-    path = tmp_path / "m.ckpt"
-    save_model(path, params, tax)
-    arrays, _ = load_checkpoint(path)
-    assert "gpm.level1.q1_iter2" in arrays
-    assert "gpm.level1.q1_iter3" in arrays
-    loaded, _ = load_model(path)
-    assert len(loaded.gpm.levels[1].extra) == 2
-
-
 def test_ml_model_round_trip_and_manifest(tmp_path):
     taxes = list(builtin_taxonomies())
     model = MlModel.init(np.random.default_rng(3), taxes, width=4, channels=4)
@@ -108,29 +95,27 @@ def test_kind_mismatch_rejected(tmp_path):
         load_ml_model(path)
 
 
-def _level(prefix, fresh):
-    extra = [f"{prefix}.q{j}_iter{i}" for i in (2, 3) for j in (1, 2)] if fresh else []
-    return [f"{prefix}.q1", f"{prefix}.q2", f"{prefix}.out_proj", *extra]
+def _level(prefix):
+    return [f"{prefix}.q1", f"{prefix}.q2", f"{prefix}.out_proj"]
 
 
-def _layout(share_backbone, fresh):
+def _layout(share_backbone):
     """The record names of a mutual checkpoint of A, B, C, in file order."""
     backbone = [f"conv{i}.{p}" for i in (1, 2, 3) for p in ("kernel", "bias")]
     names = [f"shared.backbone.{n}" for n in backbone] if share_backbone else []
-    names += _level("shared.gpm.level1", fresh) + _level("shared.gpm.level2", fresh)
+    names += _level("shared.gpm.level1") + _level("shared.gpm.level2")
     for d in (1, 2, 3):
         if not share_backbone:
             names += [f"branch{d}.backbone.{n}" for n in backbone]
         names += [f"branch{d}.main_head.kernel", f"branch{d}.main_head.bias",
-                  *_level(f"branch{d}.gpm.level3", fresh), f"branch{d}.gpm.head"]
+                  *_level(f"branch{d}.gpm.level3"), f"branch{d}.gpm.head"]
     return names
 
 
 @pytest.mark.parametrize("kw, digest", [
     (dict(), "db2edbc03e57f0e575d2c3ca2f3da4121e17c16bed83751e32561b1cf26c1052"),
     (dict(share_backbone=False), "9154767796f286a6ee1e6e3f689b8b9bd51e9784d85aa9c9c6db516bbc72ceb2"),
-    (dict(fresh_weights=True), "377e06f231a3e8a8eaa182a14bbc7cab1f527428f0c2f6d2c0df0a6e0c4b6933"),
-], ids=["shared", "separate", "fresh"])
+], ids=["shared", "separate"])
 def test_ml_checkpoint_layout_pinned(tmp_path, kw, digest):
     # the names, their order and the bytes at a fixed seed: the bytes pin the
     # init's draw order (shared backbone, Levels 1-2, then per branch its
@@ -140,8 +125,7 @@ def test_ml_checkpoint_layout_pinned(tmp_path, kw, digest):
     path = tmp_path / "ml.ckpt"
     save_ml_model(path, model)
     arrays, _ = load_checkpoint(path)
-    assert list(arrays) == list(model.named()) == _layout(kw.get("share_backbone", True),
-                                                          kw.get("fresh_weights", False))
+    assert list(arrays) == list(model.named()) == _layout(kw.get("share_backbone", True))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 

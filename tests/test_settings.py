@@ -6,6 +6,7 @@ must be the dataclass default, and `--help` must list it.
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from grapy.model import TrainConfig
 from grapy.mutual import MlTrainConfig
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 COMMANDS = {
     "train": ((TrainConfig, cli.Precision, cli.Overfit), ["--data", "d", "--out", "o"]),
     "train-ml": ((MlTrainConfig, cli.Precision),
@@ -98,11 +100,11 @@ def test_help_lists_every_setting():
 
 def test_existing_flag_spellings_still_parse(monkeypatch):
     train, _, _ = _resolve("train", ["--no-gpm", "--gt-masks", "--gpm-levels", "3",
-                                     "--gcr-fresh-weights", "--lambda", "0"], monkeypatch)
-    assert (train.with_gpm, train.gt_masks, train.levels, train.fresh_weights,
-            train.loss_weight) == (False, True, (3,), True, 0.0)
-    ml, _ = _resolve("train-ml", ["--no-share-backbone", "--accumulate"], monkeypatch)
-    assert (ml.share_backbone, ml.accumulate) == (False, True)
+                                     "--lambda", "0"], monkeypatch)
+    assert (train.with_gpm, train.gt_masks, train.levels, train.loss_weight) == (
+        False, True, (3,), 0.0)
+    ml, _ = _resolve("train-ml", ["--no-share-backbone"], monkeypatch)
+    assert not ml.share_backbone
     ml, _ = _resolve("train-ml", ["--share-backbone"], monkeypatch)
     assert ml.share_backbone
 
@@ -110,20 +112,20 @@ def test_existing_flag_spellings_still_parse(monkeypatch):
 def test_out_of_range_value_is_rejected_by_validate():
     with pytest.raises(ValueError, match="width must be in"):
         TrainConfig(width=0).validate()
-    with pytest.raises(ValueError, match="pooling must be one of"):
-        TrainConfig(pooling="bogus").validate()
+    with pytest.raises(ValueError, match="iterations must be in"):
+        TrainConfig(iterations=0).validate()
     with pytest.raises(ValueError, match="epochs_finetune"):
         MlTrainConfig(epochs_finetune=-1).validate()
 
 
 TRAIN_KEYS = {"seed", "precision", "lr", "momentum", "batch_size", "epochs_pretrain",
               "epochs_main", "lr_decay", "loss_weight", "lambda", "clip_norm", "gt_masks",
-              "pooling", "iterations", "gcr_fresh_weights", "width", "channels"}
+              "iterations", "width", "channels"}
 
 
 @pytest.mark.parametrize("command,keys", [
     ("train", TRAIN_KEYS | {"gpm", "gpm_levels", "overfit", "steps"}),
-    ("train-ml", TRAIN_KEYS | {"epochs_finetune", "share_backbone", "accumulate"}),
+    ("train-ml", TRAIN_KEYS | {"epochs_finetune", "share_backbone"}),
 ])
 def test_config_keys_and_flags_keep_their_spellings(command, keys):
     settings = cli._settings(*COMMANDS[command][0])
@@ -131,3 +133,41 @@ def test_config_keys_and_flags_keep_their_spellings(command, keys):
     assert accepted == keys
     flags = {"--" + cli._key(f).replace("_", "-") for f in settings}
     assert flags == {"--" + k.replace("_", "-") for k in keys - {"loss_weight"}}
+
+
+@pytest.mark.parametrize("command,key,flag", [
+    ("train", "pooling", ["--pooling", "ave"]),
+    ("train", "gcr_fresh_weights", ["--gcr-fresh-weights"]),
+    ("train-ml", "accumulate", ["--accumulate"]),
+])
+def test_removed_modes_exit_2_as_unknown_flag_and_key(command, key, flag, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.delenv("GRAPY_SEED", raising=False)
+    required = COMMANDS[command][1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *required, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"lr = 0.1\n{key} = 1\n")
+    assert cli.main([command, *required, "--config", str(cfg)]) == 2
+    assert f"run.cfg:2: unknown config key {key!r}" in capsys.readouterr().err
+
+
+def _readme_settings_rows():
+    """(flag cell, config keys) of each row of README's settings table."""
+    with open(README, encoding="utf-8") as fh:
+        table = fh.read().split("| Flag | Config key |")[1].split("\n\n")[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return [(flag, re.findall(r"`([^`]+)`", keys)) for flag, keys in rows]
+
+
+def test_readme_settings_table_lists_exactly_the_config_keys():
+    # the table documents what a config file can set: the settings of train and train-ml
+    settings = {f for classes, _ in COMMANDS.values() for f in cli._settings(*classes)}
+    accepted = {k for f in settings for k in (cli._key(f), *f.metadata["setting"].aliases)}
+    rows = _readme_settings_rows()
+    documented = [k for _, keys in rows for k in keys]
+    assert sorted(documented) == sorted(accepted)
+    for flag, keys in rows:
+        assert f"`--{keys[0].replace('_', '-')}`" in flag, (flag, keys)

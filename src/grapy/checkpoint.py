@@ -49,23 +49,22 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] | 
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         for key, text in (meta or {}).items():
-            raw = text.encode("utf-8")
-            vals = np.frombuffer(raw, dtype=np.uint8).astype("<f8")
-            _write_record(fh, _META_PREFIX + key, vals)
+            _write_record(fh, _META_PREFIX + key, np.frombuffer(text.encode("utf-8"), np.uint8))
         for name, arr in arrays.items():
             if name.startswith(_META_PREFIX):
                 raise CheckpointError(f"parameter name {name!r} collides with metadata prefix")
-            _write_record(fh, name, np.asarray(arr, dtype="<f8"))
+            _write_record(fh, name, arr)
 
 
-def _write_record(fh, name: str, values: np.ndarray) -> None:
+def _write_record(fh, name: str, values) -> None:
+    values = np.asarray(values, dtype="<f8")
     raw = name.encode("utf-8")
     fh.write(struct.pack("<I", len(raw)))
     fh.write(raw)
     fh.write(struct.pack("<I", values.ndim))
     for ext in values.shape:
         fh.write(struct.pack("<Q", ext))
-    fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    fh.write(values.tobytes())  # C order
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

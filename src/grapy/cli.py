@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -149,67 +150,62 @@ def resolve_settings(args: argparse.Namespace, *classes) -> list:
     return [cls(**{f.name: values[f.name] for f in _settings(cls)}) for cls in classes]
 
 
-def cmd_gen_data(args) -> int:
-    (cfg,) = resolve_settings(args, SeedConfig)
+def cmd_gen_data(args, cfg: SeedConfig) -> int:
     for name, split_paths in make_benchmark(cfg.seed, args.out).items():
         for split, manifest in split_paths.items():
             print(f"{name}/{split}: {manifest}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg, prec, fit = resolve_settings(args, TrainConfig, Precision, Overfit)
-    with precision(prec.precision):
-        dataset = load_dataset(args.data)
-        os.makedirs(args.out, exist_ok=True)
-        log_path = os.path.join(args.out, "train.log")
-        with open(log_path, "w", encoding="utf-8") as log:
-            if fit.overfit > 0:
-                params = overfit_train(dataset.subset(fit.overfit), cfg, fit.steps, log)
-            else:
-                params = pretrain_then_train(dataset, cfg, log)
-        ckpt = os.path.join(args.out, "model.ckpt")
-        serialize.save_model(ckpt, params, dataset.taxonomy)
+def cmd_train(args, cfg: TrainConfig, fit: Overfit) -> int:
+    dataset = load_dataset(args.data)
+    os.makedirs(args.out, exist_ok=True)
+    log_path = os.path.join(args.out, "train.log")
+    with open(log_path, "w", encoding="utf-8") as log:
+        if fit.overfit > 0:
+            params = overfit_train(dataset.subset(fit.overfit), cfg, fit.steps, log)
+        else:
+            params = pretrain_then_train(dataset, cfg, log)
+    ckpt = os.path.join(args.out, "model.ckpt")
+    serialize.save_model(ckpt, params, dataset.taxonomy)
     print(f"checkpoint: {ckpt}\nlog: {log_path}")
     return EXIT_OK
 
 
-def cmd_train_ml(args) -> int:
-    cfg, prec = resolve_settings(args, MlTrainConfig, Precision)
+def cmd_train_ml(args, cfg: MlTrainConfig) -> int:
     names = [n.strip() for n in args.datasets.split(",") if n.strip()]
     if args.finetune is not None and args.finetune not in names:
         raise ConfigError(f"--finetune {args.finetune!r} is not among --datasets")
     finetune_d = None if args.finetune is None else names.index(args.finetune) + 1
-    with precision(prec.precision):
-        datasets = [load_dataset(os.path.join(args.data_root, n, "train", "manifest.txt"))
-                    for n in names]
-        try:
-            model = init_model(MlModel.init, cfg, [ds.taxonomy for ds in datasets])
-        except ValueError as exc:  # fewer than 2 datasets, or a taxonomy named twice
-            raise ConfigError(str(exc)) from None
-        os.makedirs(args.out, exist_ok=True)
-        joint, finetune = mutual_phases(datasets, cfg, model, finetune_d)
-        log_path = os.path.join(args.out, "train_ml.log")
+    datasets = [load_dataset(os.path.join(args.data_root, n, "train", "manifest.txt"))
+                for n in names]
+    try:
+        model = init_model(MlModel.init, cfg, [ds.taxonomy for ds in datasets])
+    except ValueError as exc:  # fewer than 2 datasets, or a taxonomy named twice
+        raise ConfigError(str(exc)) from None
+    os.makedirs(args.out, exist_ok=True)
+    joint, finetune = mutual_phases(datasets, cfg, model, finetune_d)
+    log_path = os.path.join(args.out, "train_ml.log")
 
-        def save(name, what):
-            path = os.path.join(args.out, name)
-            serialize.save_ml_model(path, model)
-            print(f"{what} checkpoint: {path}")
+    def save(name, what):
+        path = os.path.join(args.out, name)
+        serialize.save_ml_model(path, model)
+        print(f"{what} checkpoint: {path}")
 
-        with open(log_path, "w", encoding="utf-8") as log:
-            at = run_phases(joint, cfg, log, label=model.log_label)
-            save("model_ml.ckpt", "joint")
-            if finetune_d is not None:
-                run_phases(finetune, cfg, log, label=model.log_label, at=at)
-                save(f"model_ml_ft_{args.finetune}.ckpt", "fine-tuned")
-        if args.audit_sharing:
-            ok, report = audit_sharing(model, datasets)
-            for line in report:
-                print(f"audit: {line}")
-            if not ok:
-                print("audit: FAILED", file=sys.stderr)
-                return EXIT_AUDIT
-            print("audit: ok")
+    with open(log_path, "w", encoding="utf-8") as log:
+        at = run_phases(joint, cfg, log, label=model.log_label)
+        save("model_ml.ckpt", "joint")
+        if finetune_d is not None:
+            run_phases(finetune, cfg, log, label=model.log_label, at=at)
+            save(f"model_ml_ft_{args.finetune}.ckpt", "fine-tuned")
+    if args.audit_sharing:
+        ok, report = audit_sharing(model, datasets)
+        for line in report:
+            print(f"audit: {line}")
+        if not ok:
+            print("audit: FAILED", file=sys.stderr)
+            return EXIT_AUDIT
+        print("audit: ok")
     print(f"log: {log_path}")
     return EXIT_OK
 
@@ -236,39 +232,37 @@ def _load_eval_params(ckpt_path, dataset):
         raise CheckpointError(f"{ckpt_path}: {exc}") from None
 
 
+def _eval_inputs(args):
+    dataset = load_dataset(args.data)
+    return dataset, _load_eval_params(args.ckpt, dataset)
+
+
 def cmd_eval(args) -> int:
-    (prec,) = resolve_settings(args, Precision)
-    with precision(prec.precision):
-        dataset = load_dataset(args.data)
-        params = _load_eval_params(args.ckpt, dataset)
-        report, cms = metrics.evaluate_report(params, dataset)
-        sys.stdout.write(metrics.report_text(report, cms, dataset))
-        if args.kv_out:
-            with replacing(args.kv_out) as fh:
-                fh.write(metrics.report_kv(report).encode("utf-8"))
-            print(f"kv report: {args.kv_out}")
+    dataset, params = _eval_inputs(args)
+    report, cms = metrics.evaluate_report(params, dataset)
+    sys.stdout.write(metrics.report_text(report, cms, dataset))
+    if args.kv_out:
+        with replacing(args.kv_out) as fh:
+            fh.write(metrics.report_kv(report).encode("utf-8"))
+        print(f"kv report: {args.kv_out}")
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
-    prec, lim = resolve_settings(args, Precision, Limit)
-    with precision(prec.precision):
-        dataset = load_dataset(args.data)
-        params = _load_eval_params(args.ckpt, dataset)
-        os.makedirs(args.out, exist_ok=True)
-        count = len(dataset) if lim.limit is None else min(lim.limit, len(dataset))
-        preds_of = metrics.predictions(params, dataset, main_only=args.branch == "main")
-        # range first: zip stops before it asks for a forward past the limit
-        for i, preds in zip(range(count), preds_of):
-            pred = preds.get(args.branch, preds["main"])
-            path = os.path.join(args.out, f"{i:05d}_pred.ppm")
-            write_ppm(path, colorize_labels(pred, dataset.taxonomy.k3))
-        print(f"wrote {count} predictions to {args.out}")
+def cmd_predict(args, lim: Limit) -> int:
+    dataset, params = _eval_inputs(args)
+    os.makedirs(args.out, exist_ok=True)
+    count = len(dataset) if lim.limit is None else min(lim.limit, len(dataset))
+    preds_of = metrics.predictions(params, dataset, main_only=args.branch == "main")
+    # range first: zip stops before it asks for a forward past the limit
+    for i, preds in zip(range(count), preds_of):
+        pred = preds.get(args.branch, preds["main"])
+        path = os.path.join(args.out, f"{i:05d}_pred.ppm")
+        write_ppm(path, colorize_labels(pred, dataset.taxonomy.k3))
+    print(f"wrote {count} predictions to {args.out}")
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    (cfg,) = resolve_settings(args, SeedConfig)
+def cmd_gradcheck(args, cfg: SeedConfig) -> int:
     results, ok = gradcheck_mod.run_all(seed=cfg.seed, verbose=True)
     worst = max(results.values())
     print(f"worst suite max_rel_err={worst:.3e} tolerance={gradcheck_mod.TOLERANCE:g}")
@@ -282,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help, *classes, required: dict, config=True):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, settings=classes)
         for flag, flag_help in required.items():
             p.add_argument(flag, required=True, help=flag_help)
         _add_settings(p, *classes, config=config)
@@ -313,7 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        configs = resolve_settings(args, *args.settings)
+        prec = next((c.precision for c in configs if isinstance(c, Precision)), None)
+        with nullcontext() if prec is None else precision(prec):  # None: the tensor default
+            return args.func(args, *(c for c in configs if not isinstance(c, Precision)))
     except NumericsError as exc:
         print(f"numerical failure: {exc}\ndiagnostics: loss or an intermediate value became "
               "non-finite; lower --lr or switch --precision f64", file=sys.stderr)

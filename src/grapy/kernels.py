@@ -134,17 +134,16 @@ def masked_pool_forward(f, labels, k, argmax=True):
     return sums.reshape(n, k, c), counts.reshape(n, k), maxv.reshape(n, k, c), argi
 
 
-def masked_pool_backward(gave, gmax, labels, counts, argi, shape):
-    """Gradient in the features: the mean's spread plus the max selections."""
-    n, k, c = gave.shape
-    cnt = counts.reshape(-1)
-    nz = cnt > 0
-    inv = np.zeros(n * k, gave.dtype)
-    inv[nz] = 1.0 / cnt[nz]
-    gf2 = np.take(gave.reshape(-1, c) * inv[:, None], _segments(labels, k), axis=0)
+def masked_pool_backward(gmean, gmax, labels, counts, argi):
+    """Gradient in the features: ``gmean``, the mean's gradient already scaled
+    by 1/count, spread over each category's pixels, plus ``gmax`` at the max
+    selections of the non-empty categories."""
+    c = gmean.shape[-1]
+    gf = gather_rows(gmean, labels)
+    nz = counts.reshape(-1) > 0
     # segments own disjoint pixels, so no (pixel, channel) pair repeats
-    gf2[argi.reshape(-1, c)[nz], np.arange(c)] += gmax.reshape(-1, c)[nz]
-    return gf2.reshape(shape)
+    gf.reshape(-1, c)[argi.reshape(-1, c)[nz], np.arange(c)] += gmax.reshape(-1, c)[nz]
+    return gf
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .hierarchy import Taxonomy
 from .imageio import dequantize_image
 from .pyramid import GCR_ITERATIONS, GpmParams, check_levels, gt_label_maps, pyramid_forward
 from .synthdata import Dataset, RoundRobinSampler, SampleBatch
-from .tensor import (SGD, Tape, Tensor, argmax_channel, conv2d, cross_entropy_mean, relu,
-                     scale, softmax_channels, uniform_init)
+from .tensor import (SGD, NumericsError, Tape, Tensor, add, argmax_channel, conv2d,
+                     cross_entropy_mean, relu, scale, softmax_channels, uniform_init)
 
 
 @dataclass
@@ -135,7 +135,7 @@ def loss_tensor(out: ForwardOut, q: np.ndarray, loss_weight: float) -> Tensor:
     """Per-pixel mean cross-entropy of both branches: L = L_main + w * L_pyramid."""
     total = cross_entropy_mean(out.y, q)
     if out.y_hat is not None and loss_weight != 0.0:
-        total = total + scale(cross_entropy_mean(out.y_hat, q), loss_weight)
+        total = add(total, scale(cross_entropy_mean(out.y_hat, q), loss_weight))
     return total
 
 
@@ -176,12 +176,16 @@ def train_step(batch: SampleBatch, params: ModelParams, taxonomy: Taxonomy, opt:
                gt_masks: bool = False, main_only: bool = False,
                clip_norm: float = CLIP_NORM) -> float:
     """One forward/backward/SGD update at ``opt.lr``; returns the pre-update loss.
-    ``opt``'s gradients are clipped by name, in tape order."""
+    ``opt``'s gradients are clipped by name, in tape order; the first that is
+    not finite raises NumericsError instead."""
     with Tape() as tape:
         total = batch_loss(batch, params, taxonomy, gt_masks=gt_masks, main_only=main_only)
     grad_map = tape.backward(total)
     name_of = {id(t): name for name, t in opt.params.items()}
     grads = {name_of[id(t)]: g for t, g in grad_map.items() if id(t) in name_of}
+    bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+    if bad is not None:  # before the update, so parameters and momentum stay as they were
+        raise NumericsError(f"the gradient of parameter {bad!r} holds NaN or Inf")
     opt.step(clip_gradients(grads, clip_norm))
     return float(total.data)
 
@@ -300,14 +304,14 @@ class Phase:
     gt_masks: bool = False
 
 
-def schedule(cfg: BaseTrainConfig, named: dict[str, Tensor], pretrain: tuple,
-             main: tuple) -> list[Phase]:
+def schedule(cfg: BaseTrainConfig, named: dict[str, Tensor], step: Callable[..., float],
+             next_batch: Callable[[], object], pretrain: tuple, main: tuple) -> list[Phase]:
     """All but the pyramid on the main branch at ``lr``, so masks become meaningful,
-    then all on the two-branch objective at the decayed lr; ``pretrain`` and
-    ``main`` are each phase's (step, next_batch, epochs, epoch_steps)."""
-    return [Phase({n: t for n, t in named.items() if "gpm." not in n}, cfg.lr, *pretrain,
-                  main_only=True),
-            Phase(named, cfg.lr * cfg.lr_decay, *main, gt_masks=cfg.gt_masks)]
+    then all on the two-branch objective at the decayed lr, both by ``step`` on
+    ``next_batch()``; ``pretrain`` and ``main`` are each phase's (epochs, epoch_steps)."""
+    return [Phase({n: t for n, t in named.items() if "gpm." not in n}, cfg.lr, step, next_batch,
+                  *pretrain, main_only=True),
+            Phase(named, cfg.lr * cfg.lr_decay, step, next_batch, *main, gt_masks=cfg.gt_masks)]
 
 
 def run_phases(phases: list[Phase], cfg: BaseTrainConfig, log: TextIO | None = None,
@@ -341,8 +345,7 @@ def _train_single(dataset: Dataset, cfg: TrainConfig, log, params, pretrain, mai
     def step(batch, opt, **flags):
         return train_step(batch, params, dataset.taxonomy, opt, **flags)
 
-    run_phases(schedule(cfg, params.named(), (step, next_batch, *pretrain),
-                        (step, next_batch, *main)), cfg, log)
+    run_phases(schedule(cfg, params.named(), step, next_batch, pretrain, main), cfg, log)
     return params
 
 

@@ -18,9 +18,8 @@ from typing import TextIO
 import numpy as np
 
 from .hierarchy import Taxonomy
-from .model import (CLIP_NORM, SGD, BackboneParams, BaseTrainConfig, ConvLayer, ModelParams,
-                    Phase, init_model, only_default_modes, run_phases, schedule, seeded_rng,
-                    setting, train_step)
+from .model import (SGD, BackboneParams, BaseTrainConfig, ConvLayer, ModelParams, Phase, init_model,
+                    only_default_modes, run_phases, schedule, seeded_rng, setting, train_step)
 # the benchmark's tracer wraps ``clip_gradients`` and ``train_step`` here too
 from .model import clip_gradients  # noqa: F401
 from .pyramid import GCR_ITERATIONS, GpmParams, init_levels
@@ -95,12 +94,10 @@ class MlModel:
         return self.taxonomies[batch.dataset_index - 1].dataset_name
 
 
-def ml_step(batch: SampleBatch, model: MlModel, opt: SGD, gt_masks: bool = False,
-            main_only: bool = False, clip_norm: float = CLIP_NORM) -> float:
+def ml_step(batch: SampleBatch, model: MlModel, opt: SGD, **flags) -> float:
     """One update from a single-dataset batch; gradients reach shared + branch d."""
     d = batch.dataset_index
-    return train_step(batch, model.branch_params(d), model.taxonomies[d - 1], opt,
-                      gt_masks=gt_masks, main_only=main_only, clip_norm=clip_norm)
+    return train_step(batch, model.branch_params(d), model.taxonomies[d - 1], opt, **flags)
 
 
 @dataclass
@@ -120,9 +117,8 @@ def mutual_phases(datasets: list[Dataset], cfg: MlTrainConfig, model: MlModel,
     def step(batch, opt, **flags):
         return ml_step(batch, model, opt, **flags)
 
-    joint = schedule(cfg, model.named(), (step, sampler.next_batch, cfg.epochs_pretrain,
-                                          per_epoch),
-                     (step, sampler.next_batch, cfg.epochs_main, per_epoch))
+    joint = schedule(cfg, model.named(), step, sampler.next_batch,
+                     (cfg.epochs_pretrain, per_epoch), (cfg.epochs_main, per_epoch))
     if finetune_on is None:
         return joint, []
     d, target = finetune_on, datasets[finetune_on - 1]

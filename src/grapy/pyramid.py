@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hierarchy import Taxonomy, coarsen
-from .tensor import (Tensor, attention_rounds, broadcast_nodes, concat_channels, conv2d,
+from .tensor import (Tensor, add, attention_rounds, broadcast_nodes, concat_channels, conv2d,
                      masked_pool, matmul, softmax_channels, uniform_init)
 
 GCR_ITERATIONS = 3
@@ -141,7 +141,7 @@ def distribute(f_prev: Tensor, v_gcr: Tensor, out_proj: Tensor,
     carries their index.
     """
     w = matmul(v_gcr, out_proj)
-    return f_prev + broadcast_nodes(w, label_map)
+    return add(f_prev, broadcast_nodes(w, label_map))
 
 
 def level_forward(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,

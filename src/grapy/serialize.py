@@ -91,12 +91,19 @@ def _layout_meta(kind: str, taxonomies: list[Taxonomy], params: ModelParams) -> 
     return meta
 
 
+def _save(path, named: dict, meta: dict[str, str]) -> None:
+    """Write the parameters ``named``, refusing NaN or Inf as loading does."""
+    for name, t in named.items():
+        if not np.isfinite(t.data).all():
+            raise CheckpointError(f"parameter {name!r} holds NaN or Inf")
+    save_checkpoint(path, {name: t.data for name, t in named.items()}, meta)
+
+
 def save_model(path, params: ModelParams, taxonomy: Taxonomy) -> None:
     meta = _layout_meta("single", [taxonomy], params)
     if params.gpm is not None:
         meta["levels"] = ",".join(str(l) for l in sorted(params.gpm.levels))
-    arrays = {name: t.data for name, t in params.named().items()}
-    save_checkpoint(path, arrays, meta)
+    _save(path, params.named(), meta)
 
 
 def load_model(path) -> tuple[ModelParams, dict[str, str]]:
@@ -116,8 +123,7 @@ def model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> Mo
 def save_ml_model(path, model: MlModel) -> None:
     meta = _layout_meta("mutual", model.taxonomies, model.branches[0])
     meta["share_backbone"] = "1" if model.share_backbone else "0"
-    arrays = {name: t.data for name, t in model.named().items()}
-    save_checkpoint(path, arrays, meta)
+    _save(path, model.named(), meta)
 
 
 def load_ml_model(path) -> tuple[MlModel, dict[str, str]]:

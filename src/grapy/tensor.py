@@ -30,7 +30,7 @@ class ShapeError(ValueError):
 
 
 class NumericsError(ArithmeticError):
-    """A forward operation produced NaN or Inf."""
+    """A forward operation, or a parameter's gradient, produced NaN or Inf."""
 
 
 _DTYPE = np.float64  # 64-bit is the test/gradcheck mode; training may use 32-bit
@@ -77,9 +77,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
 
 
 _ACTIVE: "Tape | None" = None
@@ -396,9 +393,9 @@ def masked_pool(f: Tensor, label_map: np.ndarray, k: int):
     feats = np.concatenate([sums * inv[..., None], maxv], axis=-1)  # [mean | max]
 
     def back(g):
-        # the kernel spreads the mean gradient evenly over each mask (1/count)
-        return (kernels.masked_pool_backward(g[..., :c], g[..., c:], label_map, counts, argi,
-                                             f.shape),)
+        # the mean's gradient spreads evenly over each mask: 1/count per pixel
+        return (kernels.masked_pool_backward(g[..., :c] * inv[..., None], g[..., c:], label_map,
+                                             counts, argi),)
 
     return _apply("masked_pool", feats, (f,), back), counts
 

@@ -21,8 +21,8 @@ from grapy import cli
 from grapy.checkpoint import MAGIC, VERSION, CheckpointError, load_checkpoint
 from grapy.hierarchy import taxonomy_by_name
 from grapy.imageio import ParseError, read_pgm, read_ppm, write_pgm, write_ppm
-from grapy.model import ModelParams, TrainConfig
-from grapy.mutual import MlModel, MlTrainConfig
+from grapy.model import ModelParams
+from grapy.mutual import MlModel
 from grapy.synthdata import Dataset, DatasetError, load_dataset
 from oracles import checkpoint_record
 
@@ -254,7 +254,9 @@ def test_eval_on_a_broken_checkpoint_exits_4_or_2(blob, eval_manifest, tmp_path_
 # config files: `key = value` lines over the settings' keys (some dashed,
 # some unknown) and values in and out of their ranges, comments, blank and
 # malformed lines, any line ends, stray bytes, raw bytes
-_CONFIG_CLASSES = ((TrainConfig, cli.Precision, cli.Overfit), (MlTrainConfig, cli.Precision))
+_CONFIG_CLASSES = tuple(cli.build_parser().parse_args(argv).settings for argv in (
+    ["train", "--data", "d", "--out", "o"],
+    ["train-ml", "--data-root", "r", "--datasets", "A,B", "--out", "o"]))
 _KEYS = sorted({k for classes in _CONFIG_CLASSES for f in cli._settings(*classes)
                 for k in (cli._key(f), *f.metadata["setting"].aliases)})
 _KEY = st.one_of(st.sampled_from(_KEYS), st.sampled_from(_KEYS).map(lambda k: k.replace("_", "-")),

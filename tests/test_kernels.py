@@ -75,11 +75,11 @@ def test_empty_category_pools_to_zero_and_gets_no_gradient():
     sums, counts, maxv, argi = _check_pool(f, labels, 2)
     assert counts.tolist() == [[16, 0], [15, 1]]
     assert not sums[0, 1].any() and not maxv[0, 1].any() and not argi[0, 1].any()
-    gave = np.zeros((2, 2, 3))
+    gmean = np.zeros((2, 2, 3))
     gmax = np.zeros((2, 2, 3))
-    gave[0, 1] = gmax[0, 1] = 1.0  # gradient on the empty node only
-    gf = K.masked_pool_backward(gave, gmax, labels, counts, argi, f.shape)
-    assert not gf.any()
+    gmean[0, 1] = gmax[0, 1] = 1.0  # gradient on the empty node only
+    gf = K.masked_pool_backward(gmean, gmax, labels, counts, argi)
+    assert gf.shape == f.shape and not gf.any()
 
 
 def test_single_category_is_global_pooling():
@@ -96,7 +96,11 @@ def test_masked_pool_backward_matches_loop():
     labels = rng.integers(0, 4, size=(2, 5, 5))
     _, counts, _, argi = K.masked_pool_forward(f, labels, 4)
     gave, gmax = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
-    got = K.masked_pool_backward(gave, gmax, labels, counts, argi, f.shape).reshape(-1, 3)
+    # the caller scales the mean's gradient by 1/count (every category is present)
+    assert counts.all()
+    got = K.masked_pool_backward(gave / counts[..., None], gmax, labels, counts, argi)
+    assert got.shape == f.shape
+    got = got.reshape(-1, 3)
     expect = np.zeros((50, 3))
     for n in range(2):
         for i, kk in enumerate(labels[n].reshape(-1)):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,63 @@ class TestTrainStep:
             train_step(self._batch(tax), params, tax,
                        SGD(params.named(), lr=0.1), clip_norm=0.0)
 
+    def _poison(self, monkeypatch, pick):
+        """Patch ``Tape.backward`` to set one entry of the gradients of the
+        leaves ``pick(grads)`` to Inf; returns the leaf order of the last map."""
+        backward, order = Tape.backward, []
+
+        def inf_gradients(tape, loss):
+            grads = backward(tape, loss)
+            order[:] = list(grads)
+            for t in pick(grads):
+                grads[t] = grads[t].copy()
+                grads[t].flat[3] = np.inf
+            return grads
+
+        monkeypatch.setattr(Tape, "backward", inf_gradients)
+        return order
+
+    @pytest.mark.parametrize("clip_norm", [1.0, 0.0])
+    def test_nonfinite_gradient_raises_before_any_update(self, tax, monkeypatch, clip_norm):
+        params = ModelParams.init(np.random.default_rng(10), tax, width=4, channels=4)
+        named = params.named()
+        opt = SGD(named, lr=0.1, momentum=0.9)
+        batch = self._batch(tax)
+        train_step(batch, params, tax, opt, clip_norm=clip_norm)  # fills the momentum buffers
+        before = {n: t.data.tobytes() for n, t in named.items()}
+        buffers = {n: b.tobytes() for n, b in opt.buffers.items()}
+        poisoned = {"main_head.kernel", "backbone.conv2.kernel"}
+        order = self._poison(monkeypatch, lambda grads: [named[n] for n in poisoned])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from scaling an Inf
+            with pytest.raises(NumericsError) as exc:
+                train_step(batch, params, tax, opt, clip_norm=clip_norm)
+        name_of = {id(t): n for n, t in named.items()}
+        first = next(name_of[id(t)] for t in order if name_of[id(t)] in poisoned)
+        assert str(exc.value) == f"the gradient of parameter {first!r} holds NaN or Inf"
+        assert {n: t.data.tobytes() for n, t in named.items()} == before
+        assert {n: b.tobytes() for n, b in opt.buffers.items()} == buffers
+
+    def test_nonfinite_gradient_exits_3_without_a_checkpoint(self, tax, tmp_path, monkeypatch,
+                                                             capsys):
+        from grapy import cli
+
+        made = Dataset("A", tax, generate(SceneSpec(seed=13, image_size=(16, 16)), tax, 2))
+        manifest = save_dataset(tmp_path / "d", made)
+        calls = []
+
+        def last_step(grads):  # step 4 of 4, after which the run saves its checkpoint
+            calls.append(None)
+            return list(grads)[:1] if len(calls) == 4 else []
+
+        self._poison(monkeypatch, last_step)
+        code = cli.main(["train", "--data", manifest, "--out", str(tmp_path / "o"),
+                         "--overfit", "2", "--steps", "4"])
+        assert len(calls) == 4
+        assert code == 3
+        assert "numerical failure: the gradient of parameter" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
     def test_clip_gradients_caps_norm(self):
         grads = {"a": np.full(4, 10.0), "b": np.full(2, -10.0)}
         clipped = clip_gradients(grads, 1.0)
@@ -219,7 +278,7 @@ class TestPhases:
         params = ModelParams.init(np.random.default_rng(0), tax, width=4, channels=4)
         cfg = TrainConfig(lr=0.2, lr_decay=0.25, gt_masks=True)
         named = params.named()
-        pre, main = schedule(cfg, named, (None, None, 1, 1), (None, None, 1, 1))
+        pre, main = schedule(cfg, named, None, None, (1, 1), (1, 1))
         assert list(pre.params) == [n for n in named if not n.startswith("gpm.")]
         assert (pre.lr, pre.main_only, pre.gt_masks) == (0.2, True, False)
         assert main.params is named

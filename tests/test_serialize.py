@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from grapy.checkpoint import load_checkpoint
+from grapy.checkpoint import CheckpointError, load_checkpoint
 from grapy.hierarchy import builtin_taxonomies, taxonomy_by_name
 from grapy.model import ModelParams
 from grapy.mutual import MlModel
@@ -27,6 +27,27 @@ def test_single_model_round_trip(tmp_path):
     for name, t in names.items():
         assert t.data.tobytes() == orig[name].data.tobytes(), name
         assert t.requires_grad
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["single", "mutual"])
+def test_nonfinite_parameter_is_refused_and_the_old_file_kept(tmp_path, kind, bad):
+    taxes = [taxonomy_by_name("A"), taxonomy_by_name("B")]
+    path = tmp_path / "m.ckpt"
+    if kind == "single":
+        params = ModelParams.init(0, taxes[0], width=4, channels=4)
+        save, named = (lambda: save_model(path, params, taxes[0])), params.named()
+    else:
+        ml = MlModel.init(0, taxes, width=4, channels=4)
+        save, named = (lambda: save_ml_model(path, ml)), ml.named()
+    save()
+    old = path.read_bytes()
+    name = sorted(named)[3]
+    named[name].data.flat[1] = bad
+    with pytest.raises(CheckpointError, match=f"parameter '{name}' holds NaN or Inf"):
+        save()
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
 def test_no_gpm_model_round_trip(tmp_path):

@@ -10,19 +10,23 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from grapy import cli
 from grapy.model import TrainConfig
 from grapy.mutual import MlTrainConfig
+from grapy.tensor import get_default_dtype, precision
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
-COMMANDS = {
-    "train": ((TrainConfig, cli.Precision, cli.Overfit), ["--data", "d", "--out", "o"]),
-    "train-ml": ((MlTrainConfig, cli.Precision),
-                 ["--data-root", "r", "--datasets", "A,B", "--out", "o"]),
+REQUIRED = {
+    "train": ["--data", "d", "--out", "o"],
+    "train-ml": ["--data-root", "r", "--datasets", "A,B", "--out", "o"],
 }
+# each command's settings classes, as its sub-parser records them for ``main``
+COMMANDS = {command: (cli.build_parser().parse_args([command, *required]).settings, required)
+            for command, required in REQUIRED.items()}
 CASES = [(command, f) for command, (classes, _) in COMMANDS.items()
          for f in cli._settings(*classes)]
 
@@ -49,6 +53,39 @@ def _resolve(command, extra, monkeypatch):
     classes, required = COMMANDS[command]
     args = cli.build_parser().parse_args([command, *required, *extra])
     return cli.resolve_settings(args, *classes)
+
+
+def test_commands_record_their_settings_classes():
+    assert COMMANDS["train"][0] == (TrainConfig, cli.Precision, cli.Overfit)
+    assert COMMANDS["train-ml"][0] == (MlTrainConfig, cli.Precision)
+
+
+@pytest.mark.parametrize("argv,outer,want", [
+    (["train", *REQUIRED["train"], "--precision", "f64"], "f32", np.float64),
+    (["train", *REQUIRED["train"]], "f64", np.float32),
+    (["train-ml", *REQUIRED["train-ml"], "--precision", "f64"], "f32", np.float64),
+    (["eval", "--data", "d", "--ckpt", "c"], "f64", np.float32),
+    (["predict", "--data", "d", "--ckpt", "c", "--out", "o", "--precision", "f64"], "f32",
+     np.float64),
+    (["gen-data", "--out", "o"], "f32", np.float32),
+    (["gen-data", "--out", "o"], "f64", np.float64),
+    (["gradcheck"], "f32", np.float32),
+    (["gradcheck"], "f64", np.float64),
+], ids=["train-f64", "train-default", "train-ml-f64", "eval-default", "predict-f64",
+        "gen-data-f32", "gen-data-f64", "gradcheck-f32", "gradcheck-f64"])
+def test_main_runs_each_command_under_its_precision(argv, outer, want, monkeypatch):
+    """``--precision`` where a command has it, else the tensor default as it was."""
+    monkeypatch.delenv("GRAPY_SEED", raising=False)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"),
+                        lambda args, *configs: seen.append((get_default_dtype(), configs)) or 0)
+    with precision(outer):
+        assert cli.main(argv) == 0
+        assert get_default_dtype() is {"f32": np.float32, "f64": np.float64}[outer]
+    (dtype, configs), = seen
+    assert dtype is want
+    classes = cli.build_parser().parse_args(argv).settings
+    assert configs == tuple(cls() for cls in classes if cls is not cli.Precision)
 
 
 def test_every_config_field_is_a_setting_except_image_channels():

@@ -45,14 +45,19 @@ def replacing(path):
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> None:
+    """Write ``arrays`` and ``meta``. A parameter holding NaN or Inf, which loading
+    refuses, or named like metadata is refused before the file opens."""
+    for name, arr in arrays.items():
+        if name.startswith(_META_PREFIX):
+            raise CheckpointError(f"parameter name {name!r} collides with metadata prefix")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"parameter {name!r} holds NaN or Inf")
     with replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         for key, text in (meta or {}).items():
             _write_record(fh, _META_PREFIX + key, np.frombuffer(text.encode("utf-8"), np.uint8))
         for name, arr in arrays.items():
-            if name.startswith(_META_PREFIX):
-                raise CheckpointError(f"parameter name {name!r} collides with metadata prefix")
             _write_record(fh, name, arr)
 
 

@@ -19,11 +19,11 @@ from functools import partial
 
 from . import gradcheck as gradcheck_mod
 from . import metrics, serialize
-from .checkpoint import CheckpointError, load_checkpoint, replacing
+from .checkpoint import CheckpointError, replacing
 from .imageio import colorize_labels, write_ppm
 from .model import (SeedConfig, TrainConfig, init_model, overfit_train, pretrain_then_train,
                     run_phases, setting)
-from .mutual import MlModel, MlTrainConfig, audit_sharing, mutual_phases
+from .mutual import MlModel, MlTrainConfig, audit_sharing, dataset_column, mutual_phases
 from .synthdata import DatasetError, load_dataset, make_benchmark
 from .tensor import NumericsError, precision
 
@@ -176,15 +176,15 @@ def cmd_train_ml(args, cfg: MlTrainConfig) -> int:
     names = [n.strip() for n in args.datasets.split(",") if n.strip()]
     if args.finetune is not None and args.finetune not in names:
         raise ConfigError(f"--finetune {args.finetune!r} is not among --datasets")
-    finetune_d = None if args.finetune is None else names.index(args.finetune) + 1
     datasets = [load_dataset(os.path.join(args.data_root, n, "train", "manifest.txt"))
                 for n in names]
+    target = None if args.finetune is None else datasets[names.index(args.finetune)]
     try:
         model = init_model(MlModel.init, cfg, [ds.taxonomy for ds in datasets])
     except ValueError as exc:  # fewer than 2 datasets, or a taxonomy named twice
         raise ConfigError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
-    joint, finetune = mutual_phases(datasets, cfg, model, finetune_d)
+    joint, finetune = mutual_phases(datasets, cfg, model, target)
     log_path = os.path.join(args.out, "train_ml.log")
 
     def save(name, what):
@@ -193,10 +193,10 @@ def cmd_train_ml(args, cfg: MlTrainConfig) -> int:
         print(f"{what} checkpoint: {path}")
 
     with open(log_path, "w", encoding="utf-8") as log:
-        at = run_phases(joint, cfg, log, label=model.log_label)
+        at = run_phases(joint, cfg, log, label=dataset_column)
         save("model_ml.ckpt", "joint")
-        if finetune_d is not None:
-            run_phases(finetune, cfg, log, label=model.log_label, at=at)
+        if target is not None:
+            run_phases(finetune, cfg, log, label=dataset_column, at=at)
             save(f"model_ml_ft_{args.finetune}.ckpt", "fine-tuned")
     if args.audit_sharing:
         ok, report = audit_sharing(model, datasets)
@@ -210,31 +210,10 @@ def cmd_train_ml(args, cfg: MlTrainConfig) -> int:
     return EXIT_OK
 
 
-def _load_eval_params(ckpt_path, dataset):
-    try:
-        arrays, meta = load_checkpoint(ckpt_path)
-        name = dataset.taxonomy.dataset_name
-        names = meta.get("taxonomies", "").split(",")
-        if name not in names:
-            raise CheckpointError(f"checkpoint is bound to taxonomies {names} "
-                                  f"but the dataset manifest names {name!r}")
-        if meta.get("kind", "single") == "single":
-            params = serialize.model_from_arrays(arrays, meta)
-        else:
-            params = serialize.ml_model_from_arrays(arrays, meta).branch_params(
-                names.index(name) + 1)
-        c_in, c = params.backbone.layers[0].kernel.shape[2], dataset.samples[0].image.shape[-1]
-        if c_in != c:
-            raise CheckpointError(f"the backbone takes {c_in}-channel images, "
-                                  f"the dataset's have {c} channels")
-        return params
-    except CheckpointError as exc:
-        raise CheckpointError(f"{ckpt_path}: {exc}") from None
-
-
 def _eval_inputs(args):
     dataset = load_dataset(args.data)
-    return dataset, _load_eval_params(args.ckpt, dataset)
+    channels = dataset.samples[0].image.shape[-1]
+    return dataset, serialize.load_parser(args.ckpt, dataset.taxonomy, channels)
 
 
 def cmd_eval(args) -> int:

@@ -93,80 +93,53 @@ def check_tensor_grads(build, leaves: list[Tensor]) -> float:
 def op_suites(seed: int = 0) -> dict[str, float]:
     """Finite-difference checks of every tape op, each through a weighted_sum of its output."""
     rng = np.random.default_rng(seed)
+    results: dict[str, float] = {}
 
     def leaf(*shape):
         return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True)
 
-    results: dict[str, float] = {}
+    def probe(name, op, *leaves, w=None):
+        """Record the suite of ``weighted_sum(op(*leaves), w)``, drawing ``w`` for the
+        output's shape unless given; returns ``w``."""
+        if w is None:
+            w = rng.normal(size=op(*leaves).shape)
+        results[name] = check_tensor_grads(lambda: T.weighted_sum(op(*leaves), w), list(leaves))
+        return w
 
-    a, b = leaf(3, 4), leaf(3, 4)
-    w = rng.normal(size=(3, 4))
-    results["add"] = check_tensor_grads(lambda: T.weighted_sum(T.add(a, b), w), [a, b])
-
-    m, n = leaf(1, 4, 5), leaf(5, 3)
-    wmn = rng.normal(size=(1, 4, 3))
-    results["matmul"] = check_tensor_grads(lambda: T.weighted_sum(T.matmul(m, n), wmn), [m, n])
-
-    r = Tensor(rng.normal(0.0, 1.0, (4, 6)) + 0.2, requires_grad=True)  # keep off the kink
-    wr = rng.normal(size=(4, 6))
-    results["relu"] = check_tensor_grads(lambda: T.weighted_sum(T.relu(r), wr), [r])
-
+    w = probe("add", T.add, leaf(3, 4), leaf(3, 4))
+    probe("matmul", T.matmul, leaf(1, 4, 5), leaf(5, 3))
+    # shifted to keep off the kink
+    probe("relu", T.relu, Tensor(rng.normal(0.0, 1.0, (4, 6)) + 0.2, requires_grad=True))
     x, k = leaf(1, 6, 6, 2), leaf(3, 3, 2, 3)
-    wc = rng.normal(size=(1, 6, 6, 3))
-    results["conv2d"] = check_tensor_grads(lambda: T.weighted_sum(T.conv2d(x, k), wc), [x, k])
-    kb = leaf(3)
-    results["conv2d_bias"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.conv2d(x, k, kb), wc), [x, k, kb])
-
-    c1, c2 = leaf(1, 3, 3, 2), leaf(1, 3, 3, 3)
-    wcc = rng.normal(size=(1, 3, 3, 5))
-    results["concat"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.concat_channels([c1, c2]), wcc), [c1, c2])
-
+    wc = probe("conv2d", T.conv2d, x, k)
+    probe("conv2d_bias", T.conv2d, x, k, leaf(3), w=wc)
+    probe("concat", lambda *parts: T.concat_channels(list(parts)), leaf(1, 3, 3, 2),
+          leaf(1, 3, 3, 3))
     u = leaf(3, 4)
     results["scale"] = check_tensor_grads(lambda: T.scale(T.weighted_sum(u, w), 2.5), [u])
 
     f = leaf(1, 5, 6, 3)
     labels = rng.integers(0, 3, size=(1, 5, 6))
     labels.reshape(-1)[:3] = [0, 1, 2]  # every category occupied
-    wp = rng.normal(size=(1, 3, 6))
-    results["masked_pool"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.masked_pool(f, labels, 3)[0], wp), [f])
-
-    nodes = leaf(1, 3, 4)
-    wb = rng.normal(size=(1, 5, 6, 4))
-    results["broadcast_nodes"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.broadcast_nodes(nodes, labels), wb), [nodes])
-
+    probe("masked_pool", lambda f: T.masked_pool(f, labels, 3)[0], f)
+    probe("broadcast_nodes", lambda nodes: T.broadcast_nodes(nodes, labels), leaf(1, 3, 4))
     logits = leaf(1, 4, 4, 3)
     q = rng.integers(0, 3, size=(1, 4, 4))
     results["cross_entropy"] = check_tensor_grads(
         lambda: cross_entropy_mean(T.softmax_channels(logits), q), [logits])
 
     # the same ops over a leading batch axis of 2
-    ma, mw = leaf(2, 4, 5), leaf(5, 3)
-    wm = rng.normal(size=(2, 4, 3))
-    results["matmul_shared_batch2"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.matmul(ma, mw), wm), [ma, mw])
-    xb = leaf(2, 6, 6, 2)
-    wcb = rng.normal(size=(2, 6, 6, 3))
-    results["conv2d_batch2"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.conv2d(xb, k), wcb), [xb, k])
+    probe("matmul_shared_batch2", T.matmul, leaf(2, 4, 5), leaf(5, 3))
+    probe("conv2d_batch2", T.conv2d, leaf(2, 6, 6, 2), k)
     fb = leaf(2, 5, 6, 3)
     lb = rng.integers(0, 3, size=(2, 5, 6))
     lb.reshape(2, -1)[:, :3] = [0, 1, 2]
-    wpb = rng.normal(size=(2, 3, 6))
-    results["masked_pool_batch2"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.masked_pool(fb, lb, 3)[0], wpb), [fb])
-    nb = leaf(2, 3, 4)
-    wbb = rng.normal(size=(2, 5, 6, 4))
-    results["broadcast_nodes_batch2"] = check_tensor_grads(
-        lambda: T.weighted_sum(T.broadcast_nodes(nb, lb), wbb), [nb])
+    probe("masked_pool_batch2", lambda f: T.masked_pool(f, lb, 3)[0], fb)
+    probe("broadcast_nodes_batch2", lambda nodes: T.broadcast_nodes(nodes, lb), leaf(2, 3, 4))
     logits_b = leaf(2, 4, 4, 3)
     qb = rng.integers(0, 3, size=(2, 4, 4))
     results["cross_entropy_batch2"] = check_tensor_grads(
         lambda: cross_entropy_mean(T.softmax_channels(logits_b), qb), [logits_b])
-
     return results
 
 

@@ -226,7 +226,7 @@ def parse_levels(raw: str) -> tuple:
 class SeedConfig:
     seed: int = setting(0, "seed of init and batch order", bounds="[0, inf)", env="GRAPY_SEED")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Raise ValueError naming the first setting outside its declared range."""
         for f in fields(self):
             try:
@@ -301,7 +301,6 @@ class Phase:
     epochs: int
     epoch_steps: int
     main_only: bool = False
-    gt_masks: bool = False
 
 
 def schedule(cfg: BaseTrainConfig, named: dict[str, Tensor], step: Callable[..., float],
@@ -311,21 +310,22 @@ def schedule(cfg: BaseTrainConfig, named: dict[str, Tensor], step: Callable[...,
     ``next_batch()``; ``pretrain`` and ``main`` are each phase's (epochs, epoch_steps)."""
     return [Phase({n: t for n, t in named.items() if "gpm." not in n}, cfg.lr, step, next_batch,
                   *pretrain, main_only=True),
-            Phase(named, cfg.lr * cfg.lr_decay, step, next_batch, *main, gt_masks=cfg.gt_masks)]
+            Phase(named, cfg.lr * cfg.lr_decay, step, next_batch, *main)]
 
 
 def run_phases(phases: list[Phase], cfg: BaseTrainConfig, log: TextIO | None = None,
                label: Callable = lambda batch: None, at: tuple[int, int] = (0, 0)):
-    """The training loop. Writes a tab-separated row per step to ``log``: epoch and
-    step (numbered on from ``at``), ``label(batch)`` unless None, loss and lr.
-    Returns the (epoch, step) reached."""
+    """The training loop; every step takes ``cfg``'s gt_masks and clip_norm (a
+    main-only step builds no masks). Writes a tab-separated row per step to ``log``:
+    epoch and step (numbered on from ``at``), ``label(batch)`` unless None, loss and
+    lr. Returns the (epoch, step) reached."""
     epoch, step = at
     for ph in phases:
         opt = SGD(ph.params, ph.lr, cfg.momentum)
         for _ in range(ph.epochs):
             for _ in range(ph.epoch_steps):
                 batch = ph.next_batch()
-                loss = ph.step(batch, opt, gt_masks=ph.gt_masks, main_only=ph.main_only,
+                loss = ph.step(batch, opt, gt_masks=cfg.gt_masks, main_only=ph.main_only,
                                clip_norm=cfg.clip_norm)
                 step += 1
                 if log is not None:
@@ -335,32 +335,31 @@ def run_phases(phases: list[Phase], cfg: BaseTrainConfig, log: TextIO | None = N
     return epoch, step
 
 
-def _train_single(dataset: Dataset, cfg: TrainConfig, log, params, pretrain, main):
-    """``schedule`` over one sampler; ``pretrain``, ``main`` are (epochs, epoch_steps)."""
+def _train_single(dataset: Dataset, cfg: TrainConfig, log, params, phases: Callable):
+    """``schedule`` over one sampler; ``phases(epoch_steps)`` gives the pretrain and
+    main phases' (epochs, epoch_steps) from the sampler's batches per pass."""
     if params is None:
         params = init_model(ModelParams.init, cfg, dataset.taxonomy)
-    next_batch = RoundRobinSampler([dataset], seeded_rng(cfg.seed, 1), cfg.batch_size,
-                                   first=0).next_batch
+    sampler = RoundRobinSampler([dataset], seeded_rng(cfg.seed, 1), cfg.batch_size)
 
     def step(batch, opt, **flags):
         return train_step(batch, params, dataset.taxonomy, opt, **flags)
 
-    run_phases(schedule(cfg, params.named(), step, next_batch, pretrain, main), cfg, log)
+    run_phases(schedule(cfg, params.named(), step, sampler.next_batch,
+                        *phases(sampler.epoch_steps)), cfg, log)
     return params
 
 
 def pretrain_then_train(dataset: Dataset, cfg: TrainConfig, log: TextIO | None = None,
                         params: ModelParams | None = None) -> ModelParams:
     """``epochs_pretrain`` main-branch epochs, then ``epochs_main`` two-branch epochs."""
-    cfg.validate()
-    per_epoch = -(-len(dataset) // cfg.batch_size)
-    return _train_single(dataset, cfg, log, params, (cfg.epochs_pretrain, per_epoch),
-                         (cfg.epochs_main, per_epoch))
+    return _train_single(dataset, cfg, log, params,
+                         lambda n: ((cfg.epochs_pretrain, n), (cfg.epochs_main, n)))
 
 
 def overfit_train(dataset: Dataset, cfg: TrainConfig, steps: int,
                   log: TextIO | None = None) -> ModelParams:
     """Fixed-subset training on a step budget, a quarter of it main-branch only,
     over one sampler. The log's epoch column counts the two phases."""
-    cfg.validate()
-    return _train_single(dataset, cfg, log, None, (1, steps // 4), (1, steps - steps // 4))
+    return _train_single(dataset, cfg, log, None,
+                         lambda n: ((1, steps // 4), (1, steps - steps // 4)))

@@ -29,7 +29,7 @@ from .tensor import Tensor, uniform_init
 
 @dataclass
 class MlModel:
-    branches: list[ModelParams]  # branch d - 1 parses dataset d
+    branches: list[ModelParams]  # branches[i] parses the labels of taxonomies[i]
     taxonomies: list[Taxonomy]
 
     @classmethod
@@ -64,10 +64,18 @@ class MlModel:
         return self.branches[0].backbone is self.branches[1].backbone
 
     def branch_params(self, d: int) -> ModelParams:
-        """The parser of dataset ``d`` (1-based), holding the shared tensors."""
+        """Branch ``d`` (1-based), holding the shared tensors."""
         if not 1 <= d <= len(self.branches):
-            raise ValueError(f"dataset index must be in [1, {len(self.branches)}], got {d}")
+            raise ValueError(f"branch index must be in [1, {len(self.branches)}], got {d}")
         return self.branches[d - 1]
+
+    def branch_for(self, taxonomy: Taxonomy | None) -> ModelParams:
+        """The parser of the labels of ``taxonomy``."""
+        if taxonomy not in self.taxonomies:
+            name = None if taxonomy is None else taxonomy.dataset_name
+            raise ValueError(f"no branch parses taxonomy {name!r}; the branches parse "
+                             + ",".join(t.dataset_name for t in self.taxonomies))
+        return self.branch_params(self.taxonomies.index(taxonomy) + 1)
 
     def _shared_ids(self) -> set[int]:
         return set.intersection(*({id(t) for t in p.named().values()} for p in self.branches))
@@ -89,15 +97,16 @@ class MlModel:
             out.update(self.branch_named(d))
         return out
 
-    def log_label(self, batch: SampleBatch) -> str:
-        """The log's dataset column: the batch's dataset."""
-        return self.taxonomies[batch.dataset_index - 1].dataset_name
-
 
 def ml_step(batch: SampleBatch, model: MlModel, opt: SGD, **flags) -> float:
-    """One update from a single-dataset batch; gradients reach shared + branch d."""
-    d = batch.dataset_index
-    return train_step(batch, model.branch_params(d), model.taxonomies[d - 1], opt, **flags)
+    """One update from a single-dataset batch; gradients reach the shared tensors
+    and the branch of the batch's taxonomy."""
+    return train_step(batch, model.branch_for(batch.taxonomy), batch.taxonomy, opt, **flags)
+
+
+def dataset_column(batch: SampleBatch) -> str:
+    """The log's dataset column: the name of the batch's taxonomy."""
+    return batch.taxonomy.dataset_name
 
 
 @dataclass
@@ -107,36 +116,33 @@ class MlTrainConfig(BaseTrainConfig):
 
 
 def mutual_phases(datasets: list[Dataset], cfg: MlTrainConfig, model: MlModel,
-                  finetune_on: int | None = None) -> tuple[list[Phase], list[Phase]]:
+                  finetune_on: Dataset | None = None) -> tuple[list[Phase], list[Phase]]:
     """``schedule``'s joint phases on round-robin batches, and the fine-tune phases
-    (none without ``finetune_on``): shared core + branch ``finetune_on`` on that
-    dataset alone, at the decayed lr."""
+    (none without ``finetune_on``): shared core + the branch of ``finetune_on``
+    on that dataset alone, at the decayed lr."""
     sampler = RoundRobinSampler(datasets, seeded_rng(cfg.seed, 1), cfg.batch_size)
-    per_epoch = sum(-(-len(ds) // cfg.batch_size) for ds in datasets)
 
     def step(batch, opt, **flags):
         return ml_step(batch, model, opt, **flags)
 
+    per_epoch = sampler.epoch_steps
     joint = schedule(cfg, model.named(), step, sampler.next_batch,
                      (cfg.epochs_pretrain, per_epoch), (cfg.epochs_main, per_epoch))
     if finetune_on is None:
         return joint, []
-    d, target = finetune_on, datasets[finetune_on - 1]
-    stream = RoundRobinSampler([target], seeded_rng(cfg.seed, 2), cfg.batch_size, first=d)
-    return joint, [Phase(model.branch_params(d).named(), cfg.lr * cfg.lr_decay, step,
-                         stream.next_batch, cfg.epochs_finetune,
-                         -(-len(target) // cfg.batch_size), gt_masks=cfg.gt_masks)]
+    stream = RoundRobinSampler([finetune_on], seeded_rng(cfg.seed, 2), cfg.batch_size)
+    return joint, [Phase(model.branch_for(finetune_on.taxonomy).named(), cfg.lr * cfg.lr_decay,
+                         step, stream.next_batch, cfg.epochs_finetune, stream.epoch_steps)]
 
 
 def train_mutual(datasets: list[Dataset], cfg: MlTrainConfig,
-                 log: TextIO | None = None, finetune_on: int | None = None,
+                 log: TextIO | None = None, finetune_on: Dataset | None = None,
                  model: MlModel | None = None) -> MlModel:
     """Every phase of ``mutual_phases`` in one run."""
-    cfg.validate()
     if model is None:
         model = init_model(MlModel.init, cfg, [ds.taxonomy for ds in datasets])
     joint, finetune = mutual_phases(datasets, cfg, model, finetune_on)
-    run_phases(joint + finetune, cfg, log, label=model.log_label)
+    run_phases(joint + finetune, cfg, log, label=dataset_column)
     return model
 
 
@@ -153,7 +159,7 @@ def audit_sharing(model: MlModel, datasets: list[Dataset]) -> tuple[bool, list[s
     for d in indices:
         before = [snapshot(model.branch_named(dd)) for dd in indices]
         shared_before = snapshot(model.shared_named())
-        batch = next(datasets[d - 1].batches(rng, 2, dataset_index=d))
+        batch = next(datasets[d - 1].batches(rng, 2))
         ml_step(batch, model, SGD(model.branch_params(d).named(), 0.05, momentum=0.0))
         shared_changed = snapshot(model.shared_named()) != shared_before
         moved = [dd for dd in indices

@@ -91,19 +91,11 @@ def _layout_meta(kind: str, taxonomies: list[Taxonomy], params: ModelParams) -> 
     return meta
 
 
-def _save(path, named: dict, meta: dict[str, str]) -> None:
-    """Write the parameters ``named``, refusing NaN or Inf as loading does."""
-    for name, t in named.items():
-        if not np.isfinite(t.data).all():
-            raise CheckpointError(f"parameter {name!r} holds NaN or Inf")
-    save_checkpoint(path, {name: t.data for name, t in named.items()}, meta)
-
-
 def save_model(path, params: ModelParams, taxonomy: Taxonomy) -> None:
     meta = _layout_meta("single", [taxonomy], params)
     if params.gpm is not None:
         meta["levels"] = ",".join(str(l) for l in sorted(params.gpm.levels))
-    _save(path, params.named(), meta)
+    save_checkpoint(path, {name: t.data for name, t in params.named().items()}, meta)
 
 
 def load_model(path) -> tuple[ModelParams, dict[str, str]]:
@@ -123,7 +115,7 @@ def model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> Mo
 def save_ml_model(path, model: MlModel) -> None:
     meta = _layout_meta("mutual", model.taxonomies, model.branches[0])
     meta["share_backbone"] = "1" if model.share_backbone else "0"
-    _save(path, model.named(), meta)
+    save_checkpoint(path, {name: t.data for name, t in model.named().items()}, meta)
 
 
 def load_ml_model(path) -> tuple[MlModel, dict[str, str]]:
@@ -140,3 +132,25 @@ def ml_model_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) ->
     return _filled(MlModel.init, arrays, taxonomies, share_backbone=share,
                    **_common(meta),
                    **_backbone_dims(arrays, "shared.backbone" if share else "branch1.backbone"))
+
+
+def load_parser(path, taxonomy: Taxonomy, channels: int) -> ModelParams:
+    """The parser of ``taxonomy``'s labels in the single or mutual checkpoint at
+    ``path``, for images of ``channels`` channels; a CheckpointError names ``path``."""
+    try:
+        arrays, meta = load_checkpoint(path)
+        names = meta.get("taxonomies", "").split(",")
+        if taxonomy.dataset_name not in names:
+            raise CheckpointError(f"checkpoint is bound to taxonomies {names} "
+                                  f"but the dataset manifest names {taxonomy.dataset_name!r}")
+        if meta.get("kind", "single") == "single":
+            params = model_from_arrays(arrays, meta)
+        else:
+            params = ml_model_from_arrays(arrays, meta).branch_for(taxonomy)
+        c_in = params.backbone.layers[0].kernel.shape[2]
+        if c_in != channels:
+            raise CheckpointError(f"the backbone takes {c_in}-channel images, "
+                                  f"the dataset's have {channels} channels")
+        return params
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

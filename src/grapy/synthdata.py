@@ -80,7 +80,7 @@ class Sample:
 class SampleBatch:
     images: list[np.ndarray]
     labels: list[np.ndarray]
-    dataset_index: int = 0
+    taxonomy: Taxonomy | None = None  # of the labels; picks a mutual model's branch
 
 
 @dataclass
@@ -95,25 +95,26 @@ class Dataset:
     def subset(self, n: int) -> "Dataset":
         return Dataset(self.name, self.taxonomy, self.samples[:n])
 
-    def batches(self, rng: np.random.Generator, batch_size: int, dataset_index: int = 0):
+    def batches(self, rng: np.random.Generator, batch_size: int):
         order = rng.permutation(len(self.samples))
         for start in range(0, len(order), batch_size):
             chunk = [self.samples[i] for i in order[start : start + batch_size]]
-            yield SampleBatch([s.image for s in chunk], [s.labels for s in chunk], dataset_index)
+            yield SampleBatch([s.image for s in chunk], [s.labels for s in chunk], self.taxonomy)
 
 
 class RoundRobinSampler:
-    """Endless passes over each dataset, the datasets in turn; ``datasets[i]``'s
-    batches carry index ``first + i``, and a pass draws its order from ``rng`` as it starts."""
+    """Endless passes over each dataset, the datasets in turn; a pass draws its
+    order from ``rng`` as it starts. An epoch is one pass over every dataset:
+    ``epoch_steps`` batches."""
 
-    def __init__(self, datasets: list[Dataset], rng: np.random.Generator, batch_size: int,
-                 first: int = 1):
-        def passes(dataset, d):
+    def __init__(self, datasets: list[Dataset], rng: np.random.Generator, batch_size: int):
+        def passes(dataset):
             while len(dataset):  # an empty dataset ends the stream: StopIteration
-                yield from dataset.batches(rng, batch_size, dataset_index=d)
+                yield from dataset.batches(rng, batch_size)
 
-        self._streams = [passes(ds, d) for d, ds in enumerate(datasets, start=first)]
+        self._streams = [passes(ds) for ds in datasets]
         self._cursor = 0
+        self.epoch_steps = sum(-(-len(ds) // batch_size) for ds in datasets)
 
     def next_batch(self) -> SampleBatch:
         i = self._cursor

@@ -62,8 +62,8 @@ def train_ablation(name, seed):
             mcfg = MlTrainConfig(seed=seed, lr=0.1, lr_decay=0.3, batch_size=4,
                                  clip_norm=1.0, epochs_pretrain=4, epochs_main=10,
                                  epochs_finetune=6)
-            ml = train_mutual([bench[n][0] for n in "ABC"], mcfg, finetune_on=1)
-            params = ml.branch_params(1)
+            ml = train_mutual([bench[n][0] for n in "ABC"], mcfg, finetune_on=train_a)
+            params = ml.branch_for(train_a.taxonomy)
         else:
             layout = {"base": dict(with_gpm=False), "l3only": dict(levels=(3,)), "full": {}}[name]
             params = pretrain_then_train(train_a, TrainConfig(
@@ -264,7 +264,7 @@ def test_sharing_audit():
     before = {d: snapshot(model.branch_named(d)) for d in (2, 3)}
     shared_before = snapshot(model.shared_named())
     batch = SampleBatch([datasets[0].samples[0].image],
-                        [datasets[0].samples[0].labels], dataset_index=1)
+                        [datasets[0].samples[0].labels], datasets[0].taxonomy)
     ml_step(batch, model, SGD(model.named(), lr=0.05, momentum=0.0))
     assert snapshot(model.branch_named(2)) == before[2]
     assert snapshot(model.branch_named(3)) == before[3]

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -141,9 +143,21 @@ def test_nonfinite_parameter_rejected_naming_it(tmp_path, bad):
     path = tmp_path / "p.ckpt"
     w = np.arange(4.0)
     w[2] = bad
-    save_checkpoint(path, {"v": np.zeros(2), "w": w}, meta={"kind": "single"})
+    save_checkpoint(path, {"v": np.zeros(2)}, meta={"kind": "single"})
+    path.write_bytes(path.read_bytes() + checkpoint_record("w", w))
     with pytest.raises(CheckpointError, match="parameter 'w' in the record at offset .* NaN or Inf"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_refuses_a_nonfinite_parameter_and_keeps_the_old_file(tmp_path, bad):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"w": np.zeros(2)})
+    old = path.read_bytes()
+    with pytest.raises(CheckpointError, match="parameter 'w' holds NaN or Inf"):
+        save_checkpoint(path, {"v": np.zeros(2), "w": np.array([1.0, bad])})
+    assert path.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == ["p.ckpt"]
 
 
 @pytest.mark.parametrize("codes", [[300.0] * 3, [65.5], [np.nan], [-1.0], [np.inf], [65.0, 256.0]],

@@ -280,9 +280,9 @@ class TestPhases:
         named = params.named()
         pre, main = schedule(cfg, named, None, None, (1, 1), (1, 1))
         assert list(pre.params) == [n for n in named if not n.startswith("gpm.")]
-        assert (pre.lr, pre.main_only, pre.gt_masks) == (0.2, True, False)
+        assert (pre.lr, pre.main_only) == (0.2, True)
         assert main.params is named
-        assert (main.lr, main.main_only, main.gt_masks) == (0.2 * 0.25, False, True)
+        assert (main.lr, main.main_only) == (0.2 * 0.25, False)
 
     def test_masks_non_degenerate_after_pretrain(self, tax):
         ds = self._dataset(tax, n=6)
@@ -324,11 +324,11 @@ class TestPhases:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(lr=-1).validate()
+            TrainConfig(lr=-1)
         with pytest.raises(ValueError):
-            TrainConfig(momentum=1.5).validate()
+            TrainConfig(momentum=1.5)
         with pytest.raises(ValueError):
-            TrainConfig(batch_size=0).validate()
+            TrainConfig(batch_size=0)
 
 
 class TestBatchAxis:

@@ -38,12 +38,21 @@ class TestStructure:
             assert out.y.data[0].shape == (16, 16, k3)
             assert out.y_hat.data[0].shape == (16, 16, k3)
 
-    def test_invalid_dataset_index(self, taxonomies):
+    def test_invalid_branch_index(self, taxonomies):
         model = small_model(taxonomies)
         with pytest.raises(ValueError):
             model.branch_params(0)
         with pytest.raises(ValueError):
             model.branch_params(4)
+
+    def test_branch_for_picks_by_taxonomy_and_names_a_missing_one(self, taxonomies):
+        model = small_model([taxonomies[1], taxonomies[0]])
+        assert model.branch_for(taxonomies[0]) is model.branch_params(2)
+        assert model.branch_for(taxonomies[1]) is model.branch_params(1)
+        with pytest.raises(ValueError, match="no branch parses taxonomy 'C'.*B,A"):
+            model.branch_for(taxonomies[2])
+        with pytest.raises(ValueError, match="no branch parses taxonomy None"):
+            model.branch_for(None)
 
     def test_name_sets_disjoint_and_partition(self, taxonomies):
         model = small_model(taxonomies)
@@ -132,7 +141,7 @@ class TestSteps:
         before = {d: snapshot(model.branch_named(d)) for d in (1, 2, 3)}
         shared_before = snapshot(model.shared_named())
         batch = SampleBatch([datasets[0].samples[0].image],
-                            [datasets[0].samples[0].labels], dataset_index=1)
+                            [datasets[0].samples[0].labels], datasets[0].taxonomy)
         opt = SGD(model.named(), lr=0.05, momentum=0.0)
         ml_step(batch, model, opt)
         assert snapshot(model.branch_named(2)) == before[2]
@@ -143,16 +152,18 @@ class TestSteps:
     def test_round_robin_cycles_in_order(self, taxonomies):
         datasets = small_datasets(n=3)
         sampler = RoundRobinSampler(datasets, np.random.default_rng(0), batch_size=2)
-        order = [sampler.next_batch().dataset_index for _ in range(9)]
-        assert order == [1, 2, 3, 1, 2, 3, 1, 2, 3]
+        order = [sampler.next_batch().taxonomy.dataset_name for _ in range(9)]
+        assert order == ["A", "B", "C"] * 3
+        assert sampler.epoch_steps == 3 * 2  # ceil(3 / 2) batches per dataset
 
-    def test_sampler_of_one_dataset_numbers_it_first_and_reshuffles_per_pass(self, taxonomies):
+    def test_sampler_of_one_dataset_names_its_taxonomy_and_reshuffles_per_pass(self, taxonomies):
         ds = small_datasets(n=3)[0]
-        sampler = RoundRobinSampler([ds], np.random.default_rng(4), batch_size=2, first=0)
+        sampler = RoundRobinSampler([ds], np.random.default_rng(4), batch_size=2)
         rng = np.random.default_rng(4)
-        want = [b for _ in range(2) for b in ds.batches(rng, 2, dataset_index=0)]
+        want = [b for _ in range(2) for b in ds.batches(rng, 2)]
         got = [sampler.next_batch() for _ in range(4)]
-        assert [b.dataset_index for b in got] == [0, 0, 0, 0]
+        assert [b.taxonomy for b in got] == [ds.taxonomy] * 4
+        assert sampler.epoch_steps == 2
         assert ([[im.tobytes() for im in b.images] for b in got]
                 == [[im.tobytes() for im in b.images] for b in want])
 
@@ -167,7 +178,7 @@ class TestTrainMutual:
             before = {d: snapshot(model.branch_named(d)) for d in (2, 3)}
             cfg_ft = MlTrainConfig(seed=0, lr=0.05, batch_size=2, epochs_pretrain=0,
                                    epochs_main=0, epochs_finetune=2, width=4, channels=4)
-            model = train_mutual(datasets, cfg_ft, finetune_on=1, model=model)
+            model = train_mutual(datasets, cfg_ft, finetune_on=datasets[0], model=model)
             assert snapshot(model.branch_named(2)) == before[2]
             assert snapshot(model.branch_named(3)) == before[3]
 
@@ -201,12 +212,25 @@ class TestTrainMutual:
                             epochs_main=1, epochs_finetune=1, width=4, channels=4)
         path = tmp_path / "ml.log"
         with precision("f32"), open(path, "w", encoding="utf-8") as log:
-            train_mutual(datasets, cfg, log, finetune_on=2)
+            train_mutual(datasets, cfg, log, finetune_on=datasets[1])
         rows = [ln.split("\t") for ln in path.read_text().splitlines()]
         assert [(r[0], r[2], r[4]) for r in rows] == [
             ("0", "A", "0.05"), ("0", "B", "0.05"), ("0", "C", "0.05"),
             ("1", "A", "0.025"), ("1", "B", "0.025"), ("1", "C", "0.025"),
             ("2", "B", "0.025")]
+
+    def test_branches_in_another_order_than_the_datasets(self, taxonomies):
+        """Each dataset trains the branch of its taxonomy, wherever the model holds it."""
+        a, b = small_datasets(n=2)[:2]
+        cfg = MlTrainConfig(seed=0, lr=0.05, batch_size=2, epochs_pretrain=1,
+                            epochs_main=1, epochs_finetune=0, width=4, channels=4)
+        with precision("f32"):
+            model = small_model([b.taxonomy, a.taxonomy])
+            train_mutual([a, b], cfg, model=model)
+            before = {d: snapshot(model.branch_named(d)) for d in (1, 2)}
+            train_mutual([a], cfg, model=model)
+        assert snapshot(model.branch_named(1)) == before[1]  # B's branch
+        assert snapshot(model.branch_named(2)) != before[2]  # A's branch
 
     def test_audit_sharing_passes(self, taxonomies):
         datasets = small_datasets(n=2)

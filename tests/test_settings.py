@@ -146,13 +146,13 @@ def test_existing_flag_spellings_still_parse(monkeypatch):
     assert ml.share_backbone
 
 
-def test_out_of_range_value_is_rejected_by_validate():
+def test_out_of_range_value_is_rejected_when_built():
     with pytest.raises(ValueError, match="width must be in"):
-        TrainConfig(width=0).validate()
+        TrainConfig(width=0)
     with pytest.raises(ValueError, match="iterations must be in"):
-        TrainConfig(iterations=0).validate()
+        TrainConfig(iterations=0)
     with pytest.raises(ValueError, match="epochs_finetune"):
-        MlTrainConfig(epochs_finetune=-1).validate()
+        MlTrainConfig(epochs_finetune=-1)
 
 
 TRAIN_KEYS = {"seed", "precision", "lr", "momentum", "batch_size", "epochs_pretrain",

@@ -10,9 +10,10 @@ and log. On the A, B and C test splits of ``gen-data --seed 0`` it runs
 ``eval --kv-out`` against ``perfbench/data/eval_abc.ckpt`` in f32 and f64,
 hashing the kv file and the text report, and ``predict`` (every gpm
 prediction, and the first 10 of the main branch), hashing the PPMs in name
-order. Each sha256 is compared with the full digest in ``PINS``. It takes
-about 2 minutes on 2 vCPUs, most of it the ``B,C`` run's 60 epochs. BLAS
-runs on one thread unless its variables are set, as in the tests.
+order. Last it hashes the stdout of ``gradcheck`` at seeds 0 and 22. Each
+sha256 is compared with the full digest in ``PINS``. It takes about 2
+minutes on 2 vCPUs, most of it the ``B,C`` run's 60 epochs. BLAS runs on
+one thread unless its variables are set, as in the tests.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ PINS = {
     "eval/C_f64.txt": "5d8b16ff9d445c8fcffaaf71e0140aae93a22d3d3771835d42602ade661f0ff6",
     "predict/C_gpm": "7321bd09e1b34b0eee83fd6fb88db8b71676679e2d338ddd54d9b113feeac09b",
     "predict/C_main": "58ed358467ff73861708495a9b3512fa4a0c546e3af05b27026cd1fb5f0b095c",
+    "gradcheck/seed0": "08c90baa76ae3ea556cf59368b2bc0a3f78b8b94c4da7153c3fb97bf70b23881",
+    "gradcheck/seed22": "67c375a187e19edf9529a4ec6df42aa585c4d96d19c0e033d0f7ef2fcf07801d",
 }
 
 
@@ -111,6 +114,8 @@ def digests(work: Path):
             _grapy(["predict", *data, "--out", out.name, *extra], work)
             blob = b"".join(p.name.encode() + p.read_bytes() for p in sorted(out.iterdir()))
             yield f"predict/{split}_{branch}", _sha(blob)
+    for seed in ("0", "22"):
+        yield f"gradcheck/seed{seed}", _sha(_grapy(["gradcheck", "--seed", seed], work).encode())
 
 
 def main(argv) -> int:

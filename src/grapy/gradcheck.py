@@ -170,7 +170,7 @@ def pyramid_suite(seed: int = 0) -> float:
 
     def build():
         _, y_hat = pyramid_forward(f, tax, gpm, label_maps=maps)
-        return cross_entropy_mean(y_hat, q)
+        return cross_entropy_mean(T.softmax_channels(y_hat), q)
 
     leaves = [f] + list(gpm.named().values())
     return check_tensor_grads(build, leaves)

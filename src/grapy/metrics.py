@@ -80,7 +80,8 @@ def _branches_of(params: ModelParams) -> list[str]:
 def predictions(params: ModelParams, dataset: Dataset, main_only: bool = False):
     """Each sample's (H, W) label maps by branch, ``{"main": ..., "gpm": ...}`` ("gpm"
     with a pyramid and not ``main_only``), from one forward per sample; "main" is the
-    forward's own argmax."""
+    forward's own argmax. Each is the argmax of a branch's logits: the softmax's
+    argmax except where rounding ties two softmax values."""
     for sample in dataset.samples:
         out = forward(sample.image[None], params, dataset.taxonomy, main_only=main_only)
         preds = {"main": out.main_prediction()[0]}

@@ -1,11 +1,11 @@
 """Single-dataset parser: toy conv backbone, main head, pyramid branch, training.
 
 The backbone is three stride-1 same-padded conv layers (relu between), small
-on purpose; the main head is a 1x1 conv to the fine class count, softmaxed
-per pixel. The pyramid branch consumes the backbone features and the main
-prediction and emits its own per-pixel distribution. Both branches train
-with per-pixel mean cross-entropy; the pyramid term is weighted by
-``loss_weight`` (default 1).
+on purpose; the main head is a 1x1 conv to the fine class count. The pyramid
+branch consumes the backbone features and the main prediction and emits its
+own per-pixel logits. Both train with the per-pixel mean cross-entropy of
+their logits' softmax, which only the loss applies; the pyramid term is
+weighted by ``loss_weight`` (default 1).
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class ModelParams:
 
 
 class ForwardOut(NamedTuple):
-    y: Tensor                 # main-branch per-pixel distribution (N, H, W, K3)
-    y_hat: Tensor | None      # pyramid-branch distribution, None in main-only mode
+    y: Tensor                 # main-branch per-pixel logits (N, H, W, K3)
+    y_hat: Tensor | None      # pyramid-branch logits, None in main-only mode
     fine: np.ndarray | None = None  # argmax of y (N, H, W) when the pyramid's masks came from it
 
     def main_prediction(self) -> np.ndarray:
@@ -107,20 +107,21 @@ class ForwardOut(NamedTuple):
 
 def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
             gt_labels: np.ndarray | None = None, main_only: bool = False) -> ForwardOut:
-    """Full forward pass of an (N, H, W, C) batch: features, main prediction,
-    pyramid prediction, each (N, H, W, .). Images are floats in [0, 1] or
-    uint8 codes, which ``dequantize_image`` maps there.
+    """Full forward pass of an (N, H, W, C) batch: features, main logits,
+    pyramid logits, each (N, H, W, .), unsoftmaxed. Images are floats in
+    [0, 1] or uint8 codes, which ``dequantize_image`` maps there.
 
     ``gt_labels`` ((N, H, W)) switches category masks to coarsened ground
-    truth (debug mode); default masks derive from the main prediction's argmax,
-    which is returned as ``fine`` for callers that need the prediction too.
+    truth (debug mode); default masks derive from the main logits' argmax,
+    returned as ``fine`` for callers that need the prediction too: the
+    softmax's argmax except where rounding ties two softmax values.
     """
     images = np.asarray(images)
     if images.dtype == np.uint8:  # a loaded split's codes: dequantized once per batch
         images = dequantize_image(images)
     # centering keeps the first conv well conditioned
     f = params.backbone.apply(Tensor(images - 0.5))
-    y = softmax_channels(params.main_head.apply(f))
+    y = params.main_head.apply(f)
     if main_only or params.gpm is None:
         return ForwardOut(y=y, y_hat=None)
     if gt_labels is None:
@@ -132,10 +133,10 @@ def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
 
 
 def loss_tensor(out: ForwardOut, q: np.ndarray, loss_weight: float) -> Tensor:
-    """Per-pixel mean cross-entropy of both branches: L = L_main + w * L_pyramid."""
-    total = cross_entropy_mean(out.y, q)
+    """Per-pixel mean cross-entropy of both branches' softmax: L = L_main + w * L_pyramid."""
+    total = cross_entropy_mean(softmax_channels(out.y), q)
     if out.y_hat is not None and loss_weight != 0.0:
-        total = add(total, scale(cross_entropy_mean(out.y_hat, q), loss_weight))
+        total = add(total, scale(cross_entropy_mean(softmax_channels(out.y_hat), q), loss_weight))
     return total
 
 

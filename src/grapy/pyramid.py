@@ -8,7 +8,7 @@ node features are projected back to feature width and added onto each
 category's pixels. The final prediction head sees the initial map
 concatenated with all refined maps.
 
-Category masks come from the per-pixel argmax of the main-branch prediction,
+Category masks come from the per-pixel argmax of the main-branch logits,
 taken once per forward and coarsened through the taxonomy at each level; they
 are constants inside a training step (argmax never joins the tape). The
 reasoning rounds of a level are one tape op with a hand-written adjoint
@@ -26,7 +26,7 @@ import numpy as np
 
 from .hierarchy import Taxonomy, coarsen
 from .tensor import (Tensor, add, attention_rounds, broadcast_nodes, concat_channels, conv2d,
-                     masked_pool, matmul, softmax_channels, uniform_init)
+                     masked_pool, matmul, uniform_init)
 
 GCR_ITERATIONS = 3
 
@@ -108,7 +108,7 @@ class GpmParams:
 
 def masks_from_prediction(fine: np.ndarray, taxonomy: Taxonomy, level: int) -> np.ndarray:
     """Category label map at ``level`` from the fine (N, H, W) argmax map of
-    the main prediction.
+    the main logits.
 
     The argmax lies in [0, K_3) by construction, so it indexes the level's
     table directly, with none of ``coarsen``'s range scan. Never recorded on
@@ -154,12 +154,12 @@ def level_forward(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,
 def pyramid_forward(f: Tensor, taxonomy: Taxonomy, params: GpmParams,
                     label_maps: dict[int, np.ndarray] | None = None,
                     fine: np.ndarray | None = None):
-    """Run the pyramid coarse to fine; returns (f_hat, y_hat).
+    """Run the pyramid coarse to fine; returns f_hat and the fused head's logits y_hat.
 
     ``label_maps`` overrides the prediction-derived masks (used by the
     ground-truth-mask debug mode and by gradient checks, where masks must
     stay fixed). The other masks coarsen ``fine``, the (N, H, W) argmax of
-    the main prediction.
+    the main logits.
     """
     maps = label_maps or {}
     f_l = f
@@ -172,8 +172,7 @@ def pyramid_forward(f: Tensor, taxonomy: Taxonomy, params: GpmParams,
                             params.levels[level], params.iterations)
         pyramid.append(f_l)
     f_hat = concat_channels(pyramid)
-    y_hat = softmax_channels(conv2d(f_hat, params.head))
-    return f_hat, y_hat
+    return f_hat, conv2d(f_hat, params.head)
 
 
 def gt_label_maps(q: np.ndarray, taxonomy: Taxonomy, levels) -> dict[int, np.ndarray]:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import grapy.model
+import grapy.pyramid
+import grapy.tensor
 from grapy.hierarchy import coarsen, taxonomy_by_name
-from grapy.metrics import ConfusionMatrix, confusions, evaluate_report
-from grapy.model import ModelParams, forward
-from grapy.synthdata import Dataset, Sample, SceneSpec, generate
-from grapy.tensor import argmax_channel
+from grapy.metrics import ConfusionMatrix, confusions, evaluate_report, predictions
+from grapy.model import ModelParams, batch_loss, forward
+from grapy.synthdata import Dataset, Sample, SampleBatch, SceneSpec, generate
+from grapy.tensor import Tape, argmax_channel
 from oracles import confusion_oracle
 
 
@@ -198,3 +201,48 @@ class TestDerivedLevels:
         ds = Dataset("A", tax, [Sample(image=rng.uniform(0, 1, (16, 16, 3)), labels=labels)])
         with pytest.raises(ValueError):
             confusions(params, ds)
+
+
+class TestLogitsOnly:
+    """Eval and predict take argmaxes of logits; only the loss softmaxes."""
+
+    @pytest.fixture
+    def setup(self):
+        tax = taxonomy_by_name("A")
+        params = ModelParams.init(0, tax, width=4, channels=4)
+        return params, Dataset("A", tax, generate(SceneSpec(seed=1, image_size=(16, 16)), tax, 2))
+
+    @staticmethod
+    def _patch(monkeypatch, fn):
+        """``fn`` replaces ``softmax_channels`` wherever model and pyramid look it up."""
+        monkeypatch.setattr(grapy.tensor, "softmax_channels", fn)
+        monkeypatch.setattr(grapy.model, "softmax_channels", fn)
+        monkeypatch.setattr(grapy.pyramid, "softmax_channels", fn, raising=False)
+
+    def test_eval_and_predict_never_softmax(self, setup, monkeypatch):
+        params, ds = setup
+
+        def refuse(a):
+            raise AssertionError("softmax_channels called outside the loss")
+
+        self._patch(monkeypatch, refuse)
+        report, _ = evaluate_report(params, ds)
+        assert sorted(report) == ["gpm", "main"]
+        for main_only, branches in ((False, ["gpm", "main"]), (True, ["main"])):
+            preds = list(predictions(params, ds, main_only=main_only))
+            assert len(preds) == len(ds) and all(sorted(p) == branches for p in preds)
+
+    def test_two_branch_loss_softmaxes_twice_on_an_unchanged_tape(self, setup, monkeypatch):
+        params, ds = setup
+        calls, real = [], grapy.tensor.softmax_channels
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        self._patch(monkeypatch, counting)
+        batch = SampleBatch([s.image for s in ds.samples], [s.labels for s in ds.samples])
+        with Tape() as tape:
+            batch_loss(batch, params, ds.taxonomy)
+        assert calls == [(2, 16, 16, ds.taxonomy.k3)] * 2
+        assert len(tape) == 29  # the count when forward softmaxed both heads itself

@@ -11,7 +11,7 @@ from grapy.model import (ForwardOut, ModelParams, TrainConfig, batch_loss,
 from grapy.synthdata import (Dataset, SampleBatch, SceneSpec, generate, load_dataset,
                              save_dataset)
 from grapy.tensor import (SGD, NumericsError, Tape, Tensor, add, argmax_channel, precision,
-                          scale)
+                          scale, softmax_channels)
 from oracles import fd_gradient, rel_err
 
 
@@ -33,7 +33,7 @@ class TestForward:
     def test_outputs_are_distributions(self, tax, tiny):
         params, image, _ = tiny
         out = forward(image[None], params, tax)
-        for y in (out.y, out.y_hat):
+        for y in (softmax_channels(out.y), softmax_channels(out.y_hat)):
             assert np.abs(y.data[0].sum(axis=2) - 1).max() < 1e-6
             assert y.data[0].min() >= 0
 
@@ -86,7 +86,7 @@ class TestForward:
 class TestLoss:
     def test_one_hot_both_branches_zero(self, tax):
         q = np.random.default_rng(3).integers(0, tax.k3, (4, 4))
-        one_hot = Tensor(np.eye(tax.k3)[q][None])
+        one_hot = Tensor(100.0 * np.eye(tax.k3)[q][None])  # large-margin logits
         from grapy.model import ForwardOut
 
         out = ForwardOut(y=one_hot, y_hat=one_hot)
@@ -94,7 +94,7 @@ class TestLoss:
 
     def test_uniform_gives_two_log_k(self, tax):
         q = np.zeros((1, 4, 4), np.int64)
-        uniform = Tensor(np.full((1, 4, 4, tax.k3), 1.0 / tax.k3))
+        uniform = Tensor(np.zeros((1, 4, 4, tax.k3)))  # equal logits
         from grapy.model import ForwardOut
 
         out = ForwardOut(y=uniform, y_hat=uniform)
@@ -106,15 +106,16 @@ class TestLoss:
         main = loss_tensor(out, q[None], 0.0)
         from grapy.tensor import cross_entropy_mean
 
-        assert np.isclose(float(main.data), float(cross_entropy_mean(out.y, q[None]).data))
+        assert np.isclose(float(main.data),
+                          float(cross_entropy_mean(softmax_channels(out.y), q[None]).data))
 
     def test_additive_decomposition(self, tax, tiny):
         params, image, q = tiny
         out = forward(image[None], params, tax)
         from grapy.tensor import cross_entropy_mean
 
-        l_main = float(cross_entropy_mean(out.y, q[None]).data)
-        l_gpm = float(cross_entropy_mean(out.y_hat, q[None]).data)
+        l_main = float(cross_entropy_mean(softmax_channels(out.y), q[None]).data)
+        l_gpm = float(cross_entropy_mean(softmax_channels(out.y_hat), q[None]).data)
         total = float(loss_tensor(out, q[None], 1.0).data)
         assert np.isclose(total, l_main + l_gpm, rtol=0, atol=1e-12)
         total_w = float(loss_tensor(out, q[None], 0.37).data)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import grapy.kernels as K
 import grapy.tensor as T
@@ -133,6 +136,44 @@ class TestSoftmax:
 
         _, (gx,) = tape_grad(build, [x])
         assert rel_err(gx, fd_gradient(lambda: float(build().data), x.data)) < 1e-6
+
+
+def _logit_maps(dtype, bound):
+    """(N, H, W, K) ``dtype`` arrays, K >= 1, of finite values within ``bound``
+    (so the shift by the channel max cannot overflow), mixed with the values
+    within 3 ulps of 0.1, where softmax rounding can tie two channels."""
+    near = [dtype(0.1)]
+    for _ in range(3):
+        near = [np.nextafter(near[0], dtype(0)), *near, np.nextafter(near[-1], dtype(1))]
+    bound = float(dtype(bound))
+    elements = (st.floats(-bound, bound, width=np.finfo(dtype).bits, allow_nan=False)
+                | st.sampled_from([float(v) for v in near]))
+    shapes = st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
+                       st.integers(1, 6))
+    return hnp.arrays(dtype, shapes, elements=elements)
+
+
+class TestArgmaxOfLogits:
+    """Eval takes argmaxes of logits: the softmax's argmax wherever the softmax
+    row has a unique maximum, since softmax is monotone."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_logit_maps(np.float32, 1e30), _logit_maps(np.float64, 1e300)))
+    def test_equals_the_softmax_argmax_where_its_maximum_is_unique(self, x):
+        s = T.softmax_channels(Tensor(x, dtype=x.dtype)).data
+        assert s.dtype == x.dtype
+        unique = (s == s.max(axis=-1, keepdims=True)).sum(axis=-1) == 1
+        got = argmax_channel(Tensor(x, dtype=x.dtype))
+        assert np.array_equal(got[unique], argmax_channel(Tensor(s, dtype=s.dtype))[unique])
+
+    def test_rounding_tie_is_the_one_difference(self):
+        # exp(-1 ulp of 0.1) rounds to 1 in f32: both softmax values are 0.5,
+        # so the softmax's argmax is the first channel, the logits' the second
+        x = np.array([[[[0.1, np.nextafter(np.float32(0.1), np.float32(1))]]]], np.float32)
+        s = T.softmax_channels(Tensor(x, dtype=np.float32)).data
+        assert s.tolist() == [[[[0.5, 0.5]]]]
+        assert argmax_channel(Tensor(s, dtype=np.float32)).item() == 0
+        assert argmax_channel(Tensor(x, dtype=np.float32)).item() == 1
 
 
 class TestConv2d:

@@ -8,12 +8,12 @@ directory. On ``gen-data --seed 3`` it runs the pinned training commands in
 f32 (A/train unless the command is ``train-ml``) and hashes each checkpoint
 and log. On the A, B and C test splits of ``gen-data --seed 0`` it runs
 ``eval --kv-out`` against ``perfbench/data/eval_abc.ckpt`` in f32 and f64,
-hashing the kv file and the text report, and ``predict`` (every gpm
-prediction, and the first 10 of the main branch), hashing the PPMs in name
-order. Last it hashes the stdout of ``gradcheck`` at seeds 0 and 22. Each
-sha256 is compared with the full digest in ``PINS``. It takes about 2
-minutes on 2 vCPUs, most of it the ``B,C`` run's 60 epochs. BLAS runs on
-one thread unless its variables are set, as in the tests.
+hashing the kv file and the text report, and ``predict`` (every prediction
+of both branches), hashing the PPMs in name order. Last it hashes the stdout
+of ``gradcheck`` at seeds 0 and 22. Each sha256 is compared with the full
+digest in ``PINS``. It takes about 2 minutes on 2 vCPUs, most of it the
+``B,C`` run's 60 epochs. BLAS runs on one thread unless its variables are
+set, as in the tests.
 """
 
 from __future__ import annotations
@@ -58,19 +58,19 @@ PINS = {
     "eval/A_f64.kv": "0cf8b1b751986d6c6305e122b713820cd97fdad6d4d4231a88d4529b2c9aa4a2",
     "eval/A_f64.txt": "ad9c4db6a2612a20bf32a540d02af490ef2a6534c880aec24452eb2c337790cf",
     "predict/A_gpm": "ac0fd3529bbead6fadd32b7de0e25583899f47b7a871901a1e8e08a309784491",
-    "predict/A_main": "0eba499f487c9a0a4b83246bdf04a1a6955af7a7f39f596e35acbb194cb56496",
+    "predict/A_main": "a19f8be88b77fdef2533b645c2b75defd800b961587eaac8332993d9c115cfc7",
     "eval/B_f32.kv": "84c03683a123a36f3cfc9e378a1796c42cf7158b42eecce77035dab0efa29227",
     "eval/B_f32.txt": "5b46da4d50e60a62b3e04ee42cde6e2b60f0f1f5f96f123a73e0fccb2f4e375a",
     "eval/B_f64.kv": "84c03683a123a36f3cfc9e378a1796c42cf7158b42eecce77035dab0efa29227",
     "eval/B_f64.txt": "5b46da4d50e60a62b3e04ee42cde6e2b60f0f1f5f96f123a73e0fccb2f4e375a",
     "predict/B_gpm": "ee1138742f26741c6a7f8db47f5ab182bb25eb259e6233a292cad8ef4b7c3104",
-    "predict/B_main": "caaf4878fb046da46e3d03a578c78e399f20bf80832759cf5b1a862fe9e9dcd2",
+    "predict/B_main": "27b338809623c9c9f5fde6282ce7c29435903f7fc7bf07d3edf067bf9babc4cd",
     "eval/C_f32.kv": "e4431946781e7f8790993402d64fc6909c1d70340ab894ce66878c05db7f99f2",
     "eval/C_f32.txt": "5d8b16ff9d445c8fcffaaf71e0140aae93a22d3d3771835d42602ade661f0ff6",
     "eval/C_f64.kv": "e4431946781e7f8790993402d64fc6909c1d70340ab894ce66878c05db7f99f2",
     "eval/C_f64.txt": "5d8b16ff9d445c8fcffaaf71e0140aae93a22d3d3771835d42602ade661f0ff6",
     "predict/C_gpm": "7321bd09e1b34b0eee83fd6fb88db8b71676679e2d338ddd54d9b113feeac09b",
-    "predict/C_main": "58ed358467ff73861708495a9b3512fa4a0c546e3af05b27026cd1fb5f0b095c",
+    "predict/C_main": "fa7f638c131bb9513c23d52cc299be05259d14e407dd953b23f600b1da0effe1",
     "gradcheck/seed0": "08c90baa76ae3ea556cf59368b2bc0a3f78b8b94c4da7153c3fb97bf70b23881",
     "gradcheck/seed22": "67c375a187e19edf9529a4ec6df42aa585c4d96d19c0e033d0f7ef2fcf07801d",
 }
@@ -109,7 +109,7 @@ def digests(work: Path):
             yield f"eval/{kv}", _sha((work / kv).read_bytes())
             text = report.replace(f"kv report: {kv}\n", "")  # the report alone
             yield f"eval/{split}_{prec}.txt", _sha(text.encode())
-        for branch, extra in (("gpm", []), ("main", ["--branch", "main", "--limit", "10"])):
+        for branch, extra in (("gpm", []), ("main", ["--branch", "main"])):
             out = work / f"pred_{split}_{branch}"
             _grapy(["predict", *data, "--out", out.name, *extra], work)
             blob = b"".join(p.name.encode() + p.read_bytes() for p in sorted(out.iterdir()))

@@ -8,7 +8,9 @@ accepts that one layout only: (N, H, W, C) feature maps, (N, H, W) label
 maps and (N, K, C) node tables. When a Tape is active and an input requires
 gradients, the op appends a backward rule to the tape. With no active tape
 the identical arithmetic runs tape-free, bitwise equal to the recorded path;
-finite-difference checks rely on that.
+finite-difference checks rely on that. A tape runs backward once, releasing
+each op's output, inputs and saved arrays as it passes them, so a training
+step's activations are freed before its first layers' gradients are built.
 
 Every op output is checked finite; NaN/Inf raises NumericsError immediately,
 naming the op. A fused op also checks its intermediate stages and names the
@@ -86,12 +88,14 @@ class Tape:
     """Ordered record of operations; single owner, one active at a time.
 
     Entries are appended in execution order, so every op's inputs precede it.
-    ``backward`` walks the record once in reverse and returns gradients for
-    every requires_grad leaf reachable from the loss.
+    ``backward`` walks the record once in reverse, releasing each entry as it
+    passes, and returns gradients for every requires_grad leaf reachable from
+    the loss. ``len`` still counts the ops recorded after that.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._entries: list[tuple[Tensor, tuple[Tensor, ...], object] | None] = []
+        self._spent = False
 
     def __enter__(self):
         global _ACTIVE
@@ -110,13 +114,20 @@ class Tape:
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """The gradient map {leaf tensor: dloss/dleaf} of every requires_grad
-        leaf the loss reaches. The tape and the leaves keep no state from it."""
+        leaf the loss reaches. Runs once per tape: each entry (its output,
+        inputs and saved arrays) is released once its rule has run, so a
+        second call raises RuntimeError. The leaves keep no state."""
+        if self._spent:
+            raise RuntimeError("this tape already ran backward and released its saved arrays")
         if loss.data.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        self._spent = True
+        entries = self._entries
         grads: dict[int, np.ndarray] = {id(loss): np.ones((), loss.data.dtype)}
         by_id: dict[int, Tensor] = {}
-        produced = {id(out) for out, _, _ in self._entries}
-        for out, inputs, back in reversed(self._entries):
+        produced = {id(out) for out, _, _ in entries}
+        for i in range(len(entries) - 1, -1, -1):
+            (out, inputs, back), entries[i] = entries[i], None
             g = grads.pop(id(out), None)
             if g is None:
                 continue

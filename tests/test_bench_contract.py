@@ -76,9 +76,9 @@ def test_every_name_workloads_patch_exists():
 
 def test_traced_training_step_fills_the_counters():
     from grapy.hierarchy import taxonomy_by_name
-    from grapy.model import ModelParams
+    from grapy.model import ModelParams, batch_loss
     from grapy.synthdata import SampleBatch, SceneSpec, generate
-    from grapy.tensor import SGD
+    from grapy.tensor import SGD, Tape
 
     tax = taxonomy_by_name("A")
     samples = generate(SceneSpec(seed=5, image_size=(16, 16)), tax, 2)
@@ -93,7 +93,9 @@ def test_traced_training_step_fills_the_counters():
     rows = tracer.summary()
     assert rows["model.train_step"]["calls"] == 1
     assert rows["kernels.conv2d_forward"]["calls"] > 0
-    assert tracer.counters["tensor.tape_entries"] > 0
+    with Tape() as tape:  # the same loss, recorded untraced on a tape of its own
+        batch_loss(batch, params, tax)
+    assert tracer.counters["tensor.tape_entries"] == len(tape) > 0
     for level in (1, 2, 3):
         assert tracer.counters[f"nodes.l{level}"] == 2 * tax.k_at(level)
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,15 +314,28 @@ class TestBackward:
         with pytest.raises(ShapeError, match="scalar"):
             tape.backward(y)
 
-    def test_repeated_backward_returns_the_same_map_and_keeps_no_state(self):
+    def test_second_backward_raises_and_keeps_no_state(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
             loss = T.weighted_sum(T.scale(x, 2.0), np.ones(3))
-        first, second = tape.backward(loss), tape.backward(loss)
-        assert list(first) == list(second) == [x]
+        first = tape.backward(loss)
+        assert list(first) == [x]
         assert np.array_equal(first[x], 2 * np.ones(3))
-        assert np.array_equal(second[x], first[x])
+        with pytest.raises(RuntimeError, match="already ran backward"):
+            tape.backward(loss)
+        assert len(tape) == 2
         assert not hasattr(x, "grad")
+
+    def test_backward_frees_the_recorded_activations(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            h = T.scale(x, 2.0)
+            loss = T.weighted_sum(h, np.ones(3))
+        h_data = weakref.ref(h.data)
+        del h
+        assert h_data() is not None  # the tape holds it after the forward
+        tape.backward(loss)
+        assert h_data() is None
 
     def test_single_owner_tape(self):
         with Tape():

@@ -16,12 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .hierarchy import coarsen, taxonomy_by_name
-from .model import ModelParams, batch_loss
-# the benchmark's tracer wraps ``loss_tensor`` here too
-from .model import loss_tensor  # noqa: F401
+from .hierarchy import taxonomy_by_name
+# the benchmark's tracer wraps ``coarsen`` here too
+from .hierarchy import coarsen  # noqa: F401
+from .model import ModelParams, forward, loss_tensor
 from .pyramid import GpmLevelParams, GpmParams, pyramid_forward, reason
-from .synthdata import SampleBatch
 from .tensor import Tape, Tensor, cross_entropy_mean, precision
 
 FD_STEP = 1e-5
@@ -166,10 +165,10 @@ def pyramid_suite(seed: int = 0) -> float:
     gpm = GpmParams.init(rng, 4, tax.k3)
     y = rng.uniform(0.0, 1.0, (1, 8, 8, tax.k3))
     q = rng.integers(0, tax.k3, size=(1, 8, 8))
-    maps = {level: coarsen(np.argmax(y, axis=-1), tax, level) for level in (1, 2, 3)}
+    fine = np.argmax(y, axis=-1)
 
     def build():
-        _, y_hat = pyramid_forward(f, tax, gpm, label_maps=maps)
+        _, y_hat = pyramid_forward(f, tax, gpm, fine)
         return cross_entropy_mean(T.softmax_channels(y_hat), q)
 
     leaves = [f] + list(gpm.named().values())
@@ -177,19 +176,19 @@ def pyramid_suite(seed: int = 0) -> float:
 
 
 def end_to_end_problem(seed: int = 0, batch: int = 1):
-    """The two-branch loss of ``batch`` 8x8x4 images through ``batch_loss``, the
-    training path, as (build, named parameters).
+    """The two-branch loss of ``batch`` 8x8x4 images through ``forward`` and
+    ``loss_tensor``, the training path, as (build, named parameters).
 
-    Runs in ground-truth-mask mode so the category maps are constants for
-    both the tape and the finite differences.
+    The labels stand in for the main argmax (``forward``'s ``fine=``), so the
+    category maps are constants for both the tape and the finite differences.
     """
     rng = np.random.default_rng(seed)
     tax = taxonomy_by_name("A")
     params = ModelParams.init(rng, tax, c_in=4, width=8, channels=4)
     images = rng.uniform(0.0, 1.0, (batch, 8, 8, 4))
     q = rng.integers(0, tax.k3, size=(batch, 8, 8))
-    samples = SampleBatch(list(images), list(q))
-    return lambda: batch_loss(samples, params, tax, gt_masks=True), params.named()
+    return lambda: loss_tensor(forward(images, params, tax, fine=q), q,
+                               params.loss_weight), params.named()
 
 
 def end_to_end_suite(seed: int = 0, batch: int = 1) -> float:

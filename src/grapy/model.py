@@ -2,10 +2,10 @@
 
 The backbone is three stride-1 same-padded conv layers (relu between), small
 on purpose; the main head is a 1x1 conv to the fine class count. The pyramid
-branch consumes the backbone features and the main prediction and emits its
-own per-pixel logits. Both train with the per-pixel mean cross-entropy of
-their logits' softmax, which only the loss applies; the pyramid term is
-weighted by ``loss_weight`` (default 1).
+branch pools the features over masks from the main logits' argmax (its one
+mask source, in training as at inference) and emits its own logits. Both
+train with the per-pixel mean cross-entropy of their logits' softmax, which
+only the loss applies; the pyramid term is weighted by ``loss_weight`` (default 1).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .hierarchy import Taxonomy
 from .imageio import dequantize_image
-from .pyramid import GCR_ITERATIONS, GpmParams, check_levels, gt_label_maps, pyramid_forward
+from .pyramid import GCR_ITERATIONS, GpmParams, check_levels, pyramid_forward
 from .synthdata import Dataset, RoundRobinSampler, SampleBatch
 from .tensor import (SGD, NumericsError, Tape, Tensor, add, argmax_channel, conv2d,
                      cross_entropy_mean, relu, scale, softmax_channels, uniform_init)
@@ -98,7 +98,7 @@ class ModelParams:
 class ForwardOut(NamedTuple):
     y: Tensor                 # main-branch per-pixel logits (N, H, W, K3)
     y_hat: Tensor | None      # pyramid-branch logits, None in main-only mode
-    fine: np.ndarray | None = None  # argmax of y (N, H, W) when the pyramid's masks came from it
+    fine: np.ndarray | None = None  # argmax of y (N, H, W) when the forward took it
 
     def main_prediction(self) -> np.ndarray:
         """The (N, H, W) argmax of ``y``: ``fine`` when the forward took it."""
@@ -106,15 +106,16 @@ class ForwardOut(NamedTuple):
 
 
 def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
-            gt_labels: np.ndarray | None = None, main_only: bool = False) -> ForwardOut:
+            main_only: bool = False, fine: np.ndarray | None = None) -> ForwardOut:
     """Full forward pass of an (N, H, W, C) batch: features, main logits,
     pyramid logits, each (N, H, W, .), unsoftmaxed. Images are floats in
     [0, 1] or uint8 codes, which ``dequantize_image`` maps there.
 
-    ``gt_labels`` ((N, H, W)) switches category masks to coarsened ground
-    truth (debug mode); default masks derive from the main logits' argmax,
-    returned as ``fine`` for callers that need the prediction too: the
-    softmax's argmax except where rounding ties two softmax values.
+    The pyramid's masks coarsen the main logits' argmax, returned as ``fine``
+    for callers that need the prediction too: the softmax's argmax except
+    where rounding ties two softmax values. A given (N, H, W) ``fine`` map
+    replaces that argmax and is not returned, so gradient checks can hold
+    the masks fixed.
     """
     images = np.asarray(images)
     if images.dtype == np.uint8:  # a loaded split's codes: dequantized once per batch
@@ -124,12 +125,9 @@ def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
     y = params.main_head.apply(f)
     if main_only or params.gpm is None:
         return ForwardOut(y=y, y_hat=None)
-    if gt_labels is None:
-        maps, fine = None, argmax_channel(y)
-    else:
-        maps, fine = gt_label_maps(gt_labels, taxonomy, sorted(params.gpm.levels)), None
-    _, y_hat = pyramid_forward(f, taxonomy, params.gpm, label_maps=maps, fine=fine)
-    return ForwardOut(y=y, y_hat=y_hat, fine=fine)
+    argmax = argmax_channel(y) if fine is None else None
+    _, y_hat = pyramid_forward(f, taxonomy, params.gpm, argmax if fine is None else fine)
+    return ForwardOut(y=y, y_hat=y_hat, fine=argmax)
 
 
 def loss_tensor(out: ForwardOut, q: np.ndarray, loss_weight: float) -> Tensor:
@@ -141,16 +139,14 @@ def loss_tensor(out: ForwardOut, q: np.ndarray, loss_weight: float) -> Tensor:
 
 
 def batch_loss(batch: SampleBatch, params: ModelParams, taxonomy: Taxonomy,
-               gt_masks: bool = False, main_only: bool = False) -> Tensor:
+               main_only: bool = False) -> Tensor:
     """Mean two-branch loss of the batch, as one stacked forward on one tape.
 
     Every image has the same size, so the mean over all N*H*W pixels equals
     the mean of the per-image losses.
     """
-    images = np.stack(batch.images)
     q = np.stack(batch.labels)
-    out = forward(images, params, taxonomy, gt_labels=q if gt_masks else None,
-                  main_only=main_only)
+    out = forward(np.stack(batch.images), params, taxonomy, main_only=main_only)
     return loss_tensor(out, q, params.loss_weight)
 
 
@@ -174,13 +170,12 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
 
 
 def train_step(batch: SampleBatch, params: ModelParams, taxonomy: Taxonomy, opt: SGD,
-               gt_masks: bool = False, main_only: bool = False,
-               clip_norm: float = CLIP_NORM) -> float:
+               main_only: bool = False, clip_norm: float = CLIP_NORM) -> float:
     """One forward/backward/SGD update at ``opt.lr``; returns the pre-update loss.
     ``opt``'s gradients are clipped by name, in tape order; the first that is
     not finite raises NumericsError instead."""
     with Tape() as tape:
-        total = batch_loss(batch, params, taxonomy, gt_masks=gt_masks, main_only=main_only)
+        total = batch_loss(batch, params, taxonomy, main_only=main_only)
     grad_map = tape.backward(total)
     name_of = {id(t): name for name, t in opt.params.items()}
     grads = {name_of[id(t)]: g for t, g in grad_map.items() if id(t) in name_of}
@@ -250,7 +245,6 @@ class BaseTrainConfig(SeedConfig):
     clip_norm: float = setting(CLIP_NORM, "gradient-norm cap, 0 disables", bounds="[0, inf)")
     loss_weight: float = setting(1.0, "pyramid-branch loss weight", key="lambda",
                                  aliases=("loss_weight",), bounds="[0, inf)")
-    gt_masks: bool = setting(False, "debug: category masks from ground truth")
     iterations: int = setting(GCR_ITERATIONS, "reasoning iterations", bounds="[1, inf)")
     c_in: int = 3  # image channels; the datasets are RGB
     width: int = setting(16, "backbone conv width", bounds="[1, inf)")
@@ -316,18 +310,17 @@ def schedule(cfg: BaseTrainConfig, named: dict[str, Tensor], step: Callable[...,
 
 def run_phases(phases: list[Phase], cfg: BaseTrainConfig, log: TextIO | None = None,
                label: Callable = lambda batch: None, at: tuple[int, int] = (0, 0)):
-    """The training loop; every step takes ``cfg``'s gt_masks and clip_norm (a
-    main-only step builds no masks). Writes a tab-separated row per step to ``log``:
-    epoch and step (numbered on from ``at``), ``label(batch)`` unless None, loss and
-    lr. Returns the (epoch, step) reached."""
+    """The training loop; every step takes ``cfg``'s clip_norm (a two-branch step
+    pools over the main argmax's masks, a main-only step builds none). Writes a
+    tab-separated row per step to ``log``: epoch and step (numbered on from ``at``),
+    ``label(batch)`` unless None, loss and lr. Returns the (epoch, step) reached."""
     epoch, step = at
     for ph in phases:
         opt = SGD(ph.params, ph.lr, cfg.momentum)
         for _ in range(ph.epochs):
             for _ in range(ph.epoch_steps):
                 batch = ph.next_batch()
-                loss = ph.step(batch, opt, gt_masks=cfg.gt_masks, main_only=ph.main_only,
-                               clip_norm=cfg.clip_norm)
+                loss = ph.step(batch, opt, main_only=ph.main_only, clip_norm=cfg.clip_norm)
                 step += 1
                 if log is not None:
                     row = (epoch, step, label(batch), f"{loss:.6f}", f"{ph.lr:g}")

@@ -8,11 +8,11 @@ node features are projected back to feature width and added onto each
 category's pixels. The final prediction head sees the initial map
 concatenated with all refined maps.
 
-Category masks come from the per-pixel argmax of the main-branch logits,
-taken once per forward and coarsened through the taxonomy at each level; they
-are constants inside a training step (argmax never joins the tape). The
-reasoning rounds of a level are one tape op with a hand-written adjoint
-(``tensor.attention_rounds``).
+Category masks come from the per-pixel argmax of the main-branch logits, the
+one mask source in training as at inference, taken once per forward and
+coarsened through the taxonomy at each level; they are constants inside a
+training step (argmax never joins the tape). The reasoning rounds of a level
+are one tape op with a hand-written adjoint (``tensor.attention_rounds``).
 
 The batch is the leading axis throughout: (N, H, W, C) feature maps give
 (N, K, C) nodes, pooled and attended within each image.
@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import Taxonomy, coarsen
+from .hierarchy import Taxonomy
+# the benchmark's tracer wraps ``coarsen`` here too
+from .hierarchy import coarsen  # noqa: F401
 from .tensor import (Tensor, add, attention_rounds, broadcast_nodes, concat_channels, conv2d,
                      masked_pool, matmul, uniform_init)
 
@@ -151,30 +153,18 @@ def level_forward(f_prev: Tensor, label_map: np.ndarray, k: int, level: int,
     return distribute(f_prev, refined, params.out_proj, label_map)
 
 
-def pyramid_forward(f: Tensor, taxonomy: Taxonomy, params: GpmParams,
-                    label_maps: dict[int, np.ndarray] | None = None,
-                    fine: np.ndarray | None = None):
+def pyramid_forward(f: Tensor, taxonomy: Taxonomy, params: GpmParams, fine: np.ndarray):
     """Run the pyramid coarse to fine; returns f_hat and the fused head's logits y_hat.
 
-    ``label_maps`` overrides the prediction-derived masks (used by the
-    ground-truth-mask debug mode and by gradient checks, where masks must
-    stay fixed). The other masks coarsen ``fine``, the (N, H, W) argmax of
-    the main logits.
+    Each level's masks coarsen ``fine``, the (N, H, W) argmax of the main
+    logits (or a fixed map standing in for it, as in the gradient checks).
     """
-    maps = label_maps or {}
     f_l = f
     pyramid = [f]
     for level in sorted(params.levels):
-        label_map = maps.get(level)
-        if label_map is None:
-            label_map = masks_from_prediction(fine, taxonomy, level)
+        label_map = masks_from_prediction(fine, taxonomy, level)
         f_l = level_forward(f_l, label_map, taxonomy.k_at(level), level,
                             params.levels[level], params.iterations)
         pyramid.append(f_l)
     f_hat = concat_channels(pyramid)
     return f_hat, conv2d(f_hat, params.head)
-
-
-def gt_label_maps(q: np.ndarray, taxonomy: Taxonomy, levels) -> dict[int, np.ndarray]:
-    """Coarsened ground-truth maps for every pyramid level (debug mask mode)."""
-    return {level: coarsen(q, taxonomy, level) for level in levels}

@@ -39,13 +39,20 @@ def _meta(meta: dict[str, str], key: str, default: str, parse=str):
 
 
 def _backbone_dims(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, int]:
-    """c_in, width and channels, read off the first and last backbone kernels."""
-    dims = []
-    for name in (f"{prefix}.conv1.kernel", f"{prefix}.conv3.kernel"):
+    """c_in, width and channels, read off the first and last backbone kernels;
+    width and channels must lie in the ranges of their settings."""
+    conv1, conv3 = f"{prefix}.conv1.kernel", f"{prefix}.conv3.kernel"
+    for name in (conv1, conv3):
         if name not in arrays or arrays[name].ndim != 4:
             raise CheckpointError(f"{name} is missing or not a rank-4 conv kernel")
-        dims.append(arrays[name].shape)
-    return {"c_in": dims[0][2], "width": dims[0][3], "channels": dims[1][3]}
+    dims = {"c_in": arrays[conv1].shape[2], "width": arrays[conv1].shape[3],
+            "channels": arrays[conv3].shape[3]}
+    for key, name in (("width", conv1), ("channels", conv3)):
+        try:
+            _SETTINGS[key].check(dims[key])
+        except ValueError as exc:
+            raise CheckpointError(f"{name}: {key} {exc}") from None
+    return dims
 
 
 def _common(meta: dict[str, str]) -> dict:

@@ -103,20 +103,17 @@ def gsd_oracle(f, v_gcr, out_proj, label_map):
     return out
 
 
-def pyramid_oracle(f, y, tables, level_params, head, iterations=3, label_maps=None):
+def pyramid_oracle(f, y, tables, level_params, head, iterations=3):
     """Composed forward of the three-level pyramid, no tape.
 
     ``tables`` maps level -> fine-index lookup table; ``level_params`` maps
     level -> (q1, q2, out_proj) arrays.
     """
     f_l = f.copy()
-    maps = label_maps or {}
     stack = [f.copy()]
     for level in sorted(level_params):
         q1, q2, out_proj = level_params[level]
-        lm = maps.get(level)
-        if lm is None:
-            lm = masks_oracle(y, tables[level])
+        lm = masks_oracle(y, tables[level])
         k = int(tables[level].max()) + 1
         nodes = gsa_oracle(f_l, lm, k)
         refined = gcr_oracle(nodes, q1, q2, iterations)

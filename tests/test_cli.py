@@ -358,6 +358,20 @@ def _edit_eval_ckpt(case: str, path) -> str:
     """A copy of the joint A/B/C checkpoint broken one way; returns what the error names."""
     from grapy.checkpoint import load_checkpoint, save_checkpoint
 
+    if case.startswith(("single_zero_", "mutual_zero_")):  # a model built with width or channels 0
+        from grapy.hierarchy import builtin_taxonomies
+        from grapy.model import ModelParams
+        from grapy.mutual import MlModel
+        from grapy.serialize import save_ml_model, save_model
+
+        kind, dim = case.split("_zero_")
+        taxonomies = builtin_taxonomies()
+        if kind == "single":
+            save_model(path, ModelParams.init(0, taxonomies[0], **{dim: 0}), taxonomies[0])
+        else:
+            save_ml_model(path, MlModel.init(0, list(taxonomies), **{dim: 0}))
+        backbone = "backbone" if kind == "single" else "shared.backbone"
+        return f"{backbone}.conv{1 if dim == 'width' else 3}.kernel: {dim} must be in [1, inf)"
     arrays, meta = load_checkpoint(EVAL_CKPT)
     kernel = "branch1.main_head.kernel"
     if case == "missing_parameter":
@@ -426,7 +440,9 @@ def _edit_eval_ckpt(case: str, path) -> str:
                                   "share_backbone_not_a_bit", "four_channel_backbone", "iterations_zero",
                                   "iterations_negative", "negative_loss_weight",
                                   "nan_weight", "inf_bias", "meta_codes_above_255",
-                                  "meta_codes_fraction", "meta_codes_nan", "beyond_f32"])
+                                  "meta_codes_fraction", "meta_codes_nan", "beyond_f32",
+                                  "single_zero_width", "single_zero_channels",
+                                  "mutual_zero_width", "mutual_zero_channels"])
 def test_unusable_checkpoint_exits_4_naming_the_key(case, bench_dir, tmp_path):
     ckpt = tmp_path / "edited.ckpt"
     named = _edit_eval_ckpt(case, ckpt)

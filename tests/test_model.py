@@ -70,7 +70,9 @@ class TestForward:
         assert out.fine.dtype == np.int64
         assert np.array_equal(out.fine, argmax_channel(out.y))
         assert out.main_prediction() is out.fine
-        assert forward(images, params, tax, gt_labels=np.stack([q, q])).fine is None
+        frozen = forward(images, params, tax, fine=np.stack([q, q]))
+        assert frozen.fine is None
+        assert np.array_equal(frozen.main_prediction(), out.fine)
         main_only = forward(images, params, tax, main_only=True)
         assert main_only.fine is None
         assert np.array_equal(main_only.main_prediction(), out.fine)
@@ -161,7 +163,7 @@ class TestTrainStep:
         q = rng.integers(0, tax.k3, (1, 8, 8))
 
         def build():
-            out = forward(image, params, tax, gt_labels=q)
+            out = forward(image, params, tax, fine=q)
             return loss_tensor(out, q, 1.0)
 
         from grapy.tensor import Tape
@@ -277,7 +279,7 @@ class TestPhases:
 
     def test_schedule_phases(self, tax):
         params = ModelParams.init(np.random.default_rng(0), tax, width=4, channels=4)
-        cfg = TrainConfig(lr=0.2, lr_decay=0.25, gt_masks=True)
+        cfg = TrainConfig(lr=0.2, lr_decay=0.25)
         named = params.named()
         pre, main = schedule(cfg, named, None, None, (1, 1), (1, 1))
         assert list(pre.params) == [n for n in named if not n.startswith("gpm.")]
@@ -351,14 +353,13 @@ class TestBatchAxis:
         batch = SampleBatch([s.image for s in samples], [s.labels for s in samples])
         return tax, params, batch
 
-    @pytest.mark.parametrize("gt_masks", [False, True])
-    def test_per_sample_outputs_and_losses(self, setup, gt_masks):
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_per_sample_outputs_and_losses(self, setup, frozen):
         tax, params, batch = setup
         q = np.stack(batch.labels)
-        out = forward(np.stack(batch.images), params, tax, gt_labels=q if gt_masks else None)
+        out = forward(np.stack(batch.images), params, tax, fine=q if frozen else None)
         for n, (image, labels) in enumerate(zip(batch.images, batch.labels)):
-            one = forward(image[None], params, tax,
-                          gt_labels=labels[None] if gt_masks else None)
+            one = forward(image[None], params, tax, fine=labels[None] if frozen else None)
             assert rel_err(out.y.data[n], one.y.data[0]) < 1e-9
             assert rel_err(out.y_hat.data[n], one.y_hat.data[0]) < 1e-9
             sliced = ForwardOut(Tensor(out.y.data[n:n + 1]), Tensor(out.y_hat.data[n:n + 1]))
@@ -366,15 +367,13 @@ class TestBatchAxis:
             b = float(loss_tensor(one, labels[None], 1.0).data)
             assert abs(a - b) <= 1e-9 * abs(b)
 
-    @pytest.mark.parametrize("gt_masks", [False, True])
-    def test_batch_loss_and_gradients_match_mean_of_images(self, setup, gt_masks):
+    def test_batch_loss_and_gradients_match_mean_of_images(self, setup):
         tax, params, batch = setup
         with Tape() as tape:
-            loss = batch_loss(batch, params, tax, gt_masks=gt_masks)
+            loss = batch_loss(batch, params, tax)
         got = tape.backward(loss)
         with Tape() as tape:
-            terms = [loss_tensor(forward(img[None], params, tax,
-                                         gt_labels=q[None] if gt_masks else None), q[None], 1.0)
+            terms = [loss_tensor(forward(img[None], params, tax), q[None], 1.0)
                      for img, q in zip(batch.images, batch.labels)]
             total = terms[0]
             for t in terms[1:]:

@@ -128,8 +128,8 @@ class TestWeightSharing:
         q = rng.integers(0, 7, (16, 16))
         single = ModelParams(params.backbone, params.main_head,
                              GpmParams(dict(params.gpm.levels), params.gpm.head), 1.0)
-        a = forward(image[None], params, taxonomies[0], gt_labels=q[None])
-        b = forward(image[None], single, taxonomies[0], gt_labels=q[None])
+        a = forward(image[None], params, taxonomies[0], fine=q[None])
+        b = forward(image[None], single, taxonomies[0], fine=q[None])
         assert a.y.data[0].tobytes() == b.y.data[0].tobytes()
         assert a.y_hat.data[0].tobytes() == b.y_hat.data[0].tobytes()
 

@@ -3,8 +3,7 @@ import pytest
 
 from grapy.hierarchy import coarsen, taxonomy_by_name
 from grapy.pyramid import (GpmLevelParams, GpmParams, aggregate, distribute,
-                           gt_label_maps, masks_from_prediction, pyramid_forward,
-                           reason)
+                           masks_from_prediction, pyramid_forward, reason)
 import grapy.tensor as T
 from grapy.tensor import (NumericsError, Tape, Tensor, add, argmax_channel, cross_entropy_mean,
                           precision, weighted_sum)
@@ -286,17 +285,6 @@ class TestPyramidForward:
         assert f_hat.data[0].shape == (6, 6, 8)
         assert y_hat.data[0].shape == (6, 6, tax.k3)
 
-    def test_gt_label_maps_override(self, tax):
-        rng = np.random.default_rng(20)
-        f, y = self._inputs(rng, tax)
-        gpm = GpmParams.init(rng, 4, tax.k3)
-        q = rng.integers(0, tax.k3, (6, 6))
-        maps = gt_label_maps(q[None], tax, (1, 2, 3))
-        for level in (1, 2, 3):
-            assert np.array_equal(maps[level][0], coarsen(q, tax, level))
-        f_hat, _ = pyramid_forward(Tensor(f[None]), tax, gpm, label_maps=maps)
-        assert f_hat.data[0].shape == (6, 6, 16)
-
     def test_permutation_equivariance(self):
         # permuting category order (masks and node rows together) permutes the
         # node features and leaves the distributed map pixelwise unchanged
@@ -339,10 +327,10 @@ class TestPyramidForward:
         y = Tensor(rng.uniform(0, 1, (1, 8, 8, tax.k3)))
         gpm = GpmParams.init(rng, 4, tax.k3)
         q = rng.integers(0, tax.k3, (1, 8, 8))
-        maps = {l: masks_from_prediction(argmax_channel(y), tax, l) for l in (1, 2, 3)}
+        fine = argmax_channel(y)
 
         def build():
-            _, y_hat = pyramid_forward(f, tax, gpm, label_maps=maps)
+            _, y_hat = pyramid_forward(f, tax, gpm, fine)
             return cross_entropy_mean(T.softmax_channels(y_hat), q)
 
         with Tape() as tape:

@@ -136,10 +136,9 @@ def test_help_lists_every_setting():
 
 
 def test_existing_flag_spellings_still_parse(monkeypatch):
-    train, _, _ = _resolve("train", ["--no-gpm", "--gt-masks", "--gpm-levels", "3",
-                                     "--lambda", "0"], monkeypatch)
-    assert (train.with_gpm, train.gt_masks, train.levels, train.loss_weight) == (
-        False, True, (3,), 0.0)
+    train, _, _ = _resolve("train", ["--no-gpm", "--gpm-levels", "3", "--lambda", "0"],
+                           monkeypatch)
+    assert (train.with_gpm, train.levels, train.loss_weight) == (False, (3,), 0.0)
     ml, _ = _resolve("train-ml", ["--no-share-backbone"], monkeypatch)
     assert not ml.share_backbone
     ml, _ = _resolve("train-ml", ["--share-backbone"], monkeypatch)
@@ -156,8 +155,8 @@ def test_out_of_range_value_is_rejected_when_built():
 
 
 TRAIN_KEYS = {"seed", "precision", "lr", "momentum", "batch_size", "epochs_pretrain",
-              "epochs_main", "lr_decay", "loss_weight", "lambda", "clip_norm", "gt_masks",
-              "iterations", "width", "channels"}
+              "epochs_main", "lr_decay", "loss_weight", "lambda", "clip_norm", "iterations",
+              "width", "channels"}
 
 
 @pytest.mark.parametrize("command,keys", [
@@ -176,6 +175,7 @@ def test_config_keys_and_flags_keep_their_spellings(command, keys):
     ("train", "pooling", ["--pooling", "ave"]),
     ("train", "gcr_fresh_weights", ["--gcr-fresh-weights"]),
     ("train-ml", "accumulate", ["--accumulate"]),
+    ("train", "gt_masks", ["--gt-masks"]),
 ])
 def test_removed_modes_exit_2_as_unknown_flag_and_key(command, key, flag, tmp_path,
                                                       monkeypatch, capsys):

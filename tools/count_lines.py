@@ -3,8 +3,8 @@
 A line counts unless it is blank or its first non-space character is ``#``;
 docstrings count. Prints one ``<lines> <module>`` row per module, then the
 subtotal of the training loop and its commands (``cli.py``, ``model.py``,
-``mutual.py``, ROADMAP item 7), then the total. Run from anywhere: ``python tools/count_lines.py``; to count another
-tree, run that checkout's copy.
+``mutual.py``), then the total. Run from anywhere: ``python
+tools/count_lines.py``; to count another tree, run that checkout's copy.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EVAL_CKPT = ROOT / "perfbench" / "data" / "eval_abc.ckpt"
-CONFIG = "lambda = 0.5\ngpm_levels = 2,3\ngt_masks = yes\noverfit = 6\nsteps = 60\nclip_norm = 2\n"
+CONFIG = "lambda = 0.5\ngpm_levels = 2,3\ngpm = yes\noverfit = 6\nsteps = 60\nclip_norm = 2\n"
 # run directory -> (argv, less the data and --out flags; the output files pinned)
 TRAIN = {
     "epoch": (["train", "--epochs-pretrain", "1", "--epochs-main", "2", "--batch-size", "8",
@@ -51,8 +51,8 @@ PINS = {
     "ml_abc/train_ml.log": "36082680ca1e0ead3200088c1940dee807d5bdc12f97b19ed2997855be0526fd",
     "ml_bc_unshared/model_ml.ckpt": "9e2440b57634195be779c9ae9d4c42964f1aabb58fb5839dae8b2b3f584cf640",
     "ml_bc_unshared/train_ml.log": "f20f619ce8846bd59bfcf01d084b628fa26763276381ca6556d4a79a3b4872bf",
-    "config/model.ckpt": "ee28a36901800474001804888de36d162766288781c2dc79d39f790c22a3a290",
-    "config/train.log": "6080752014025e4b43715e59b95957a048094b2e43076c7a8e9490a80deee9d8",
+    "config/model.ckpt": "827b11e7a6371364674f4fb45efcaca01f46518e31d068f9ea5461a212feee7e",
+    "config/train.log": "d80be42f287678ba9a1e15b40f1b9f073ec64cebb8e0fabbbd855926e28f93f5",
     "eval/A_f32.kv": "0cf8b1b751986d6c6305e122b713820cd97fdad6d4d4231a88d4529b2c9aa4a2",
     "eval/A_f32.txt": "ad9c4db6a2612a20bf32a540d02af490ef2a6534c880aec24452eb2c337790cf",
     "eval/A_f64.kv": "0cf8b1b751986d6c6305e122b713820cd97fdad6d4d4231a88d4529b2c9aa4a2",

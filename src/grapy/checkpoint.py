@@ -30,7 +30,8 @@ class CheckpointError(ValueError):
 def replacing(path):
     """A binary file whose bytes replace ``path`` when the block ends: written
     to a temporary file next to it, synced, then renamed over it. A block that
-    raises leaves ``path`` as it was and no temporary file behind."""
+    raises leaves ``path`` as it was and no temporary file behind; an OSError
+    on the temporary file is raised naming ``path``."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -38,9 +39,11 @@ def replacing(path):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -17,6 +17,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
 
+import numpy as np
+
 from . import gradcheck as gradcheck_mod
 from . import metrics, serialize
 from .checkpoint import CheckpointError, replacing
@@ -277,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kv-out", help="write machine-readable key=value lines here")
     p = command("predict", cmd_predict, "write colorized prediction PPMs", Precision, Limit,
                 required=data | ckpt | out, config=False)
-    p.add_argument("--branch", choices=("gpm", "main"), default="gpm")
+    p.add_argument("--branch", choices=("gpm", "main"), default="gpm",
+                   help="branch to write (default: gpm; a --no-gpm checkpoint writes main's)")
     command("gradcheck", cmd_gradcheck, "finite-difference gradient suites (64-bit)",
             SeedConfig, required={}, config=False)
     return parser
@@ -288,7 +291,9 @@ def main(argv=None) -> int:
     try:
         configs = resolve_settings(args, *args.settings)
         prec = next((c.precision for c in configs if isinstance(c, Precision)), None)
-        with nullcontext() if prec is None else precision(prec):  # None: the tensor default
+        # a NumericsError reports an overflow or NaN, so numpy's warning would repeat it
+        with np.errstate(over="ignore", invalid="ignore"), \
+                nullcontext() if prec is None else precision(prec):  # None: the tensor default
             return args.func(args, *(c for c in configs if not isinstance(c, Precision)))
     except NumericsError as exc:
         print(f"numerical failure: {exc}\ndiagnostics: loss or an intermediate value became "

@@ -21,7 +21,7 @@ from .hierarchy import taxonomy_by_name
 from .hierarchy import coarsen  # noqa: F401
 from .model import ModelParams, forward, loss_tensor
 from .pyramid import GpmLevelParams, GpmParams, pyramid_forward, reason
-from .tensor import Tape, Tensor, cross_entropy_mean, precision
+from .tensor import Tape, Tensor, precision, softmax_cross_entropy
 
 FD_STEP = 1e-5
 MIN_FD_STEP = 1e-8
@@ -125,7 +125,7 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     logits = leaf(1, 4, 4, 3)
     q = rng.integers(0, 3, size=(1, 4, 4))
     results["cross_entropy"] = check_tensor_grads(
-        lambda: cross_entropy_mean(T.softmax_channels(logits), q), [logits])
+        lambda: softmax_cross_entropy(logits, q), [logits])
 
     # the same ops over a leading batch axis of 2
     probe("matmul_shared_batch2", T.matmul, leaf(2, 4, 5), leaf(5, 3))
@@ -138,7 +138,7 @@ def op_suites(seed: int = 0) -> dict[str, float]:
     logits_b = leaf(2, 4, 4, 3)
     qb = rng.integers(0, 3, size=(2, 4, 4))
     results["cross_entropy_batch2"] = check_tensor_grads(
-        lambda: cross_entropy_mean(T.softmax_channels(logits_b), qb), [logits_b])
+        lambda: softmax_cross_entropy(logits_b, qb), [logits_b])
     return results
 
 
@@ -169,7 +169,7 @@ def pyramid_suite(seed: int = 0) -> float:
 
     def build():
         _, y_hat = pyramid_forward(f, tax, gpm, fine)
-        return cross_entropy_mean(T.softmax_channels(y_hat), q)
+        return softmax_cross_entropy(y_hat, q)
 
     leaves = [f] + list(gpm.named().values())
     return check_tensor_grads(build, leaves)

@@ -4,8 +4,8 @@ The backbone is three stride-1 same-padded conv layers (relu between), small
 on purpose; the main head is a 1x1 conv to the fine class count. The pyramid
 branch pools the features over masks from the main logits' argmax (its one
 mask source, in training as at inference) and emits its own logits. Both
-train with the per-pixel mean cross-entropy of their logits' softmax, which
-only the loss applies; the pyramid term is weighted by ``loss_weight`` (default 1).
+train with the per-pixel mean cross-entropy of their logits, one tape op that
+alone takes the softmax; the pyramid term is weighted by ``loss_weight`` (default 1).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .hierarchy import Taxonomy
 from .imageio import dequantize_image
 from .pyramid import GCR_ITERATIONS, GpmParams, check_levels, pyramid_forward
 from .synthdata import Dataset, RoundRobinSampler, SampleBatch
-from .tensor import (SGD, NumericsError, Tape, Tensor, add, argmax_channel, conv2d,
-                     cross_entropy_mean, relu, scale, softmax_channels, uniform_init)
+from .tensor import (SGD, NumericsError, Tape, Tensor, add, argmax_channel, conv2d, relu, scale,
+                     softmax_cross_entropy, uniform_init)
 
 
 @dataclass
@@ -131,10 +131,10 @@ def forward(images: np.ndarray, params: ModelParams, taxonomy: Taxonomy,
 
 
 def loss_tensor(out: ForwardOut, q: np.ndarray, loss_weight: float) -> Tensor:
-    """Per-pixel mean cross-entropy of both branches' softmax: L = L_main + w * L_pyramid."""
-    total = cross_entropy_mean(softmax_channels(out.y), q)
+    """Per-pixel mean cross-entropy of both branches' logits: L = L_main + w * L_pyramid."""
+    total = softmax_cross_entropy(out.y, q)
     if out.y_hat is not None and loss_weight != 0.0:
-        total = add(total, scale(cross_entropy_mean(softmax_channels(out.y_hat), q), loss_weight))
+        total = add(total, scale(softmax_cross_entropy(out.y_hat, q), loss_weight))
     return total
 
 

@@ -36,7 +36,7 @@ class NumericsError(ArithmeticError):
 
 
 _DTYPE = np.float64  # 64-bit is the test/gradcheck mode; training may use 32-bit
-# smallest positive normal of each float width, looked up once (softmax floors)
+# smallest positive normal of each float width, looked up once (the softmax floor)
 _TINY = {np.dtype(t): np.finfo(t).tiny for t in (np.float32, np.float64)}
 
 
@@ -258,9 +258,9 @@ def _softmax(x: np.ndarray, xmax: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by its max ``xmax`` (keepdims shape).
 
     Outputs are floored at the dtype's smallest positive normal so that a
-    saturated row never underflows to an exact zero; an exact zero would kill
-    the gradient of any downstream log-likelihood and make saturation
-    unrecoverable in 32-bit training.
+    saturated row never underflows to an exact zero; an exact zero would make
+    the loss's log infinite, kill its gradient and make saturation
+    unrecoverable in 32-bit training. The loss relies on this one floor.
     """
     e = np.exp(x - xmax)
     s = e / np.add.reduce(e, axis=-1, keepdims=True)
@@ -275,23 +275,6 @@ def row_softmax(x: np.ndarray) -> np.ndarray:
     """The floored softmax over the last axis of a short-rowed array (the
     attention rows)."""
     return _softmax(x, np.maximum.reduce(x, axis=-1, keepdims=True))
-
-
-def softmax_channels(a: Tensor) -> Tensor:
-    """Softmax over the channel axis of an (N, H, W, K) tensor.
-
-    The channel max is taken one column at a time: K ``np.maximum`` calls over
-    the N*H*W pixels beat numpy's reduction over a short contiguous last axis,
-    and a max is exact in any order.
-    """
-    if a.data.ndim != 4:
-        raise ShapeError(f"softmax_channels needs (N,H,W,K), got {a.shape}")
-    x = a.data
-    xmax = x[..., :1].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(xmax, x[..., j : j + 1], out=xmax)
-    s = _softmax(x, xmax)
-    return _apply("softmax_channels", s, (a,), lambda g: (_softmax_back(s, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -422,29 +405,32 @@ def broadcast_nodes(w: Tensor, label_map: np.ndarray) -> Tensor:
                   lambda g: (kernels.scatter_rows(g, label_map, k),))
 
 
-def cross_entropy_mean(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of an (N, H, W, K) probability map at
-    ``labels``, averaged over every pixel of the batch."""
-    k = probs.shape[-1]
-    if probs.data.ndim != 4 or labels.shape != probs.shape[:-1]:
-        raise ShapeError(f"labels shape {labels.shape} does not match prediction {probs.shape}")
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood at ``labels`` of the channel softmax of
+    (N, H, W, K) logits over every pixel of the batch. The channel max is taken
+    one column at a time: K ``np.maximum`` calls over the N*H*W pixels beat
+    numpy's reduction over a short contiguous last axis, and a max is exact in
+    any order."""
+    x = logits.data
+    if x.ndim != 4 or labels.shape != x.shape[:-1]:
+        raise ShapeError(f"labels shape {labels.shape} does not match prediction {x.shape}")
+    k = x.shape[-1]
     if labels.min() < 0 or labels.max() >= k:
         raise ShapeError(f"label out of range [0, {k})")
-    p2 = probs.data.reshape(-1, k)
-    rows = np.arange(p2.shape[0])
-    lab = labels.reshape(-1)
-    p = p2[rows, lab]
-    tiny = _TINY[probs.data.dtype]
-    pc = np.maximum(p, tiny)
-    out = np.asarray(-np.log(pc).mean(), dtype=probs.data.dtype)
-    n = p.size
+    xmax = x[..., :1].copy()
+    for j in range(1, k):
+        np.maximum(xmax, x[..., j : j + 1], out=xmax)
+    s = _softmax(x, xmax)
+    s2, rows, lab = s.reshape(-1, k), np.arange(labels.size), labels.reshape(-1)
+    p, n = s2[rows, lab], labels.size
+    out = np.asarray(-np.log(p).mean(), dtype=x.dtype)  # p >= the floor: the log is finite
 
     def back(g):
-        gp = np.zeros_like(p2)
-        gp[rows, lab] = np.where(p >= tiny, -g / (pc * n), 0.0)
-        return (gp.reshape(probs.shape),)
+        gp = np.zeros_like(s2)
+        gp[rows, lab] = -g / (p * n)
+        return (_softmax_back(s, gp.reshape(s.shape)),)
 
-    return _apply("cross_entropy", out, (probs,), back)
+    return _apply("softmax_cross_entropy", out, (logits,), back)
 
 
 def argmax_channel(a: Tensor) -> np.ndarray:

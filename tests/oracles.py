@@ -60,6 +60,24 @@ def softmax_np(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def softmax_cross_entropy_oracle(x, labels):
+    """Loss and logit gradient of the two ops the loss once was: the channel
+    softmax floored at the dtype's smallest normal, then the mean of -log at
+    the labels with the probability floored again, each with its own backward
+    rule. Arithmetic for arithmetic, so its bytes are the reference."""
+    tiny = np.finfo(x.dtype).tiny
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = np.maximum(e / e.sum(axis=-1, keepdims=True), tiny)
+    at_label = np.arange(x.shape[-1]) == labels[..., None]
+    p = s[at_label]  # one per pixel, in row-major order
+    pc = np.maximum(p, tiny)
+    loss = np.asarray(-np.log(pc).mean(), dtype=x.dtype)
+    g = np.ones((), x.dtype)  # dloss/dloss
+    gp = np.zeros_like(s)
+    gp[at_label] = np.where(p >= tiny, -g / (pc * p.size), 0.0)
+    return loss, s * (gp - (gp * s).sum(axis=-1, keepdims=True))
+
+
 def masks_oracle(y, table):
     """Per-pixel argmax then table lookup, pixel by pixel."""
     h, w, _ = y.shape

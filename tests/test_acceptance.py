@@ -27,8 +27,8 @@ from grapy.pyramid import (GCR_ITERATIONS, GpmLevelParams, GpmParams, aggregate,
                            distribute, pyramid_forward, reason)
 from grapy.synthdata import (Dataset, SampleBatch, SceneSpec, generate,
                              make_benchmark_datasets, read_sample, write_sample)
-from grapy.tensor import (SGD, Tensor, argmax_channel, cross_entropy_mean, precision,
-                          row_softmax, softmax_channels)
+from grapy.tensor import (SGD, Tensor, argmax_channel, precision, row_softmax,
+                          softmax_cross_entropy)
 from oracles import gcr_oracle, gsa_oracle, gsd_oracle, pyramid_oracle, rel_err
 
 PASS = "PASS: {}"
@@ -169,7 +169,7 @@ def test_oracle_equivalence_20_instances():
                             gpm.levels[l].out_proj.data) for l in (1, 2, 3)}
         f_exp, y_exp = pyramid_oracle(f, y, tables, level_arrays, gpm.head.data)
         comp_worst = max(comp_worst, rel_err(f_hat.data[0], f_exp),
-                         rel_err(softmax_channels(y_hat).data[0], y_exp))
+                         rel_err(row_softmax(y_hat.data)[0], y_exp))
         assert comp_worst < 1e-6, f"composed trial {trial}: {comp_worst:.2e}"
     print(PASS.format(f"oracle equivalence: 20 instances per stage "
                       f"(worst {worst:.2e}) and 20 composed (worst {comp_worst:.2e}) < 1e-6"))
@@ -243,8 +243,8 @@ def test_invariant_suite(bench, attention_mats):
     image = rng.uniform(0, 1, (16, 16, 3))
     q = rng.integers(0, tax_a.k3, (16, 16))
     out = forward(image[None], params, tax_a)
-    l_main = float(cross_entropy_mean(softmax_channels(out.y), q[None]).data)
-    l_gpm = float(cross_entropy_mean(softmax_channels(out.y_hat), q[None]).data)
+    l_main = float(softmax_cross_entropy(out.y, q[None]).data)
+    l_gpm = float(softmax_cross_entropy(out.y_hat, q[None]).data)
     for lam in (1.0, 0.35):
         assert float(loss_tensor(out, q[None], lam).data) == l_main + lam * l_gpm
 

@@ -204,7 +204,8 @@ class TestDerivedLevels:
 
 
 class TestLogitsOnly:
-    """Eval and predict take argmaxes of logits; only the loss softmaxes."""
+    """Eval and predict take argmaxes of logits; only the loss, one op per
+    branch, softmaxes."""
 
     @pytest.fixture
     def setup(self):
@@ -214,16 +215,16 @@ class TestLogitsOnly:
 
     @staticmethod
     def _patch(monkeypatch, fn):
-        """``fn`` replaces ``softmax_channels`` wherever model and pyramid look it up."""
-        monkeypatch.setattr(grapy.tensor, "softmax_channels", fn)
-        monkeypatch.setattr(grapy.model, "softmax_channels", fn)
-        monkeypatch.setattr(grapy.pyramid, "softmax_channels", fn, raising=False)
+        """``fn`` replaces ``softmax_cross_entropy`` wherever model and pyramid look it up."""
+        monkeypatch.setattr(grapy.tensor, "softmax_cross_entropy", fn)
+        monkeypatch.setattr(grapy.model, "softmax_cross_entropy", fn)
+        monkeypatch.setattr(grapy.pyramid, "softmax_cross_entropy", fn, raising=False)
 
     def test_eval_and_predict_never_softmax(self, setup, monkeypatch):
         params, ds = setup
 
-        def refuse(a):
-            raise AssertionError("softmax_channels called outside the loss")
+        def refuse(a, labels):
+            raise AssertionError("softmax_cross_entropy called outside the loss")
 
         self._patch(monkeypatch, refuse)
         report, _ = evaluate_report(params, ds)
@@ -232,17 +233,17 @@ class TestLogitsOnly:
             preds = list(predictions(params, ds, main_only=main_only))
             assert len(preds) == len(ds) and all(sorted(p) == branches for p in preds)
 
-    def test_two_branch_loss_softmaxes_twice_on_an_unchanged_tape(self, setup, monkeypatch):
+    def test_two_branch_loss_softmaxes_twice_in_one_op_each(self, setup, monkeypatch):
         params, ds = setup
-        calls, real = [], grapy.tensor.softmax_channels
+        calls, real = [], grapy.tensor.softmax_cross_entropy
 
-        def counting(a):
+        def counting(a, labels):
             calls.append(a.shape)
-            return real(a)
+            return real(a, labels)
 
         self._patch(monkeypatch, counting)
         batch = SampleBatch([s.image for s in ds.samples], [s.labels for s in ds.samples])
         with Tape() as tape:
             batch_loss(batch, params, ds.taxonomy)
         assert calls == [(2, 16, 16, ds.taxonomy.k3)] * 2
-        assert len(tape) == 29  # the count when forward softmaxed both heads itself
+        assert len(tape) == 27  # one loss op per branch

@@ -11,7 +11,7 @@ from grapy.model import (ForwardOut, ModelParams, TrainConfig, batch_loss,
 from grapy.synthdata import (Dataset, SampleBatch, SceneSpec, generate, load_dataset,
                              save_dataset)
 from grapy.tensor import (SGD, NumericsError, Tape, Tensor, add, argmax_channel, precision,
-                          scale, softmax_channels)
+                          row_softmax, scale, softmax_cross_entropy)
 from oracles import fd_gradient, rel_err
 
 
@@ -33,9 +33,9 @@ class TestForward:
     def test_outputs_are_distributions(self, tax, tiny):
         params, image, _ = tiny
         out = forward(image[None], params, tax)
-        for y in (softmax_channels(out.y), softmax_channels(out.y_hat)):
-            assert np.abs(y.data[0].sum(axis=2) - 1).max() < 1e-6
-            assert y.data[0].min() >= 0
+        for y in (row_softmax(out.y.data), row_softmax(out.y_hat.data)):
+            assert np.abs(y[0].sum(axis=2) - 1).max() < 1e-6
+            assert y[0].min() >= 0
 
     def test_shapes(self, tax):
         rng = np.random.default_rng(1)
@@ -106,18 +106,13 @@ class TestLoss:
         params, image, q = tiny
         out = forward(image[None], params, tax)
         main = loss_tensor(out, q[None], 0.0)
-        from grapy.tensor import cross_entropy_mean
-
-        assert np.isclose(float(main.data),
-                          float(cross_entropy_mean(softmax_channels(out.y), q[None]).data))
+        assert np.isclose(float(main.data), float(softmax_cross_entropy(out.y, q[None]).data))
 
     def test_additive_decomposition(self, tax, tiny):
         params, image, q = tiny
         out = forward(image[None], params, tax)
-        from grapy.tensor import cross_entropy_mean
-
-        l_main = float(cross_entropy_mean(softmax_channels(out.y), q[None]).data)
-        l_gpm = float(cross_entropy_mean(softmax_channels(out.y_hat), q[None]).data)
+        l_main = float(softmax_cross_entropy(out.y, q[None]).data)
+        l_gpm = float(softmax_cross_entropy(out.y_hat, q[None]).data)
         total = float(loss_tensor(out, q[None], 1.0).data)
         assert np.isclose(total, l_main + l_gpm, rtol=0, atol=1e-12)
         total_w = float(loss_tensor(out, q[None], 0.37).data)
@@ -252,6 +247,9 @@ class TestTrainStep:
         assert code == 3
         assert "numerical failure: the gradient of parameter" in capsys.readouterr().err
         assert not (tmp_path / "o" / "model.ckpt").exists()
+        # the log keeps the rows of the steps that ran
+        rows = (tmp_path / "o" / "train.log").read_text().splitlines()
+        assert [row.split("\t")[1] for row in rows] == ["1", "2", "3"]
 
     def test_clip_gradients_caps_norm(self):
         grads = {"a": np.full(4, 10.0), "b": np.full(2, -10.0)}

@@ -5,8 +5,8 @@ from grapy.hierarchy import coarsen, taxonomy_by_name
 from grapy.pyramid import (GpmLevelParams, GpmParams, aggregate, distribute,
                            masks_from_prediction, pyramid_forward, reason)
 import grapy.tensor as T
-from grapy.tensor import (NumericsError, Tape, Tensor, add, argmax_channel, cross_entropy_mean,
-                          precision, weighted_sum)
+from grapy.tensor import (NumericsError, Tape, Tensor, add, argmax_channel, precision,
+                          softmax_cross_entropy, weighted_sum)
 from oracles import (fd_gradient, gcr_oracle, gsa_oracle, gsd_oracle,
                      masks_oracle, pyramid_oracle, rel_err)
 
@@ -251,7 +251,7 @@ class TestPyramidForward:
         gpm.head.data[:] = 0
         f_hat, y_hat = pyramid_forward(Tensor(f[None]), tax, gpm, fine=np.argmax(y[None], axis=-1))
         assert np.array_equal(f_hat.data[0], np.concatenate([f] * 4, axis=2))
-        assert np.allclose(T.softmax_channels(y_hat).data[0], 1.0 / tax.k3)
+        assert np.allclose(T.row_softmax(y_hat.data)[0], 1.0 / tax.k3)
 
     def test_output_shapes(self, tax):
         rng = np.random.default_rng(17)
@@ -275,7 +275,7 @@ class TestPyramidForward:
                   gpm.levels[l].out_proj.data) for l in (1, 2, 3)}
         f_exp, y_exp = pyramid_oracle(f, y, tables, lp, gpm.head.data)
         assert rel_err(f_hat.data[0], f_exp) < 1e-6
-        assert rel_err(T.softmax_channels(y_hat).data[0], y_exp) < 1e-6
+        assert rel_err(T.row_softmax(y_hat.data)[0], y_exp) < 1e-6
 
     def test_level_subset(self, tax):
         rng = np.random.default_rng(19)
@@ -331,7 +331,7 @@ class TestPyramidForward:
 
         def build():
             _, y_hat = pyramid_forward(f, tax, gpm, fine)
-            return cross_entropy_mean(T.softmax_channels(y_hat), q)
+            return softmax_cross_entropy(y_hat, q)
 
         with Tape() as tape:
             loss = build()
@@ -384,4 +384,4 @@ class TestBatchAxis:
         for n in range(2):
             f_exp, y_exp = pyramid_oracle(f[n], y[n], tables, lp, gpm.head.data)
             assert rel_err(f_hat.data[n], f_exp) < 1e-6
-            assert rel_err(T.softmax_channels(y_hat).data[n], y_exp) < 1e-6
+            assert rel_err(T.row_softmax(y_hat.data)[n], y_exp) < 1e-6

@@ -10,7 +10,7 @@ import grapy.kernels as K
 import grapy.tensor as T
 from grapy.tensor import (SGD, NumericsError, ShapeError, Tape, Tensor,
                           argmax_channel, precision, sgd_step)
-from oracles import conv2d_loops, fd_gradient, rel_err
+from oracles import conv2d_loops, fd_gradient, rel_err, softmax_cross_entropy_oracle
 
 
 def leaf(rng, *shape):
@@ -95,49 +95,63 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_equal_values_uniform(self):
-        out = T.softmax_channels(Tensor([[[[2.0, 2.0, 2.0, 2.0]]]]))
-        assert np.allclose(out.data, 0.25)
+        assert np.allclose(T.row_softmax(np.array([[[[2.0, 2.0, 2.0, 2.0]]]])), 0.25)
 
     def test_closed_form(self):
-        out = T.softmax_channels(Tensor([[[[0.0, np.log(3.0)]]]]))
-        assert np.allclose(out.data[0, 0], [[0.25, 0.75]], atol=1e-12)
+        out = T.row_softmax(np.array([[[[0.0, np.log(3.0)]]]]))
+        assert np.allclose(out[0, 0], [[0.25, 0.75]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
-        out = T.softmax_channels(Tensor(rng.normal(0, 10, (1, 1, 6, 5))))
-        assert np.all(out.data[0, 0] >= 0)
-        assert np.abs(out.data[0, 0].sum(axis=1) - 1).max() < 1e-6
+        out = T.row_softmax(rng.normal(0, 10, (1, 1, 6, 5)))
+        assert np.all(out[0, 0] >= 0)
+        assert np.abs(out[0, 0].sum(axis=1) - 1).max() < 1e-6
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 6))
-        a = T.softmax_channels(Tensor(x[None, None])).data[0, 0]
-        b = T.softmax_channels(Tensor(x[None, None] + 7.3)).data[0, 0]
+        a = T.row_softmax(x[None, None])[0, 0]
+        b = T.row_softmax(x[None, None] + 7.3)[0, 0]
         assert np.abs(a - b).max() < 1e-9
 
     def test_channel_loop_max_is_bitwise_the_row_max(self):
-        # ties, signed zeros and a dominant channel: the column-loop max must
-        # shift exactly as numpy's reduction does
+        # ties, signed zeros and a dominant channel: the loss op's column-loop
+        # max must shift exactly as numpy's reduction does
         rng = np.random.default_rng(16)
         x = np.round(rng.normal(0, 3, (2, 5, 5, 12)), 1)
         x[0, 0, 0] = 0.0
         x[0, 0, 0, ::2] = -0.0
         x[1, 2, 3, 7] = 40.0
+        q = rng.integers(0, 12, (2, 5, 5))
         for dtype in (np.float64, np.float32):
-            xd = x.astype(dtype)
-            assert T.softmax_channels(Tensor(xd, dtype=dtype)).data.tobytes() == \
-                T.row_softmax(xd).tobytes()
+            assert _loss_and_grad(x.astype(dtype), q) == _reference(x.astype(dtype), q)
 
-    def test_gradcheck(self):
-        rng = np.random.default_rng(6)
-        x = leaf(rng, 1, 1, 5, 5)
-        w = rng.normal(size=(1, 1, 5, 5))
 
-        def build():
-            return T.weighted_sum(T.softmax_channels(x), w)
+def _loss_and_grad(x, q):
+    """Bytes of softmax_cross_entropy's loss and logit gradient at ``x``."""
+    logits = Tensor(x, requires_grad=True, dtype=x.dtype)
+    with Tape() as tape:
+        loss = T.softmax_cross_entropy(logits, q)
+    return loss.data.tobytes(), tape.backward(loss)[logits].tobytes()
 
-        _, (gx,) = tape_grad(build, [x])
-        assert rel_err(gx, fd_gradient(lambda: float(build().data), x.data)) < 1e-6
+
+def _reference(x, q):
+    return tuple(a.tobytes() for a in softmax_cross_entropy_oracle(x, q))
+
+
+class TestSoftmaxCrossEntropyBytes:
+    """The one loss op keeps every byte of the softmax-then-log-likelihood pair
+    it replaced, floors included."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+    def test_loss_and_gradient_bytes_equal_the_two_op_reference(self, dtype, scale):
+        rng = np.random.default_rng(24)
+        x = (rng.normal(size=(2, 5, 6, 7)) * scale).astype(dtype)
+        q = rng.integers(0, 7, (2, 5, 6))
+        # past scale 1, saturated pixels put probabilities on the floor
+        assert (T.row_softmax(x) == np.finfo(dtype).tiny).any() == (scale > 1)
+        assert _loss_and_grad(x, q) == _reference(x, q)
 
 
 def _logit_maps(dtype, bound):
@@ -162,7 +176,7 @@ class TestArgmaxOfLogits:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.one_of(_logit_maps(np.float32, 1e30), _logit_maps(np.float64, 1e300)))
     def test_equals_the_softmax_argmax_where_its_maximum_is_unique(self, x):
-        s = T.softmax_channels(Tensor(x, dtype=x.dtype)).data
+        s = T.row_softmax(x)
         assert s.dtype == x.dtype
         unique = (s == s.max(axis=-1, keepdims=True)).sum(axis=-1) == 1
         got = argmax_channel(Tensor(x, dtype=x.dtype))
@@ -172,7 +186,7 @@ class TestArgmaxOfLogits:
         # exp(-1 ulp of 0.1) rounds to 1 in f32: both softmax values are 0.5,
         # so the softmax's argmax is the first channel, the logits' the second
         x = np.array([[[[0.1, np.nextafter(np.float32(0.1), np.float32(1))]]]], np.float32)
-        s = T.softmax_channels(Tensor(x, dtype=np.float32)).data
+        s = T.row_softmax(x)
         assert s.tolist() == [[[[0.5, 0.5]]]]
         assert argmax_channel(Tensor(s, dtype=np.float32)).item() == 0
         assert argmax_channel(Tensor(x, dtype=np.float32)).item() == 1
@@ -392,7 +406,7 @@ class TestDeterminismAndPrecision:
 
         def run():
             out = T.conv2d(Tensor(x[None]), Tensor(k))
-            return T.softmax_channels(out).data[0].tobytes()
+            return T.row_softmax(out.data)[0].tobytes()
 
         assert run() == run()
 
@@ -409,19 +423,19 @@ class TestDeterminismAndPrecision:
 class TestCrossEntropy:
     def test_one_hot_gives_zero(self):
         labels = np.array([[0, 1], [2, 1]])
-        y = np.eye(3)[labels]
-        loss = T.cross_entropy_mean(Tensor(y[None]), labels[None])
+        y = 100.0 * np.eye(3)[labels]
+        loss = T.softmax_cross_entropy(Tensor(y[None]), labels[None])
         assert abs(float(loss.data)) < 1e-12
 
     def test_uniform_gives_log_k(self):
-        y = np.full((1, 4, 4, 5), 0.2)
-        loss = T.cross_entropy_mean(Tensor(y), np.zeros((1, 4, 4), np.int64))
+        loss = T.softmax_cross_entropy(Tensor(np.zeros((1, 4, 4, 5))),
+                                       np.zeros((1, 4, 4), np.int64))
         assert np.isclose(float(loss.data), np.log(5.0))
 
     def test_label_out_of_range(self):
         with pytest.raises(ShapeError):
-            T.cross_entropy_mean(Tensor(np.full((1, 2, 2, 3), 1 / 3)),
-                                 np.full((1, 2, 2), 3, np.int64))
+            T.softmax_cross_entropy(Tensor(np.zeros((1, 2, 2, 3))),
+                                    np.full((1, 2, 2), 3, np.int64))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(15)
@@ -429,7 +443,7 @@ class TestCrossEntropy:
         q = rng.integers(0, 3, size=(1, 4, 4))
 
         def build():
-            return T.cross_entropy_mean(T.softmax_channels(logits), q)
+            return T.softmax_cross_entropy(logits, q)
 
         _, (g,) = tape_grad(build, [logits])
         assert rel_err(g, fd_gradient(lambda: float(build().data), logits.data)) < 1e-6
@@ -492,9 +506,7 @@ def _single_image_calls():
         "conv2d": lambda: T.conv2d(f, Tensor(np.ones((3, 3, 3, 2)))),
         "masked_pool": lambda: T.masked_pool(f, labels, 2),
         "broadcast_nodes": lambda: T.broadcast_nodes(Tensor(np.ones((2, 3))), labels),
-        "cross_entropy_mean": lambda: T.cross_entropy_mean(Tensor(np.full((4, 4, 2), 0.5)),
-                                                           labels),
-        "softmax_channels": lambda: T.softmax_channels(f),
+        "softmax_cross_entropy": lambda: T.softmax_cross_entropy(f, labels),
         "argmax_channel": lambda: argmax_channel(f),
         "matmul": lambda: T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
         "attention_rounds": lambda: T.attention_rounds(
